@@ -41,7 +41,7 @@ grid = build_grid(1.0, 1e4, 4097)
 op = assemble_operator(grid, params0.N)
 env = SourceEnvelope.radial(1.0, params0.k)
 
-C3, C4 = calibrate_barrier_constants(params0, env, op, verdict)
+C3, C4 = calibrate_barrier_constants(params0, op, verdict)
 probe = constant_schedule(params0.with_lam(1.0), env, C3, C4)
 lam = probe.lambda_star / 2.0
 params = params0.with_lam(lam)
@@ -50,7 +50,7 @@ print(f"\ncalibrated constants: C3 = {C3:.4f}, C4 = {C4:.4f}")
 print(f"threshold lam* = {probe.lambda_star:.4e}; running at lam = lam*/2 = {lam:.4e}")
 print(f"box bounds: D = {sched.D:.3e}, E = {sched.E:.3e}, F = {sched.F:.3e}, G = {sched.G:.3e}")
 
-state = solve_system(params, env, op)
+state = solve_system(params, env, op, schedule=sched)
 fit_u = fit_power(state.u, (10.0, 1e3))
 fit_v = fit_power(state.v, (10.0, 1e3))
 box = verify_box(state, state.schedule, verdict.u_profile, verdict.v_profile)
@@ -64,7 +64,8 @@ print(f"box check on the window: ok = {box.ok}, "
 # the activator dominates the inhibitor at small lam: u/v grows as lam drops
 print("\nactivator/inhibitor ordering as the source weakens:")
 for frac in (2.0, 8.0, 32.0):
-    st = solve_system(params0.with_lam(probe.lambda_star / frac), env, op)
+    params_f = params0.with_lam(probe.lambda_star / frac)
+    st = solve_system(params_f, env, op, schedule=constant_schedule(params_f, env, C3, C4))
     mask = grid.window_mask(100.0, 1e3)
     ratio = float(np.min(st.u.values[mask] / st.v.values[mask]))
     print(f"  lam = lam*/{int(frac):2d}: min u/v over the outer window = {ratio:.3e}")

@@ -38,7 +38,6 @@ from .grid import (
 )
 from .scalar import (
     BarrierPair,
-    NonlinearityKind,
     NonlinearitySpec,
     ScalarSolveResult,
     barrier_W,
@@ -62,8 +61,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticProfile", "BarrierPair", "BoxReport", "ConstantSchedule",
     "CoupledState", "ExponentSet", "FitResult", "GridFunction",
-    "NonlinearityKind", "NonlinearitySpec", "Outcome", "ProbeReport",
-    "ProfileKind", "ProfileMatch", "RadialGrid", "RadialOperator",
+    "NonlinearitySpec", "Outcome", "ProbeReport", "ProfileKind",
+    "ProfileMatch", "RadialGrid", "RadialOperator",
     "RegimeVerdict", "ScalarSolveResult", "SourceEnvelope", "SystemKind",
     "apply_H", "assemble_operator", "backward_error", "barrier_W", "barrier_Z",
     "build_grid", "calibrate_barrier_constants", "classify", "compare_profile",

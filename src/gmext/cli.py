@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coupled import solve_system, suggest_lambda, verify_box
+from .coupled import _activator_rhs, solve_system, suggest_lambda, verify_box
 from .errors import ConfigError, GmextError, WindowError
 from .fitting import compare_profile, fit_power, fit_power_log
 from .grid import GridFunction, assemble_operator, build_grid
@@ -123,28 +125,42 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 _SOLVE_DEFAULTS = {
     "lam": 0.0, "kind": "GM", "r0": 1.0, "R": 1e4, "n": 4097,
-    "tol": 1e-11, "max_iter": 200, "damping": 0.5, "polish": 2,
+    "tol": 1e-11, "max_iter": 200,
     "rho0": 1.0, "window_lo": 0.0, "window_hi": 0.0,
 }
 
 
+# settings that older manifests record and that are now fixed
+_FIXED_KEYS = {"damping": 0.5, "polish": 2}
+
+
 def _solve_config(args: argparse.Namespace) -> dict:
+    """Effective solve settings from flags and config file, or from a
+    replayed manifest; both go through the same coercion."""
     if getattr(args, "from_manifest", None):
-        manifest = json.loads(Path(args.from_manifest).read_text(encoding="utf-8"))
-        return dict(manifest["config"])
-    cfg = _collect(args, dict(_SOLVE_DEFAULTS))
+        try:
+            manifest = json.loads(Path(args.from_manifest).read_text(encoding="utf-8"))
+            cfg = dict(manifest["config"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"unreadable manifest {args.from_manifest}: {exc!r}") from exc
+    else:
+        cfg = _collect(args, dict(_SOLVE_DEFAULTS))
     params = params_from(cfg)
-    out = {key: cfg[key] for key in _SOLVE_DEFAULTS if key not in _PARAM_KEYS}
-    out.update({
-        "N": params.N, "p": params.p, "q": params.q, "m": params.m,
-        "s": params.s, "k": params.k, "lam": params.lam, "kind": params.kind.value,
-        "r0": float(cfg["r0"]), "R": float(cfg["R"]), "n": int(cfg["n"]),
-        "tol": float(cfg["tol"]), "max_iter": int(cfg["max_iter"]),
-        "damping": float(cfg["damping"]), "polish": int(cfg["polish"]),
-        "rho0": float(cfg["rho0"]),
-        "window_lo": float(cfg["window_lo"]), "window_hi": float(cfg["window_hi"]),
-    })
-    return out
+    try:
+        for key, fixed in _FIXED_KEYS.items():
+            if key in cfg and float(cfg[key]) != fixed:
+                raise ConfigError(f"{key} = {cfg[key]!r} is no longer supported "
+                                  f"(fixed at {fixed})")
+        return {
+            "N": params.N, "p": params.p, "q": params.q, "m": params.m,
+            "s": params.s, "k": params.k, "lam": params.lam, "kind": params.kind.value,
+            "r0": float(cfg["r0"]), "R": float(cfg["R"]), "n": int(cfg["n"]),
+            "tol": float(cfg["tol"]), "max_iter": int(cfg["max_iter"]),
+            "rho0": float(cfg["rho0"]),
+            "window_lo": float(cfg["window_lo"]), "window_hi": float(cfg["window_hi"]),
+        }
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"bad solve configuration: {exc}") from exc
 
 
 def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
@@ -159,8 +175,9 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
     grid = build_grid(float(cfg["r0"]), float(cfg["R"]), int(cfg["n"]))
     op = assemble_operator(grid, params.N)
     env = SourceEnvelope.radial(float(cfg["rho0"]), params.k)
+    schedule = None
     if params.lam <= 0.0:
-        lam, _ = suggest_lambda(params, env, op)
+        lam, schedule = suggest_lambda(params, env, op)
         params = params.with_lam(lam)
         cfg = dict(cfg, lam=lam)
     window = (float(cfg["window_lo"]), float(cfg["window_hi"]))
@@ -171,8 +188,7 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
     state = solve_system(
         params, env, op,
         tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"]),
-        damping=float(cfg["damping"]), polish_rounds=int(cfg["polish"]),
-        window=window,
+        window=window, schedule=schedule,
     )
 
     # short domains get a short default window; accept down to one decade here
@@ -184,15 +200,9 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
     cmp_u = compare_profile(fit_u, verdict.u_profile)
     cmp_v = compare_profile(fit_v, verdict.v_profile)
 
-    box = None
-    if state.schedule is not None:
-        box = verify_box(state, state.schedule, verdict.u_profile, verdict.v_profile, window)
+    box = verify_box(state, state.schedule, verdict.u_profile, verdict.v_profile, window)
 
-    rho = env.rho(grid.r)
-    if params.kind is SystemKind.MIXED:
-        rhs_u = state.v.values ** params.q / state.u.values ** params.p + params.lam * rho
-    else:
-        rhs_u = state.u.values ** params.p / state.v.values ** params.q + params.lam * rho
+    rhs_u = _activator_rhs(params, env, state.u.values, state.v.values, env.rho(grid.r))
     rhs_v = state.u.values ** params.m * state.v.values ** -params.s
     res_u_nodes = op.apply(state.u.values) - rhs_u
     res_v_nodes = op.apply(state.v.values) - rhs_v
@@ -210,15 +220,7 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
             "v_profile": {"power": verdict.v_profile.power,
                           "log_power": verdict.v_profile.log_power},
         },
-        "schedule": None if state.schedule is None else {
-            "C3": state.schedule.C3, "C4": state.schedule.C4,
-            "C5": state.schedule.C5, "C6": state.schedule.C6,
-            "D": state.schedule.D, "E": state.schedule.E,
-            "F": state.schedule.F, "G": state.schedule.G,
-            "lam": state.schedule.lam,
-            "lambda_star": state.schedule.lambda_star,
-            "lambda_star_star": state.schedule.lambda_star_star,
-        },
+        "schedule": dataclasses.asdict(state.schedule),
         "fits": {
             "window": list(window),
             "u": {"power": fit_u.power, "log_power": fit_u.log_power,
@@ -231,7 +233,7 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
         "residuals": {k: state.diagnostics[k] for k in (
             "certificate_u", "certificate_v", "backward_error_u",
             "backward_error_v", "source_residual_u", "source_residual_v")},
-        "box": None if box is None else {
+        "box": {
             "ok": box.ok, "violations_u": box.violations_u,
             "violations_v": box.violations_v, "margin_u": box.margin_u,
             "margin_v": box.margin_v, "window": list(box.window),
@@ -257,7 +259,7 @@ def write_solution_csv(path: Path, rows: list[tuple]) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _solve_config(args)
-    verdict = classify(params_from(cfg), float(cfg.get("r0", 1.0)))
+    verdict = classify(params_from(cfg), cfg["r0"])
     if not verdict.exists:
         print(f"{_verdict_line(verdict)}: refusing to solve; "
               "use 'gmext probe' for nonexistence corroboration", file=sys.stderr)
@@ -327,14 +329,11 @@ _SWEEP_FIELDS = [
 
 
 def _sweep_cell(task: dict) -> dict:
-    row = {key: "" for key in _SWEEP_FIELDS}
-    row.update({key: task["cell"][key] for key in ("p", "q", "m", "s", "k")})
+    exponents = {key: task["cell"][key] for key in ("p", "q", "m", "s", "k")}
+    row = dict({key: "" for key in _SWEEP_FIELDS}, **exponents)
     try:
-        params = ExponentSet(
-            N=task["N"], p=task["cell"]["p"], q=task["cell"]["q"],
-            m=task["cell"]["m"], s=task["cell"]["s"], k=task["cell"]["k"],
-            lam=task["cell"].get("lam", 0.0), kind=SystemKind(task["kind"]),
-        )
+        params = ExponentSet(N=task["N"], **exponents, lam=task["cell"].get("lam", 0.0),
+                             kind=SystemKind(task["kind"]))
         verdict = classify(params)
         row["outcome"] = verdict.outcome.value
         row["condition"] = verdict.matched_condition
@@ -344,12 +343,8 @@ def _sweep_cell(task: dict) -> dict:
             row["v_power"] = verdict.v_profile.power
             row["v_log_power"] = verdict.v_profile.log_power
             if task["solve"]:
-                cfg = dict(task["solve_cfg"])
-                cfg.update({
-                    "N": params.N, "p": params.p, "q": params.q, "m": params.m,
-                    "s": params.s, "k": params.k, "lam": params.lam,
-                    "kind": params.kind.value,
-                })
+                cfg = dict(task["solve_cfg"], **exponents, N=params.N, lam=params.lam,
+                           kind=params.kind.value)
                 manifest, _, _ = run_solve(cfg)
                 row["fit_u_power"] = manifest["fits"]["u"]["power"]
                 row["fit_v_power"] = manifest["fits"]["v"]["power"]
@@ -376,17 +371,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     jobs = args.jobs or int(os.environ.get("GM_EXT_JOBS", "1"))
     axis_keys = sorted(axes)
     grids = [axes[key] for key in axis_keys]
-    cells = []
-    if all(len(g) > 0 for g in grids):
-        idx = [0] * len(grids)
-        total = int(np.prod([len(g) for g in grids])) if grids else 1
-        for flat in range(total):
-            rem = flat
-            cell = dict(base)
-            for axis_i in reversed(range(len(grids))):
-                rem, pos = divmod(rem, len(grids[axis_i]))
-                cell[axis_keys[axis_i]] = grids[axis_i][pos]
-            cells.append(cell)
+    cells = [dict(base, **dict(zip(axis_keys, combo))) for combo in itertools.product(*grids)]
 
     solve_cfg = dict(_SOLVE_DEFAULTS)
     solve_cfg.update({"r0": float(cfg["r0"]), "R": float(cfg["R"]),
@@ -521,8 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--rho0", type=float)
     ss.add_argument("--tol", type=float)
     ss.add_argument("--max-iter", dest="max_iter", type=int)
-    ss.add_argument("--damping", type=float)
-    ss.add_argument("--polish", type=int)
     ss.add_argument("--window-lo", dest="window_lo", type=float)
     ss.add_argument("--window-hi", dest="window_hi", type=float)
     ss.add_argument("--output", help="output directory (default: .)")

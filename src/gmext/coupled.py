@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConfigError, DivergedError
 from .grid import (
     GridFunction,
-    RadialGrid,
     RadialOperator,
     backward_error,
     solve_linear,
@@ -50,6 +49,11 @@ from .scalar import NonlinearitySpec, solve_monotone, _extrapolated_pin
 
 _TINY = 1e-300
 _RANGE = (1e-30, 1e30)
+# weight of the image in each damped Picard step
+_DAMPING = 0.5
+# outer re-pinnings after the Picard phase, and the step cap of each
+_POLISH_ROUNDS = 2
+_POLISH_CAP = 60
 
 
 @dataclass
@@ -93,13 +97,8 @@ def activator_decay(verdict: RegimeVerdict) -> float:
     return -verdict.u_profile.power
 
 
-def profile_values(profile: AsymptoticProfile, grid: RadialGrid) -> np.ndarray:
-    return profile.values(grid.r)
-
-
 def calibrate_barrier_constants(
     params: ExponentSet,
-    env: SourceEnvelope,
     op: RadialOperator,
     verdict: RegimeVerdict | None = None,
     margin: float = 0.05,
@@ -116,7 +115,7 @@ def calibrate_barrier_constants(
     if not verdict.exists:
         raise ConfigError("calibration needs an existence-classified parameter set")
     a_u = activator_decay(verdict)
-    psi = profile_values(verdict.v_profile, grid)
+    psi = verdict.v_profile.values(grid.r)
     r = grid.r
 
     alpha = params.m * a_u
@@ -164,7 +163,7 @@ def suggest_lambda(
 ) -> tuple[float, ConstantSchedule]:
     """Threshold-based default source strength: fraction * lambda threshold."""
     verdict = classify(params, op.grid.r0)
-    C3, C4 = calibrate_barrier_constants(params, env, op, verdict)
+    C3, C4 = calibrate_barrier_constants(params, op, verdict)
     probe = constant_schedule(params.with_lam(1.0), env, C3, C4)
     lam = fraction * probe.threshold
     return lam, constant_schedule(params.with_lam(lam), env, C3, C4)
@@ -204,7 +203,7 @@ def apply_H(
         if state.schedule is not None:
             sch = state.schedule
             a_u = activator_decay(verdict)
-            psi_R = float(profile_values(verdict.v_profile, grid)[-1])
+            psi_R = float(verdict.v_profile.values(grid.r)[-1])
             pins = (
                 float(np.sqrt(sch.D * sch.E) * grid.R ** -a_u),
                 float(np.sqrt(sch.F * sch.G) * psi_R),
@@ -232,23 +231,13 @@ def initial_state(
     env: SourceEnvelope,
     op: RadialOperator,
     verdict: RegimeVerdict,
-    schedule: ConstantSchedule | None,
+    schedule: ConstantSchedule,
 ) -> CoupledState:
+    """The box midpoint on the predicted profiles."""
     grid = op.grid
-    a_u = activator_decay(verdict)
-    psi = np.maximum(profile_values(verdict.v_profile, grid), _TINY)
-    if schedule is not None:
-        u0 = np.sqrt(schedule.D * schedule.E) * grid.r ** -a_u
-        v0 = np.sqrt(schedule.F * schedule.G) * psi
-    else:
-        # resonance estimate for the activator amplitude, inhibitor from one
-        # scalar solve against it
-        amp = params.lam * env.rho_amplitude / (a_u * (params.N - 2.0 - a_u))
-        u0 = amp * grid.r ** -a_u
-        v0 = solve_monotone(
-            op, u0 ** params.m, NonlinearitySpec.power(params.s), outer="extrapolate",
-        ).w.values
-        v0 = np.maximum(v0, _TINY)
+    psi = np.maximum(verdict.v_profile.values(grid.r), _TINY)
+    u0 = np.sqrt(schedule.D * schedule.E) * grid.r ** -activator_decay(verdict)
+    v0 = np.sqrt(schedule.F * schedule.G) * psi
     return CoupledState(
         u=GridFunction(grid, u0), v=GridFunction(grid, v0),
         schedule=schedule, verdict=verdict,
@@ -264,11 +253,9 @@ def _state_residuals(
     rho = env.rho(grid.r)
     rhs_u = _activator_rhs(params, env, u, v, rho)
     rhs_v = u ** params.m * v ** -params.s
-    verdict = state.verdict
-    gamma_v = -(verdict.v_profile.power) if verdict and verdict.v_profile else 0.0
-    a_u = activator_decay(verdict) if verdict else params.N - 2.0
+    gamma_v = -state.verdict.v_profile.power
     w_u = params.k
-    w_v = params.m * a_u - params.s * gamma_v
+    w_v = params.m * activator_decay(state.verdict) - params.s * gamma_v
     return {
         "certificate_u": weighted_residual(op, u, rhs_u, w_u, window),
         "certificate_v": weighted_residual(op, v, rhs_v, w_v, window),
@@ -279,23 +266,52 @@ def _state_residuals(
     }
 
 
+def _damped_picard(
+    state: CoupledState, params: ExponentSet, env: SourceEnvelope, op: RadialOperator,
+    pins: tuple[float, float] | None, tol: float, cap: int,
+) -> tuple[CoupledState, float]:
+    """Blend the state with its image under H until the largest nodewise
+    relative gap between them drops below ``tol`` or ``cap`` is spent."""
+    grid = op.grid
+    gap = np.inf
+    for _ in range(cap):
+        mapped = apply_H(state, params, env, op, pins=pins)
+        gap = max(
+            float(np.max(np.abs(mapped.u.values - state.u.values)
+                         / np.maximum(state.u.values, _TINY))),
+            float(np.max(np.abs(mapped.v.values - state.v.values)
+                         / np.maximum(state.v.values, _TINY))),
+        )
+        state = CoupledState(
+            u=GridFunction(grid, (1 - _DAMPING) * state.u.values + _DAMPING * mapped.u.values),
+            v=GridFunction(grid, (1 - _DAMPING) * state.v.values + _DAMPING * mapped.v.values),
+            iteration=mapped.iteration,
+            schedule=state.schedule, verdict=state.verdict, diagnostics=mapped.diagnostics,
+        )
+        if gap < tol:
+            break
+    return state, gap
+
+
 def solve_system(
     params: ExponentSet,
     env: SourceEnvelope,
     op: RadialOperator,
     tol: float = 1e-11,
     max_iter: int = 200,
-    damping: float = 0.5,
-    polish_rounds: int = 2,
     window: tuple[float, float] | None = None,
+    schedule: ConstantSchedule | None = None,
 ) -> CoupledState:
     """Damped Picard on the fixed-point map, then a self-pinned polish.
 
-    The Picard phase runs with the schedule's profile pins (box-certified);
-    the polish phase re-pins both outer values from the solution's own outer
-    power law, removing the O(1) amplitude mismatch the fixed pins leave at
-    the truncation radius, and ends with one undamped application so the
-    stored state satisfies the discrete equations to solver accuracy.
+    ``schedule`` is the constant schedule at ``params.lam`` (as returned by
+    ``suggest_lambda``); without one, C3/C4 are calibrated on ``op`` and the
+    schedule is built here.  The Picard phase runs at most ``max_iter``
+    applications with the schedule's box-midpoint pins; the polish phase
+    twice re-pins both outer values from the solution's own outer power law,
+    removing the O(1) amplitude mismatch the fixed pins leave at the
+    truncation radius, and ends with one undamped application so the stored
+    state satisfies the discrete equations to solver accuracy.
     """
     grid = op.grid
     verdict = classify(params, grid.r0)
@@ -306,64 +322,34 @@ def solve_system(
         )
     if not params.lam > 0:
         raise ConfigError("solve_system needs lam > 0 (try suggest_lambda)")
-    # the box machinery applies verbatim in all three existence regimes: the
-    # threshold algebra only needs the calibrated comparison constants taken
-    # against the regime's own profiles
-    C3, C4 = calibrate_barrier_constants(params, env, op, verdict)
-    schedule = constant_schedule(params, env, C3, C4)
+    if schedule is None:
+        # the box machinery applies verbatim in all three existence regimes:
+        # the threshold algebra only needs the calibrated comparison
+        # constants taken against the regime's own profiles
+        C3, C4 = calibrate_barrier_constants(params, op, verdict)
+        schedule = constant_schedule(params, env, C3, C4)
+    elif schedule.lam != params.lam:
+        raise ConfigError(
+            f"schedule was built for lam = {schedule.lam!r}, not {params.lam!r}"
+        )
     state = initial_state(params, env, op, verdict, schedule)
     if window is None:
         window = grid.default_window()
 
-    gap = np.inf
-    for _ in range(max_iter):
-        mapped = apply_H(state, params, env, op)
-        gap = max(
-            float(np.max(np.abs(mapped.u.values - state.u.values)
-                         / np.maximum(state.u.values, _TINY))),
-            float(np.max(np.abs(mapped.v.values - state.v.values)
-                         / np.maximum(state.v.values, _TINY))),
-        )
-        blended = CoupledState(
-            u=GridFunction(grid, (1 - damping) * state.u.values + damping * mapped.u.values),
-            v=GridFunction(grid, (1 - damping) * state.v.values + damping * mapped.v.values),
-            iteration=mapped.iteration,
-            schedule=schedule, verdict=verdict, diagnostics=mapped.diagnostics,
-        )
-        state = blended
-        if gap < tol:
-            break
-    converged_picard = gap < tol
-
-    pins_final: tuple[float, float] | None = None
-    for _ in range(polish_rounds):
+    # pins=None: apply_H pins at the schedule's box midpoints
+    state, gap = _damped_picard(state, params, env, op, None, tol, max_iter)
+    for _ in range(_POLISH_ROUNDS):
         pins = (
             _extrapolated_pin(grid, state.u.values),
             _extrapolated_pin(grid, state.v.values),
         )
-        for _ in range(60):
-            mapped = apply_H(state, params, env, op, pins=pins)
-            pgap = max(
-                float(np.max(np.abs(mapped.u.values - state.u.values)
-                             / np.maximum(state.u.values, _TINY))),
-                float(np.max(np.abs(mapped.v.values - state.v.values)
-                             / np.maximum(state.v.values, _TINY))),
-            )
-            state = CoupledState(
-                u=GridFunction(grid, 0.5 * (state.u.values + mapped.u.values)),
-                v=GridFunction(grid, 0.5 * (state.v.values + mapped.v.values)),
-                iteration=mapped.iteration,
-                schedule=schedule, verdict=verdict, diagnostics=mapped.diagnostics,
-            )
-            if pgap < tol:
-                break
-        pins_final = pins
-    state = apply_H(state, params, env, op, pins=pins_final)
+        state, _ = _damped_picard(state, params, env, op, pins, tol, _POLISH_CAP)
+    state = apply_H(state, params, env, op, pins=pins)
 
     res = _state_residuals(state, params, env, op, window)
     state.residuals = (res["certificate_u"], res["certificate_v"])
     state.diagnostics.update(res)
-    state.diagnostics["picard_converged"] = bool(converged_picard)
+    state.diagnostics["picard_converged"] = bool(gap < tol)
     state.diagnostics["picard_gap"] = float(gap)
     state.diagnostics["window"] = window
     return state
@@ -385,8 +371,8 @@ def verify_box(
     if window is None:
         window = grid.default_window()
     mask = grid.window_mask(*window)
-    pu = profile_values(u_profile, grid)[mask]
-    pv = profile_values(v_profile, grid)[mask]
+    pu = u_profile.values(grid.r)[mask]
+    pv = v_profile.values(grid.r)[mask]
     u = state.u.values[mask]
     v = state.v.values[mask]
     lo_u, hi_u = schedule.D * pu, schedule.E * pu

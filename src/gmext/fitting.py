@@ -104,11 +104,6 @@ def fit_power_log(w: GridFunction, window: tuple[float, float], r0: float,
     )
 
 
-def fit_profile(w: GridFunction, window: tuple[float, float], r0: float,
-                expect_log: bool) -> FitResult:
-    return fit_power_log(w, window, r0) if expect_log else fit_power(w, window)
-
-
 def compare_profile(
     fit: FitResult,
     predicted: AsymptoticProfile,

@@ -26,9 +26,8 @@ from scipy.linalg import solve_banded
 
 from .errors import ConfigError
 
-# Soft preconditions for meaningful asymptotics work (documented, not
+# Soft precondition for meaningful asymptotics work (documented, not
 # enforced: tiny grids remain constructible for closed-form checks).
-RECOMMENDED_MIN_RATIO = 10.0
 RECOMMENDED_MIN_NODES = 16
 
 
@@ -62,15 +61,8 @@ class GridFunction:
             raise ConfigError("values must match the grid size")
 
     @classmethod
-    def from_callable(cls, grid: RadialGrid, f) -> "GridFunction":
-        return cls(grid, np.asarray(f(grid.r), dtype=float))
-
-    @classmethod
     def constant(cls, grid: RadialGrid, c: float) -> "GridFunction":
         return cls(grid, np.full(grid.n, float(c)))
-
-    def min_positive_floor(self) -> float:
-        return float(np.min(self.values))
 
 
 def build_grid(r0: float, R: float, n: int) -> RadialGrid:
@@ -195,6 +187,22 @@ def backward_error(op: RadialOperator, w: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.abs(res[:-1]) / den[:-1]))
 
 
+def _windowed_residual(op: RadialOperator, w: np.ndarray, rhs: np.ndarray,
+                       weight_exponent: float, window: tuple[float, float],
+                       scale_rows: np.ndarray) -> float:
+    """max_window |L w - rhs| r^wexp over max_window scale_rows r^wexp."""
+    mask = op.grid.window_mask(*window)
+    mask[-1] = False
+    if not np.any(mask):
+        raise ConfigError("residual window contains no grid nodes")
+    wt = op.grid.r ** weight_exponent
+    res = np.abs(op.apply(w) - rhs) * wt
+    scale = float(np.max(scale_rows[mask] * wt[mask]))
+    if scale == 0.0:
+        return float(np.max(res[mask]))
+    return float(np.max(res[mask]) / scale)
+
+
 def weighted_residual(
     op: RadialOperator,
     w: np.ndarray,
@@ -211,16 +219,8 @@ def weighted_residual(
     precision (a pure source scale would bottom out near 1e-7 in double
     precision because |L||w| exceeds the source by the stiffness factor).
     """
-    mask = op.grid.window_mask(*window)
-    mask[-1] = False
-    if not np.any(mask):
-        raise ConfigError("residual window contains no grid nodes")
-    wt = op.grid.r ** weight_exponent
-    res = np.abs(op.apply(w) - rhs) * wt
-    scale = float(np.max(((op.abs_row_action(w) + np.abs(rhs)) * wt)[mask]))
-    if scale == 0.0:
-        return float(np.max(res[mask]))
-    return float(np.max(res[mask]) / scale)
+    return _windowed_residual(op, w, rhs, weight_exponent, window,
+                              op.abs_row_action(w) + np.abs(rhs))
 
 
 def source_relative_residual(
@@ -232,13 +232,4 @@ def source_relative_residual(
 ) -> float:
     """Same weighted residual scaled by the source alone (report-only; its
     floating-point floor is eps * stiffness, around 1e-7 on fine grids)."""
-    mask = op.grid.window_mask(*window)
-    mask[-1] = False
-    if not np.any(mask):
-        raise ConfigError("residual window contains no grid nodes")
-    wt = op.grid.r ** weight_exponent
-    res = np.abs(op.apply(w) - rhs) * wt
-    scale = float(np.max(np.abs(rhs[mask]) * wt[mask]))
-    if scale == 0.0:
-        return float(np.max(res[mask]))
-    return float(np.max(res[mask]) / scale)
+    return _windowed_residual(op, w, rhs, weight_exponent, window, np.abs(rhs))

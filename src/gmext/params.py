@@ -425,12 +425,3 @@ def constant_schedule(
         C3=C3, C4=C4, C5=C5, C6=C6, D=D, E=E, F=F, G=G, lam=lam,
         lambda_star=lam_star, lambda_star_star=lam_star_star,
     )
-
-
-def box_inequality_holds(
-    params: ExponentSet, env: SourceEnvelope, C3: float, C4: float, lam: float
-) -> bool:
-    """Evaluate C4 (E^p F^-q + lam C2) <= E directly at the given lam."""
-    sched = constant_schedule(params.with_lam(lam), env, C3, C4)
-    lhs = C4 * (sched.E ** params.p * sched.F ** (-params.q) + lam * env.C2)
-    return bool(lhs <= sched.E)

@@ -39,7 +39,6 @@ under the amplitude scaling w -> c w, Psi -> c^(1+s) Psi.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -57,37 +56,27 @@ _TINY = 1e-300
 _COLLAPSE_FLOOR = 1e-250
 
 
-class NonlinearityKind(Enum):
-    CONSTANT = "CONSTANT"
-    POWER_SINGULAR = "POWER_SINGULAR"
-
-
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """g == 1 (CONSTANT) or g(t) = t^-s with s >= 0 (POWER_SINGULAR)."""
+    """g == 1 (s == 0) or g(t) = t^-s with s > 0."""
 
-    kind: NonlinearityKind
     s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.s < 0:
             raise ConfigError("s must be nonnegative (g must be nonincreasing)")
-        if self.kind is NonlinearityKind.CONSTANT and self.s != 0.0:
-            raise ConfigError("CONSTANT nonlinearity has s = 0")
 
     @classmethod
     def constant(cls) -> "NonlinearitySpec":
-        return cls(NonlinearityKind.CONSTANT, 0.0)
+        return cls(0.0)
 
     @classmethod
     def power(cls, s: float) -> "NonlinearitySpec":
-        if s == 0.0:
-            return cls.constant()
-        return cls(NonlinearityKind.POWER_SINGULAR, s)
+        return cls(s)
 
     @property
     def is_linear(self) -> bool:
-        return self.kind is NonlinearityKind.CONSTANT or self.s == 0.0
+        return self.s == 0.0
 
     def g(self, t: np.ndarray) -> np.ndarray:
         if self.is_linear:
@@ -292,34 +281,34 @@ def solve_monotone(
         pair = BarrierPair(wf, wf)
         return ScalarSolveResult(wf, pair, outer_value, [], 0, 0.0, 1)
 
-    if outer == "extrapolate":
-        if g.is_linear:
-            # the barrier potential already is the decaying solution, so its
-            # boundary value is the exact self-consistent pin
-            return solve_monotone(
-                op, psi, g, delta_schedule, tol, "barrier", max_sweeps, stage_cap,
-                res_tol, tail_exponent, truncate_tail, record_history,
-            )
-        pin: float | str = "zero"
-        result = None
-        rounds = 0
-        for _ in range(max(1, pin_rounds)):
-            result = solve_monotone(
-                op, psi, g, delta_schedule, tol, pin, max_sweeps, stage_cap,
-                res_tol, tail_exponent, truncate_tail, record_history,
-            )
-            rounds += 1
-            new_pin = _extrapolated_pin(grid, result.w.values)
-            if abs(new_pin - result.outer_value) <= 1e-9 * max(new_pin, _TINY):
-                break
-            pin = new_pin
-        assert result is not None
-        result.pin_rounds = rounds
-        return result
-
     Z = barrier_Z(grid, op.N, psi, tail_exponent=tail_exponent, truncate_tail=truncate_tail)
-    W = barrier_W(Z, g).values * start_factor
-    outer_value = _resolve_outer(outer, W)
+    W = barrier_W(Z, g).values
+    W_start = W * start_factor
+    drive = (delta_schedule, tol, max_sweeps, stage_cap, res_tol, record_history)
+    if outer != "extrapolate":
+        return _solve_pinned(op, psi, g, W_start, _resolve_outer(outer, W_start), *drive)
+    if g.is_linear:
+        # the barrier potential already is the decaying solution, so its
+        # boundary value is the exact self-consistent pin
+        return _solve_pinned(op, psi, g, W_start, float(W[-1]), *drive)
+    pin = 0.0
+    for rounds in range(1, max(1, pin_rounds) + 1):
+        result = _solve_pinned(op, psi, g, W_start, pin, *drive)
+        pin = _extrapolated_pin(grid, result.w.values)
+        if abs(pin - result.outer_value) <= 1e-9 * max(pin, _TINY):
+            break
+    result.pin_rounds = rounds
+    return result
+
+
+def _solve_pinned(
+    op: RadialOperator, psi: np.ndarray, g: NonlinearitySpec, W: np.ndarray,
+    outer_value: float, delta_schedule: tuple[float, ...], tol: float,
+    max_sweeps: int, stage_cap: int, res_tol: float, record_history: bool,
+) -> ScalarSolveResult:
+    """The monotone drive and Newton finish from the upper barrier ``W``
+    with the outer value fixed."""
+    grid = op.grid
     if outer_value > W[-1]:
         # constant lift keeps W a supersolution while covering the pin
         W = W + (outer_value - W[-1])

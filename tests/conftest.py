@@ -29,10 +29,11 @@ def cached_coupled_solve(params_key: tuple, grid_key: tuple, lam_fraction: float
     r0, R, n = grid_key
     op = cached_operator(r0, R, n, params.N)
     env = SourceEnvelope.radial(1.0, params.k)
+    sched = None
     if params.lam <= 0:
-        lam, _ = suggest_lambda(params, env, op, fraction=lam_fraction)
+        lam, sched = suggest_lambda(params, env, op, fraction=lam_fraction)
         params = params.with_lam(lam)
-    state = solve_system(params, env, op)
+    state = solve_system(params, env, op, schedule=sched)
     return params, env, op, state
 
 

@@ -67,8 +67,8 @@ def coupled_solve(key: str):
     r0, R, n = case["grid"]
     op = operator_for(r0, R, n, params.N)
     env = SourceEnvelope.radial(1.0, params.k)
-    lam, _ = suggest_lambda(params, env, op)
-    state = solve_system(params.with_lam(lam), env, op)
+    lam, sched = suggest_lambda(params, env, op)
+    state = solve_system(params.with_lam(lam), env, op, schedule=sched)
     return params, env, op, state, case
 
 
@@ -280,7 +280,7 @@ def test_criterion_07_box_invariance():
         verdict = classify(params)
         from gmext import calibrate_barrier_constants
 
-        C3, C4 = calibrate_barrier_constants(params, env, op, verdict)
+        C3, C4 = calibrate_barrier_constants(params, op, verdict)
         sched = constant_schedule(params, env, C3, C4)
         state = initial_state(params, env, op, verdict, sched)
         for _ in range(50):

@@ -113,6 +113,52 @@ def test_manifest_reproduces_csv_bytes(solved_dir, tmp_path):
     assert original == replay
 
 
+def _replay(manifest_text, tmp_path):
+    path = tmp_path / "edited.manifest.json"
+    path.write_text(manifest_text)
+    return run_cli(["solve", "--from-manifest", str(path),
+                    "--output", str(tmp_path), "--name", "replay"])
+
+
+@pytest.mark.parametrize("edit", ["drop_r0", "bad_n", "no_config", "not_json"])
+def test_bad_replay_manifest_exit_64(solved_dir, tmp_path, edit):
+    manifest = json.loads((solved_dir / "run1.manifest.json").read_text())
+    if edit == "drop_r0":
+        del manifest["config"]["r0"]
+    elif edit == "bad_n":
+        manifest["config"]["n"] = "many"
+    elif edit == "no_config":
+        del manifest["config"]
+    text = "{not json" if edit == "not_json" else json.dumps(manifest)
+    code, _, err = _replay(text, tmp_path)
+    assert code == 64
+    assert "configuration error:" in err
+    assert not (tmp_path / "replay.csv").exists()
+
+
+def test_replay_of_retired_keys(solved_dir, tmp_path):
+    # older manifests record damping and polish; only their fixed values replay
+    manifest = json.loads((solved_dir / "run1.manifest.json").read_text())
+    manifest["config"].update(damping=0.5, polish=2)
+    code, _, err = _replay(json.dumps(manifest), tmp_path)
+    assert code == 0, err
+    replay = tmp_path / "replay.csv"
+    assert replay.read_bytes() == (solved_dir / "run1.csv").read_bytes()
+    replay.unlink()
+    for key, value in (("damping", 0.7), ("polish", 3)):
+        edited = dict(manifest, config=dict(manifest["config"], **{key: value}))
+        code, _, err = _replay(json.dumps(edited), tmp_path)
+        assert code == 64
+        assert "configuration error:" in err and key in err
+        assert not replay.exists()
+
+
+def test_removed_solve_flags_rejected(tmp_path):
+    for flag in ("--damping", "--polish"):
+        code, _, _ = run_cli(["solve", *BASE, flag, "1", "--output", str(tmp_path)])
+        assert code == 64
+
+
 def test_solve_refuses_nonexistence(tmp_path):
     code, _, err = run_cli(["solve", "--N", "2", "--p", "5", "--q", "1", "--m", "6",
                             "--s", "1", "--k", "4", "--output", str(tmp_path)])

@@ -28,17 +28,17 @@ def test_calibration_orders_constants():
     params = ExponentSet(**COUPLED_MIN_I["params"])
     op = cached_operator(1.0, 1e3, 1025, 3)
     env = SourceEnvelope.radial(1.0, params.k)
-    C3, C4 = calibrate_barrier_constants(params, env, op)
+    C3, C4 = calibrate_barrier_constants(params, op)
     assert 0 < C3 < C4
     # deterministic
-    assert (C3, C4) == calibrate_barrier_constants(params, env, op)
+    assert (C3, C4) == calibrate_barrier_constants(params, op)
 
 
 def test_calibration_rejects_nonexistence():
     params = ExponentSet(N=3, p=2, q=1, m=6, s=1, k=4)
     op = cached_operator(1.0, 1e3, 1025, 3)
     with pytest.raises(ConfigError):
-        calibrate_barrier_constants(params, SourceEnvelope.radial(1.0, 4.0), op)
+        calibrate_barrier_constants(params, op)
 
 
 def test_solve_refuses_nonexistence():
@@ -46,6 +46,48 @@ def test_solve_refuses_nonexistence():
     op = cached_operator(1.0, 1e3, 1025, 3)
     with pytest.raises(ConfigError):
         solve_system(params, SourceEnvelope.radial(1.0, 4.0), op)
+
+
+def test_default_lambda_solve_calibrates_once(monkeypatch):
+    from gmext import coupled
+    from gmext.cli import _SOLVE_DEFAULTS, run_solve
+
+    calls = []
+    real = coupled.calibrate_barrier_constants
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coupled, "calibrate_barrier_constants", counting)
+    kw = COUPLED_MIN_I["params"]
+    cfg = dict(_SOLVE_DEFAULTS, R=1e3, n=1025, kind=kw["kind"].value,
+               **{key: kw[key] for key in ("N", "p", "q", "m", "s", "k")})
+    run_solve(cfg)
+    assert len(calls) == 1
+
+    # a passed-in schedule is the one solve_system would build itself
+    params = ExponentSet(**kw)
+    op = cached_operator(1.0, 1e3, 1025, 3)
+    env = SourceEnvelope.radial(1.0, params.k)
+    lam, sched = suggest_lambda(params, env, op)
+    calls.clear()
+    given = solve_system(params.with_lam(lam), env, op, schedule=sched)
+    assert calls == []
+    built = solve_system(params.with_lam(lam), env, op)
+    assert len(calls) == 1
+    assert np.array_equal(given.u.values, built.u.values)
+    assert np.array_equal(given.v.values, built.v.values)
+    assert given.iteration == built.iteration
+
+
+def test_solve_rejects_schedule_at_other_lambda():
+    params = ExponentSet(**COUPLED_MIN_I["params"])
+    op = cached_operator(1.0, 1e3, 1025, 3)
+    env = SourceEnvelope.radial(1.0, params.k)
+    lam, sched = suggest_lambda(params, env, op)
+    with pytest.raises(ConfigError):
+        solve_system(params.with_lam(2.0 * lam), env, op, schedule=sched)
 
 
 def test_diverged_guard():

@@ -136,6 +136,15 @@ def test_two_starts_agree():
     diff = np.max(np.abs(res1.w.values[:-1] - res2.w.values[:-1]) / res1.w.values[:-1])
     assert diff < 1e-8
     assert res2.monotone_ok
+    # the self-pinned solve starts every pin round from the scaled barrier
+    ext1 = solve_monotone(op, r ** -3.5, g, outer="extrapolate", res_tol=1e-12)
+    ext2 = solve_monotone(op, r ** -3.5, g, outer="extrapolate", res_tol=1e-12,
+                          start_factor=1.5)
+    assert np.allclose(ext2.barriers.upper.values, 1.5 * ext1.barriers.upper.values,
+                       rtol=1e-14, atol=0.0)
+    diff = np.max(np.abs(ext1.w.values - ext2.w.values) / ext1.w.values)
+    assert diff < 1e-8
+    assert ext2.monotone_ok
 
 
 # ---------------------------------------------------------------------------
