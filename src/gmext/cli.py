@@ -1,7 +1,8 @@
 """Command-line front end: classify, solve, sweep, fit, probe.
 
 Exit codes: 0 existence / success, 1 nonexistence, 2 inconclusive,
-64 malformed configuration, 65 malformed CSV, 70 solver failure.
+64 malformed configuration, 65 malformed CSV, 70 solver failure or any other
+unexpected error.
 
 Configuration comes from a flat key-value file (``--config``) overridden by
 command-line flags; every ``solve`` run writes a JSON manifest recording all
@@ -57,8 +58,12 @@ _GRID_KEYS = ("r0", "R", "n")
 
 
 def read_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"unreadable config file {path}: {exc}") from exc
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -107,6 +112,10 @@ def _exit_for(verdict) -> int:
     if verdict.outcome is Outcome.NONEXISTENCE:
         return EXIT_NONEXISTENCE
     return EXIT_INCONCLUSIVE
+
+
+def _one_line(exc: Exception) -> str:
+    return " ".join(f"{type(exc).__name__}: {exc}".split())
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +248,12 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
             "margin_v": box.margin_v, "window": list(box.window),
             "n_checked": box.n_checked,
         },
-        "picard": {
-            "iterations": state.iteration,
-            "converged": state.diagnostics.get("picard_converged"),
-            "gap": state.diagnostics.get("picard_gap"),
-            "inner_monotone_ok": state.diagnostics.get("inner_monotone_ok"),
+        "newton": {
+            "steps": state.diagnostics["newton_steps"],
+            "converged": state.diagnostics["newton_converged"],
+            "last_step": state.diagnostics["newton_last_step"],
+            "fixed_point_gap": state.diagnostics["fixed_point_gap"],
+            "inner_monotone_ok": state.diagnostics["inner_monotone_ok"],
         },
     }
     return manifest, rows, EXIT_EXISTS
@@ -350,6 +360,9 @@ def _sweep_cell(task: dict) -> dict:
                 row["fit_v_power"] = manifest["fits"]["v"]["power"]
     except GmextError as exc:
         row["error"] = getattr(exc, "tag", "ERROR")
+    except Exception as exc:  # one cell's failure must not abort the sweep
+        row["error"] = f"INTERNAL:{type(exc).__name__}"
+        print(f"sweep cell {exponents}: internal error: {_one_line(exc)}", file=sys.stderr)
     return row
 
 
@@ -561,6 +574,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except GmextError as exc:
         print(f"solver error [{exc.tag}]: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except Exception as exc:  # never a traceback, never the NONEXISTENCE code
+        print(f"internal error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -1,5 +1,5 @@
-"""Coupled fixed-point solver for the full activator-inhibitor system on a
-truncated exterior grid.
+"""Coupled solver for the full activator-inhibitor system on a truncated
+exterior grid.
 
 One application of the map H sends (u, v) to (Tu, Tv):
 
@@ -7,8 +7,11 @@ One application of the map H sends (u, v) to (Tu, Tv):
     -Lap (Tv) = u^m (Tv)^-s                (monotone scalar solve)
 
 with Neumann inner rows and outer Dirichlet values pinned at the predicted
-profiles.  A damped Picard loop on H produces the steady state; the iterates
-are certified against the invariant box
+profiles.  The steady state is a fixed point of H, i.e. a solution of the
+discrete system L u = f(u, v) + lam rho, L v = u^m v^-s; Newton on that
+system (u and v interleaved, so the Jacobian is a (2,2)-banded matrix)
+finds it, and one final application of H certifies it as a fixed point.
+The state is certified against the invariant box
 
     D r^-a <= u <= E r^-a,      F psi <= v <= G psi,
 
@@ -29,8 +32,11 @@ import numpy as np
 from .errors import ConfigError, DivergedError
 from .grid import (
     GridFunction,
+    RadialGrid,
     RadialOperator,
     backward_error,
+    block_band,
+    solve_block,
     solve_linear,
     source_relative_residual,
     weighted_residual,
@@ -49,11 +55,10 @@ from .scalar import NonlinearitySpec, solve_monotone, _extrapolated_pin
 
 _TINY = 1e-300
 _RANGE = (1e-30, 1e30)
-# weight of the image in each damped Picard step
-_DAMPING = 0.5
-# outer re-pinnings after the Picard phase, and the step cap of each
+# outer re-pinnings after the first Newton phase
 _POLISH_ROUNDS = 2
-_POLISH_CAP = 60
+# step halvings a Newton step may take to keep the state positive
+_HALVINGS = 30
 
 
 @dataclass
@@ -169,13 +174,27 @@ def suggest_lambda(
     return lam, constant_schedule(params.with_lam(lam), env, C3, C4)
 
 
+def _coupling(params: ExponentSet, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The activator's coupling term f(u, v) (without the source)."""
+    if params.kind is SystemKind.MIXED:
+        return v ** params.q / u ** params.p
+    return u ** params.p / v ** params.q
+
+
 def _activator_rhs(params: ExponentSet, env: SourceEnvelope, u: np.ndarray,
                    v: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    if params.kind is SystemKind.MIXED:
-        coupling = v ** params.q / u ** params.p
-    else:
-        coupling = u ** params.p / v ** params.q
-    return coupling + params.lam * rho
+    return _coupling(params, u, v) + params.lam * rho
+
+
+def _midpoint_pins(schedule: ConstantSchedule, verdict: RegimeVerdict,
+                   grid: RadialGrid) -> tuple[float, float]:
+    """Outer values of the box midpoint on the predicted profiles
+    (geometric means of the box bounds)."""
+    psi_R = float(verdict.v_profile.values(grid.r)[-1])
+    return (
+        float(np.sqrt(schedule.D * schedule.E) * grid.R ** -activator_decay(verdict)),
+        float(np.sqrt(schedule.F * schedule.G) * psi_R),
+    )
 
 
 def apply_H(
@@ -201,13 +220,7 @@ def apply_H(
 
     if pins is None:
         if state.schedule is not None:
-            sch = state.schedule
-            a_u = activator_decay(verdict)
-            psi_R = float(verdict.v_profile.values(grid.r)[-1])
-            pins = (
-                float(np.sqrt(sch.D * sch.E) * grid.R ** -a_u),
-                float(np.sqrt(sch.F * sch.G) * psi_R),
-            )
+            pins = _midpoint_pins(state.schedule, verdict, grid)
         else:
             pins = (float(u[-1]), float(v[-1]))
 
@@ -227,8 +240,6 @@ def apply_H(
 
 
 def initial_state(
-    params: ExponentSet,
-    env: SourceEnvelope,
     op: RadialOperator,
     verdict: RegimeVerdict,
     schedule: ConstantSchedule,
@@ -266,31 +277,62 @@ def _state_residuals(
     }
 
 
-def _damped_picard(
+def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
+    return float(np.max(np.abs(new - old) / np.maximum(old, _TINY)))
+
+
+def _newton(
     state: CoupledState, params: ExponentSet, env: SourceEnvelope, op: RadialOperator,
-    pins: tuple[float, float] | None, tol: float, cap: int,
+    pins: tuple[float, float], tol: float, cap: int,
 ) -> tuple[CoupledState, float]:
-    """Blend the state with its image under H until the largest nodewise
-    relative gap between them drops below ``tol`` or ``cap`` is spent."""
+    """Newton on L u = f(u, v) + lam rho, L v = u^m v^-s with the outer
+    values pinned at ``pins``, until the largest nodewise relative step
+    drops below ``tol`` or ``cap`` steps are spent.  A step is halved until
+    u > 0 and v > 0 off the Dirichlet node; a non-finite residual, a singular
+    Jacobian or exhausted halving raise DivergedError."""
+    state.check_positive()
     grid = op.grid
-    gap = np.inf
+    rho = env.rho(grid.r)
+    sign = -1.0 if params.kind is SystemKind.MIXED else 1.0
+    ab = block_band(grid.n)
+    rhs = np.empty(2 * grid.n)
+    u, v = state.u.values, state.v.values
+    step = np.inf
     for _ in range(cap):
-        mapped = apply_H(state, params, env, op, pins=pins)
-        gap = max(
-            float(np.max(np.abs(mapped.u.values - state.u.values)
-                         / np.maximum(state.u.values, _TINY))),
-            float(np.max(np.abs(mapped.v.values - state.v.values)
-                         / np.maximum(state.v.values, _TINY))),
-        )
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f = _coupling(params, u, v)
+            g = u ** params.m * v ** -params.s
+            rhs[0::2] = f + params.lam * rho - op.apply(u)
+            rhs[1::2] = g - op.apply(v)
+            # Jacobian diagonals: -df/du, -df/dv, -dg/du, -dg/dv
+            duu = -sign * params.p * f / u
+            duv = sign * params.q * f / v
+            dvu = -params.m * g / u
+            dvv = params.s * g / v
+        rhs[-2] = pins[0] - u[-1]
+        rhs[-1] = pins[1] - v[-1]
+        if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(duu + duv + dvu + dvv))):
+            raise DivergedError("non-finite Newton residual")
+        dx = solve_block(op, duu, duv, dvu, dvv, rhs, ab)
+        du, dv = dx[0::2], dx[1::2]
+        t = 1.0
+        for _ in range(_HALVINGS):
+            u_new, v_new = u + t * du, v + t * dv
+            if np.all(u_new > 0) and np.all(v_new[:-1] > 0):
+                break
+            t *= 0.5
+        else:
+            raise DivergedError("step halving could not keep the Newton state positive")
+        step = max(_relative_change(u_new, u), _relative_change(v_new, v))
+        u, v = u_new, v_new
         state = CoupledState(
-            u=GridFunction(grid, (1 - _DAMPING) * state.u.values + _DAMPING * mapped.u.values),
-            v=GridFunction(grid, (1 - _DAMPING) * state.v.values + _DAMPING * mapped.v.values),
-            iteration=mapped.iteration,
-            schedule=state.schedule, verdict=state.verdict, diagnostics=mapped.diagnostics,
+            u=GridFunction(grid, u), v=GridFunction(grid, v), iteration=state.iteration + 1,
+            schedule=state.schedule, verdict=state.verdict,
         )
-        if gap < tol:
+        state.check_positive()
+        if step < tol:
             break
-    return state, gap
+    return state, step
 
 
 def solve_system(
@@ -302,16 +344,20 @@ def solve_system(
     window: tuple[float, float] | None = None,
     schedule: ConstantSchedule | None = None,
 ) -> CoupledState:
-    """Damped Picard on the fixed-point map, then a self-pinned polish.
+    """Newton on the discrete fixed-point equations, then a self-pinned
+    polish, certified by one application of H.
 
     ``schedule`` is the constant schedule at ``params.lam`` (as returned by
     ``suggest_lambda``); without one, C3/C4 are calibrated on ``op`` and the
-    schedule is built here.  The Picard phase runs at most ``max_iter``
-    applications with the schedule's box-midpoint pins; the polish phase
-    twice re-pins both outer values from the solution's own outer power law,
-    removing the O(1) amplitude mismatch the fixed pins leave at the
-    truncation radius, and ends with one undamped application so the stored
-    state satisfies the discrete equations to solver accuracy.
+    schedule is built here.  Newton starts from the box midpoint with the
+    schedule's box-midpoint pins; the polish then twice re-pins both outer
+    values from the solution's own outer power law, removing the O(1)
+    amplitude mismatch the fixed pins leave at the truncation radius.  Each
+    phase stops when the largest relative step drops below ``tol`` or after
+    ``max_iter`` steps.  The stored state is the image of the Newton state
+    under H at the final pins, so it satisfies the discrete equations to
+    solver accuracy; the relative gap between the two is recorded as
+    ``fixed_point_gap``.
     """
     grid = op.grid
     verdict = classify(params, grid.r0)
@@ -332,27 +378,33 @@ def solve_system(
         raise ConfigError(
             f"schedule was built for lam = {schedule.lam!r}, not {params.lam!r}"
         )
-    state = initial_state(params, env, op, verdict, schedule)
+    state = initial_state(op, verdict, schedule)
     if window is None:
         window = grid.default_window()
 
-    # pins=None: apply_H pins at the schedule's box midpoints
-    state, gap = _damped_picard(state, params, env, op, None, tol, max_iter)
+    pins = _midpoint_pins(schedule, verdict, grid)
+    state, step = _newton(state, params, env, op, pins, tol, max_iter)
+    converged = step < tol
     for _ in range(_POLISH_ROUNDS):
         pins = (
             _extrapolated_pin(grid, state.u.values),
             _extrapolated_pin(grid, state.v.values),
         )
-        state, _ = _damped_picard(state, params, env, op, pins, tol, _POLISH_CAP)
-    state = apply_H(state, params, env, op, pins=pins)
+        state, step = _newton(state, params, env, op, pins, tol, max_iter)
+        converged = converged and step < tol
+    image = apply_H(state, params, env, op, pins=pins)
+    gap = max(_relative_change(image.u.values, state.u.values),
+              _relative_change(image.v.values, state.v.values))
 
-    res = _state_residuals(state, params, env, op, window)
-    state.residuals = (res["certificate_u"], res["certificate_v"])
-    state.diagnostics.update(res)
-    state.diagnostics["picard_converged"] = bool(gap < tol)
-    state.diagnostics["picard_gap"] = float(gap)
-    state.diagnostics["window"] = window
-    return state
+    res = _state_residuals(image, params, env, op, window)
+    image.residuals = (res["certificate_u"], res["certificate_v"])
+    image.diagnostics.update(res)
+    image.diagnostics["newton_steps"] = state.iteration
+    image.diagnostics["newton_converged"] = bool(converged)
+    image.diagnostics["newton_last_step"] = float(step)
+    image.diagnostics["fixed_point_gap"] = gap
+    image.diagnostics["window"] = window
+    return image
 
 
 def verify_box(

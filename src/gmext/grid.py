@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
-from .errors import ConfigError
+from .errors import ConfigError, DivergedError
 
 # Soft precondition for meaningful asymptotics work (documented, not
 # enforced: tiny grids remain constructible for closed-form checks).
@@ -128,6 +129,50 @@ class RadialOperator:
         b = np.asarray(rhs, dtype=float).copy()
         b[-1] = outer_value
         return solve_banded((1, 1), ab, b)
+
+
+def block_band(n: int) -> np.ndarray:
+    """Work buffer of ``solve_block`` for an n-node grid: LAPACK band storage
+    of a (2,2)-banded matrix of size 2n, with the two fill-in rows."""
+    return np.zeros((7, 2 * n), order="F")
+
+
+def solve_block(
+    op: RadialOperator,
+    duu: np.ndarray, duv: np.ndarray, dvu: np.ndarray, dvv: np.ndarray,
+    rhs: np.ndarray, ab: np.ndarray,
+) -> np.ndarray:
+    """Solve the coupled pair
+
+        (L + diag(duu)) x_u + diag(duv) x_v = rhs_u
+        diag(dvu) x_u + (L + diag(dvv)) x_v = rhs_v
+
+    with both Dirichlet rows kept as identity rows (the four diagonals never
+    touch them).  Unknowns and ``rhs`` are interleaved, x = (u0, v0, u1, v1,
+    ...), which makes the matrix (2,2)-banded.  ``ab`` is a ``block_band``
+    buffer; it and ``rhs`` are overwritten, and the solution is returned in
+    ``rhs``'s storage.  A singular matrix raises DivergedError.
+    """
+    # band storage ab[4 + i - j, j] = A[i, j]; rows 0-1 are LU fill-in and
+    # need no values.  dgbsv overwrites the band, so every call refills it.
+    ab[2, 2::2] = op.sup[:-1]
+    ab[2, 3::2] = op.sup[:-1]
+    ab[3, 0::2] = 0.0
+    ab[3, 1::2] = duv
+    np.add(op.diag, duu, out=ab[4, 0::2])
+    np.add(op.diag, dvv, out=ab[4, 1::2])
+    ab[5, 0::2] = dvu
+    ab[5, 1::2] = 0.0
+    ab[6, 0:-2:2] = op.sub[1:]
+    ab[6, 1:-2:2] = op.sub[1:]
+    # Dirichlet rows of u (2n-2) and v (2n-1)
+    ab[4, -2:] = 1.0
+    ab[3, -1] = 0.0
+    ab[5, -2] = 0.0
+    _, _, x, info = dgbsv(2, 2, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        raise DivergedError(f"coupled Jacobian is singular (dgbsv info {info})")
+    return x
 
 
 def assemble_operator(grid: RadialGrid, N: int) -> RadialOperator:

@@ -292,12 +292,15 @@ def solve_monotone(
         # boundary value is the exact self-consistent pin
         return _solve_pinned(op, psi, g, W_start, float(W[-1]), *drive)
     pin = 0.0
+    solves = 0
     for rounds in range(1, max(1, pin_rounds) + 1):
         result = _solve_pinned(op, psi, g, W_start, pin, *drive)
+        solves += result.solves
         pin = _extrapolated_pin(grid, result.w.values)
         if abs(pin - result.outer_value) <= 1e-9 * max(pin, _TINY):
             break
     result.pin_rounds = rounds
+    result.solves = solves
     return result
 
 

@@ -282,7 +282,7 @@ def test_criterion_07_box_invariance():
 
         C3, C4 = calibrate_barrier_constants(params, op, verdict)
         sched = constant_schedule(params, env, C3, C4)
-        state = initial_state(params, env, op, verdict, sched)
+        state = initial_state(op, verdict, sched)
         for _ in range(50):
             state = apply_H(state, params, env, op)
             rep = verify_box(state, sched, verdict.u_profile, verdict.v_profile)

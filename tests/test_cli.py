@@ -74,6 +74,30 @@ def test_malformed_config_exit_64(tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize("which", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_exit_64(tmp_path, which):
+    path = tmp_path / "run.cfg"
+    if which == "directory":
+        path.mkdir()
+    elif which == "not_utf8":
+        path.write_bytes(b"N = 3\xff\n")
+    code, _, err = run_cli(["classify", "--config", str(path)])
+    assert code == 64
+    assert err.startswith("configuration error:")
+
+
+def test_unexpected_exception_exit_70(monkeypatch):
+    import gmext.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(gmext.cli, "classify", broken)
+    code, _, err = run_cli(["classify", *BASE])
+    assert code == 70
+    assert err == "internal error: RuntimeError: boom second line\n"
+
+
 # ---------------------------------------------------------------------------
 # solve + manifest reproducibility
 
@@ -295,6 +319,30 @@ def test_sweep_solve_path_records_fits(tmp_path):
     for row in rows:
         assert row["outcome"] == "EXISTS_MINIMAL_GROWTH"
         assert abs(float(row["fit_u_power"]) - float(row["u_power"])) < 0.05
+
+
+def test_sweep_contains_unexpected_cell_failure(tmp_path, monkeypatch):
+    import gmext.cli
+
+    real = gmext.cli.run_solve
+
+    def broken(cfg):
+        if cfg["p"] == 5.0:
+            raise ValueError("array must not contain infs or NaNs")
+        return real(cfg)
+
+    monkeypatch.setattr(gmext.cli, "run_solve", broken)
+    out = tmp_path / "contained.csv"
+    code, _, err = run_cli([
+        "sweep", "--N", "3", "--q", "1", "--m", "6", "--s", "1", "--k", "4",
+        "--vary", "p=5:6:2", "--solve", "--R", "1000", "--n", "1025",
+        "--jobs", "1", "--output", str(out),
+    ])
+    assert code == 0, err
+    rows = list(csv.DictReader(out.open()))
+    assert rows[0]["error"] == "INTERNAL:ValueError" and rows[0]["fit_u_power"] == ""
+    assert rows[1]["error"] == "" and rows[1]["fit_u_power"] != ""
+    assert "internal error: ValueError" in err
 
 
 def test_sweep_jobs_env_fallback(tmp_path, monkeypatch):

@@ -103,8 +103,11 @@ def test_diverged_guard():
 # fixed-point structure
 
 
-def test_apply_H_fixed_point():
-    params, env, op, state = solve_case(COUPLED_MIN_I)
+@pytest.mark.parametrize("case", [COUPLED_MIN_I, COUPLED_MIN_III, COUPLED_MIXED,
+                                  COUPLED_FAST_N5],
+                         ids=["min-i", "min-iii", "mixed", "fast-n5"])
+def test_apply_H_fixed_point(case):
+    params, env, op, state = solve_case(case)
     pins = (float(state.u.values[-1]), float(state.v.values[-1]))
     mapped = apply_H(state, params, env, op, pins=pins)
     rel_u = np.max(np.abs(mapped.u.values - state.u.values)
@@ -112,6 +115,39 @@ def test_apply_H_fixed_point():
     rel_v = np.max(np.abs(mapped.v.values - state.v.values)
                    / np.maximum(state.v.values, 1e-300))
     assert rel_u < 1e-8 and rel_v < 1e-8
+
+
+def test_newton_solve_applies_H_once(monkeypatch):
+    # Newton finds the fixed point; H is applied once, as its certificate
+    from gmext import coupled
+
+    calls = []
+    real = coupled.apply_H
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coupled, "apply_H", counting)
+    params0 = ExponentSet(**COUPLED_MIN_I["params"])
+    op = cached_operator(*COUPLED_MIN_I["grid"], params0.N)
+    env = SourceEnvelope.radial(1.0, params0.k)
+    lam, sched = suggest_lambda(params0, env, op)
+    state = solve_system(params0.with_lam(lam), env, op, schedule=sched)
+    assert len(calls) == 1
+    assert state.iteration <= 25
+    assert state.iteration == state.diagnostics["newton_steps"] + 1
+    assert state.diagnostics["newton_converged"]
+    assert state.diagnostics["fixed_point_gap"] < 1e-8
+
+
+def test_sentinel_cell_diverges():
+    # its box-midpoint start state already leaves the admissible range
+    from gmext.cli import _SOLVE_DEFAULTS, run_solve
+
+    cfg = dict(_SOLVE_DEFAULTS, N=3, p=6.0, q=1.5, m=6.0, s=1.0, k=4.0)
+    with pytest.raises(DivergedError):
+        run_solve(cfg)
 
 
 def test_two_corner_orbits_agree():
@@ -153,7 +189,7 @@ def test_box_invariance_short_orbit():
     verdict = classify(params)
     from gmext.coupled import initial_state
 
-    state = initial_state(params, env, op, verdict, sched)
+    state = initial_state(op, verdict, sched)
     for _ in range(10):
         state = apply_H(state, params, env, op)
         report = verify_box(state, sched, verdict.u_profile, verdict.v_profile)

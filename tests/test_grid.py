@@ -7,7 +7,8 @@ from gmext import (
     build_grid,
     solve_linear,
 )
-from gmext.errors import ConfigError
+from gmext.errors import ConfigError, DivergedError
+from gmext.grid import block_band, solve_block
 
 
 def make_op(r0=1.0, R=1e4, n=4097, N=3):
@@ -163,3 +164,36 @@ def test_backward_error_of_direct_solve():
     r = op.grid.r
     w = solve_linear(op, r ** -4.0, 1e-4)
     assert backward_error(op, w.values, r ** -4.0) < 1e-13
+
+
+def test_block_solve_matches_dense():
+    # interleaved (u0, v0, u1, v1, ...) band solve against the dense block
+    # matrix; the four diagonals must leave both Dirichlet rows untouched
+    rng = np.random.default_rng(7)
+    n = 17
+    op = make_op(R=10.0, n=n)
+    duu, duv, dvu, dvv = rng.uniform(0.0, 2.0, (4, n))
+    rhs = rng.uniform(-1.0, 1.0, 2 * n)
+    L = np.diag(op.diag) + np.diag(op.sup[:-1], 1) + np.diag(op.sub[1:], -1)
+
+    def off_dirichlet(d):
+        return np.diag(np.append(d[:-1], 0.0))
+
+    A = np.zeros((2 * n, 2 * n))
+    A[0::2, 0::2] = L + off_dirichlet(duu)
+    A[0::2, 1::2] = off_dirichlet(duv)
+    A[1::2, 0::2] = off_dirichlet(dvu)
+    A[1::2, 1::2] = L + off_dirichlet(dvv)
+    assert A[-2, -2] == 1.0 and np.count_nonzero(A[-2:]) == 2
+    expected = np.linalg.solve(A, rhs)
+    x = solve_block(op, duu, duv, dvu, dvv, rhs.copy(), block_band(n))
+    assert np.allclose(x, expected, rtol=1e-12, atol=1e-14)
+    assert x[-2] == rhs[-2] and x[-1] == rhs[-1]
+
+
+def test_block_solve_singular_raises_diverged():
+    # duu = -diag and no coupling zero the first column exactly
+    op = make_op(R=2.0, n=2)
+    zero = np.zeros(2)
+    with pytest.raises(DivergedError):
+        solve_block(op, -op.diag, zero, zero, zero, np.ones(4), block_band(2))

@@ -147,6 +147,25 @@ def test_two_starts_agree():
     assert ext2.monotone_ok
 
 
+def test_extrapolated_solve_counts_every_pin_round(monkeypatch):
+    # the reported solve count covers all pin rounds, not only the last
+    from gmext.grid import RadialOperator
+
+    op = make_op(n=2049)
+    calls = []
+    real = RadialOperator.solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadialOperator, "solve", counting)
+    res = solve_monotone(op, op.grid.r ** -6.0, NonlinearitySpec.power(1.0),
+                         outer="extrapolate")
+    assert res.pin_rounds > 1
+    assert res.solves == len(calls)
+
+
 # ---------------------------------------------------------------------------
 # monotone solver: decay laws of the singular scalar problem
 
