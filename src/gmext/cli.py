@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coupled import _activator_rhs, solve_system, suggest_lambda, verify_box
+from .coupled import solve_system, suggest_lambda, verify_box
 from .errors import ConfigError, GmextError, WindowError
 from .fitting import compare_profile, fit_power, fit_power_log
 from .grid import GridFunction, assemble_operator, build_grid
@@ -118,6 +118,16 @@ def _one_line(exc: Exception) -> str:
     return " ".join(f"{type(exc).__name__}: {exc}".split())
 
 
+def _load_manifest(path: str, extract):
+    """``extract`` applied to the JSON manifest at ``path``.  A missing or
+    unreadable file, bad JSON or a manifest of the wrong shape is a
+    ConfigError, so callers read their manifests before any work."""
+    try:
+        return extract(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"unreadable manifest {path}: {exc!r}") from exc
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -134,24 +144,20 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 _SOLVE_DEFAULTS = {
     "lam": 0.0, "kind": "GM", "r0": 1.0, "R": 1e4, "n": 4097,
-    "tol": 1e-11, "max_iter": 200,
     "rho0": 1.0, "window_lo": 0.0, "window_hi": 0.0,
 }
 
 
-# settings that older manifests record and that are now fixed
-_FIXED_KEYS = {"damping": 0.5, "polish": 2}
+# settings that older manifests record and that are now fixed; a manifest
+# or config file may still name them, but only at these values
+_FIXED_KEYS = {"damping": 0.5, "polish": 2, "tol": 1e-11, "max_iter": 200}
 
 
 def _solve_config(args: argparse.Namespace) -> dict:
     """Effective solve settings from flags and config file, or from a
     replayed manifest; both go through the same coercion."""
     if getattr(args, "from_manifest", None):
-        try:
-            manifest = json.loads(Path(args.from_manifest).read_text(encoding="utf-8"))
-            cfg = dict(manifest["config"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"unreadable manifest {args.from_manifest}: {exc!r}") from exc
+        cfg = _load_manifest(args.from_manifest, lambda m: dict(m["config"]))
     else:
         cfg = _collect(args, dict(_SOLVE_DEFAULTS))
     params = params_from(cfg)
@@ -164,7 +170,6 @@ def _solve_config(args: argparse.Namespace) -> dict:
             "N": params.N, "p": params.p, "q": params.q, "m": params.m,
             "s": params.s, "k": params.k, "lam": params.lam, "kind": params.kind.value,
             "r0": float(cfg["r0"]), "R": float(cfg["R"]), "n": int(cfg["n"]),
-            "tol": float(cfg["tol"]), "max_iter": int(cfg["max_iter"]),
             "rho0": float(cfg["rho0"]),
             "window_lo": float(cfg["window_lo"]), "window_hi": float(cfg["window_hi"]),
         }
@@ -194,11 +199,7 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
         window = grid.default_window()
         cfg = dict(cfg, window_lo=window[0], window_hi=window[1])
 
-    state = solve_system(
-        params, env, op,
-        tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"]),
-        window=window, schedule=schedule,
-    )
+    state = solve_system(params, env, op, window=window, schedule=schedule)
 
     # short domains get a short default window; accept down to one decade here
     # (interactive fits keep the stricter default)
@@ -211,11 +212,7 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
 
     box = verify_box(state, state.schedule, verdict.u_profile, verdict.v_profile, window)
 
-    rhs_u = _activator_rhs(params, env, state.u.values, state.v.values, env.rho(grid.r))
-    rhs_v = state.u.values ** params.m * state.v.values ** -params.s
-    res_u_nodes = op.apply(state.u.values) - rhs_u
-    res_v_nodes = op.apply(state.v.values) - rhs_v
-    rows = list(zip(grid.r, state.u.values, state.v.values, res_u_nodes, res_v_nodes))
+    rows = list(zip(grid.r, state.u.values, state.v.values, *state.node_residuals))
 
     manifest = {
         "tool": "gmext",
@@ -267,8 +264,13 @@ def write_solution_csv(path: Path, rows: list[tuple]) -> None:
             writer.writerow([_FLOAT_FMT % x for x in row])
 
 
+def _fitted_powers(manifest: dict) -> dict[str, float]:
+    return {c: float(manifest["fits"][c]["power"]) for c in "uv"}
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _solve_config(args)
+    ref_powers = _load_manifest(args.reference, _fitted_powers) if args.reference else None
     verdict = classify(params_from(cfg), cfg["r0"])
     if not verdict.exists:
         print(f"{_verdict_line(verdict)}: refusing to solve; "
@@ -278,14 +280,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     manifest, rows, code = run_solve(cfg)
 
-    if getattr(args, "reference", None):
-        ref = json.loads(Path(args.reference).read_text(encoding="utf-8"))
+    if ref_powers is not None:
         manifest["truncation_check"] = {
             "reference": str(args.reference),
-            "delta_u_power": abs(manifest["fits"]["u"]["power"]
-                                 - ref["fits"]["u"]["power"]),
-            "delta_v_power": abs(manifest["fits"]["v"]["power"]
-                                 - ref["fits"]["v"]["power"]),
+            "delta_u_power": abs(manifest["fits"]["u"]["power"] - ref_powers["u"]),
+            "delta_v_power": abs(manifest["fits"]["v"]["power"] - ref_powers["v"]),
         }
 
     stem = args.name or "solution"
@@ -412,7 +411,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # fit
 
+def _predicted_powers(manifest: dict) -> dict[str, tuple[float, float]]:
+    """(power, log_power) of the predicted u and v profiles."""
+    verdict = manifest["verdict"]
+    return {c: (float(verdict[f"{c}_profile"]["power"]),
+                float(verdict[f"{c}_profile"]["log_power"])) for c in "uv"}
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
+    predicted_powers = _load_manifest(args.manifest, _predicted_powers) if args.manifest else None
     path = Path(args.csv)
     try:
         with path.open(encoding="utf-8") as fh:
@@ -425,32 +432,36 @@ def cmd_fit(args: argparse.Namespace) -> int:
             data = np.array([[float(x) for x in row] for row in reader])
         if data.size == 0:
             raise ConfigError("CSV has no data rows")
+        if data.ndim != 2 or data.shape[1] != len(header):
+            raise ConfigError("every row needs one value per header column")
+        # the fits run on the log-uniform grid from r[0] to r[-1]; a CSV on
+        # other radii would be fitted against the wrong r
+        r = data[:, cols["r"]]
+        grid = build_grid(r[0], r[-1], r.size)
+        deviation = float(np.max(np.abs(r / grid.r - 1.0)))
+        if not deviation <= 1e-9:
+            raise ConfigError(f"radii are not log-uniform from r[0] to r[-1] "
+                              f"(relative deviation {deviation:.2e})")
     except (OSError, ValueError, ConfigError, StopIteration) as exc:
         print(f"malformed CSV: {exc}", file=sys.stderr)
         return EXIT_BAD_CSV
 
-    r = data[:, cols["r"]]
-    grid = build_grid(r[0], r[-1], r.size)
     window = (args.window[0], args.window[1]) if args.window else grid.default_window()
     if window[0] < 10.0 * grid.r0 or window[1] > grid.R / 10.0:
         print("warning: window reaches into a boundary layer "
               "(first or last decade); fits may be contaminated", file=sys.stderr)
-
-    manifest = None
-    if args.manifest:
-        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
 
     code = 0
     for name in ("u", "v"):
         gf = GridFunction(grid, data[:, cols[name]])
         predicted = None
         expect_log = False
-        if manifest is not None:
-            prof = manifest["verdict"][f"{name}_profile"]
-            expect_log = prof["log_power"] != 0.0
+        if predicted_powers is not None:
+            power, log_power = predicted_powers[name]
+            expect_log = log_power != 0.0
             predicted = AsymptoticProfile(
                 ProfileKind.POWER_LOG if expect_log else ProfileKind.PURE_POWER,
-                prof["power"], prof["log_power"], grid.r0,
+                power, log_power, grid.r0,
             )
         try:
             fit = (fit_power_log(gf, window, grid.r0, min_decades=1.0) if expect_log
@@ -517,8 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--R", type=float)
     ss.add_argument("--n", type=int)
     ss.add_argument("--rho0", type=float)
-    ss.add_argument("--tol", type=float)
-    ss.add_argument("--max-iter", dest="max_iter", type=int)
     ss.add_argument("--window-lo", dest="window_lo", type=float)
     ss.add_argument("--window-hi", dest="window_hi", type=float)
     ss.add_argument("--output", help="output directory (default: .)")

@@ -57,6 +57,14 @@ _TINY = 1e-300
 _RANGE = (1e-30, 1e30)
 # outer re-pinnings after the first Newton phase
 _POLISH_ROUNDS = 2
+# a Newton phase stops once the largest nodewise relative step is below
+# _NEWTON_TOL, or after _NEWTON_CAP steps
+_NEWTON_TOL = 1e-11
+_NEWTON_CAP = 200
+# relative widening of the calibrated ratio range on both sides
+_CALIBRATION_MARGIN = 0.05
+# pin rounds of the linear calibration solves
+_SELFPIN_ROUNDS = 4
 # step halvings a Newton step may take to keep the state positive
 _HALVINGS = 30
 
@@ -67,6 +75,8 @@ class CoupledState:
     v: GridFunction
     iteration: int = 0
     residuals: tuple[float, float] = (np.inf, np.inf)
+    # L u - rhs_u and L v - rhs_v at every node, set by solve_system
+    node_residuals: tuple[np.ndarray, np.ndarray] | None = None
     schedule: ConstantSchedule | None = None
     verdict: RegimeVerdict | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -106,13 +116,14 @@ def calibrate_barrier_constants(
     params: ExponentSet,
     op: RadialOperator,
     verdict: RegimeVerdict | None = None,
-    margin: float = 0.05,
 ) -> tuple[float, float]:
     """Extreme solution/profile ratios of the three scalar reference problems.
 
-    Solved on the operator's own grid with self-consistent outer pins; the
-    ratios are taken over [r0, R/10] (the outer decade is excluded as pin
-    territory) and widened by ``margin`` on both sides.
+    Solved on the operator's own grid with extrapolated outer pins (four
+    re-pinning rounds from a zero pin; like ``solve_monotone``'s, the loop
+    ends at its round cap, not at a self-consistent pin).  The ratios are
+    taken over [r0, R/10] (the outer decade is excluded as pin territory)
+    and widened by 5% on both sides.
     """
     grid = op.grid
     if verdict is None:
@@ -140,23 +151,21 @@ def calibrate_barrier_constants(
     ra = w_a[sel] / psi[sel]
     rk = w_k[sel] / pu[sel]
     rh = w_h[sel] / pu[sel]
-    C3 = float(min(ra.min(), rk.min()) * (1.0 - margin))
-    C4 = float(max(ra.max(), rk.max(), rh.max()) * (1.0 + margin))
+    C3 = float(min(ra.min(), rk.min()) * (1.0 - _CALIBRATION_MARGIN))
+    C4 = float(max(ra.max(), rk.max(), rh.max()) * (1.0 + _CALIBRATION_MARGIN))
     if not (0 < C3 < C4):
         raise ConfigError("calibration produced an invalid constant pair")
     return C3, C4
 
 
-def _linear_selfpin(op: RadialOperator, rhs: np.ndarray, rounds: int = 4) -> np.ndarray:
+def _linear_selfpin(op: RadialOperator, rhs: np.ndarray) -> np.ndarray:
     pin = 0.0
-    w = None
-    for _ in range(rounds):
+    for _ in range(_SELFPIN_ROUNDS):
         w = op.solve(rhs, pin)
         new_pin = _extrapolated_pin(op.grid, np.maximum(w, _TINY))
         if abs(new_pin - pin) <= 1e-9 * max(abs(new_pin), _TINY):
             break
         pin = new_pin
-    assert w is not None
     return np.clip(w, 0.0, None)
 
 
@@ -181,8 +190,8 @@ def _coupling(params: ExponentSet, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u ** params.p / v ** params.q
 
 
-def _activator_rhs(params: ExponentSet, env: SourceEnvelope, u: np.ndarray,
-                   v: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _activator_rhs(params: ExponentSet, u: np.ndarray, v: np.ndarray,
+                   rho: np.ndarray) -> np.ndarray:
     return _coupling(params, u, v) + params.lam * rho
 
 
@@ -224,7 +233,7 @@ def apply_H(
         else:
             pins = (float(u[-1]), float(v[-1]))
 
-    Tu = solve_linear(op, _activator_rhs(params, env, u, v, rho), pins[0])
+    Tu = solve_linear(op, _activator_rhs(params, u, v, rho), pins[0])
     inner = solve_monotone(
         op, u ** params.m, NonlinearitySpec.power(params.s), outer=pins[1],
     )
@@ -255,26 +264,29 @@ def initial_state(
     )
 
 
-def _state_residuals(
+def _certify(
     state: CoupledState, params: ExponentSet, env: SourceEnvelope, op: RadialOperator,
     window: tuple[float, float],
-) -> dict:
-    grid = op.grid
+) -> None:
+    """Store the node residuals of the discrete equations on ``state``, and
+    their certificates in ``residuals`` and ``diagnostics``."""
     u, v = state.u.values, state.v.values
-    rho = env.rho(grid.r)
-    rhs_u = _activator_rhs(params, env, u, v, rho)
+    rhs_u = _activator_rhs(params, u, v, env.rho(op.grid.r))
     rhs_v = u ** params.m * v ** -params.s
     gamma_v = -state.verdict.v_profile.power
     w_u = params.k
     w_v = params.m * activator_decay(state.verdict) - params.s * gamma_v
-    return {
-        "certificate_u": weighted_residual(op, u, rhs_u, w_u, window),
-        "certificate_v": weighted_residual(op, v, rhs_v, w_v, window),
+    state.node_residuals = (op.apply(u) - rhs_u, op.apply(v) - rhs_v)
+    state.residuals = (weighted_residual(op, u, rhs_u, w_u, window),
+                       weighted_residual(op, v, rhs_v, w_v, window))
+    state.diagnostics.update({
+        "certificate_u": state.residuals[0],
+        "certificate_v": state.residuals[1],
         "source_residual_u": source_relative_residual(op, u, rhs_u, w_u, window),
         "source_residual_v": source_relative_residual(op, v, rhs_v, w_v, window),
         "backward_error_u": backward_error(op, u, rhs_u),
         "backward_error_v": backward_error(op, v, rhs_v),
-    }
+    })
 
 
 def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -283,13 +295,13 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
 
 def _newton(
     state: CoupledState, params: ExponentSet, env: SourceEnvelope, op: RadialOperator,
-    pins: tuple[float, float], tol: float, cap: int,
+    pins: tuple[float, float],
 ) -> tuple[CoupledState, float]:
     """Newton on L u = f(u, v) + lam rho, L v = u^m v^-s with the outer
     values pinned at ``pins``, until the largest nodewise relative step
-    drops below ``tol`` or ``cap`` steps are spent.  A step is halved until
-    u > 0 and v > 0 off the Dirichlet node; a non-finite residual, a singular
-    Jacobian or exhausted halving raise DivergedError."""
+    drops below ``_NEWTON_TOL`` or ``_NEWTON_CAP`` steps are spent.  A step
+    is halved until u > 0 and v > 0 off the Dirichlet node; a non-finite
+    residual, a singular Jacobian or exhausted halving raise DivergedError."""
     state.check_positive()
     grid = op.grid
     rho = env.rho(grid.r)
@@ -298,7 +310,7 @@ def _newton(
     rhs = np.empty(2 * grid.n)
     u, v = state.u.values, state.v.values
     step = np.inf
-    for _ in range(cap):
+    for _ in range(_NEWTON_CAP):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f = _coupling(params, u, v)
             g = u ** params.m * v ** -params.s
@@ -330,7 +342,7 @@ def _newton(
             schedule=state.schedule, verdict=state.verdict,
         )
         state.check_positive()
-        if step < tol:
+        if step < _NEWTON_TOL:
             break
     return state, step
 
@@ -339,8 +351,6 @@ def solve_system(
     params: ExponentSet,
     env: SourceEnvelope,
     op: RadialOperator,
-    tol: float = 1e-11,
-    max_iter: int = 200,
     window: tuple[float, float] | None = None,
     schedule: ConstantSchedule | None = None,
 ) -> CoupledState:
@@ -353,11 +363,12 @@ def solve_system(
     schedule's box-midpoint pins; the polish then twice re-pins both outer
     values from the solution's own outer power law, removing the O(1)
     amplitude mismatch the fixed pins leave at the truncation radius.  Each
-    phase stops when the largest relative step drops below ``tol`` or after
-    ``max_iter`` steps.  The stored state is the image of the Newton state
-    under H at the final pins, so it satisfies the discrete equations to
-    solver accuracy; the relative gap between the two is recorded as
-    ``fixed_point_gap``.
+    phase stops when the largest relative step drops below 1e-11 or after
+    200 steps (``_NEWTON_TOL``, ``_NEWTON_CAP``).  The stored state is the
+    image of the Newton state under H at the final pins, so it satisfies the
+    discrete equations to solver accuracy; the relative gap between the two
+    is recorded as ``fixed_point_gap``.  The state carries the node
+    residuals ``L u - rhs_u``, ``L v - rhs_v`` and their certificates.
     """
     grid = op.grid
     verdict = classify(params, grid.r0)
@@ -383,22 +394,20 @@ def solve_system(
         window = grid.default_window()
 
     pins = _midpoint_pins(schedule, verdict, grid)
-    state, step = _newton(state, params, env, op, pins, tol, max_iter)
-    converged = step < tol
+    state, step = _newton(state, params, env, op, pins)
+    converged = step < _NEWTON_TOL
     for _ in range(_POLISH_ROUNDS):
         pins = (
             _extrapolated_pin(grid, state.u.values),
             _extrapolated_pin(grid, state.v.values),
         )
-        state, step = _newton(state, params, env, op, pins, tol, max_iter)
-        converged = converged and step < tol
+        state, step = _newton(state, params, env, op, pins)
+        converged = converged and step < _NEWTON_TOL
     image = apply_H(state, params, env, op, pins=pins)
     gap = max(_relative_change(image.u.values, state.u.values),
               _relative_change(image.v.values, state.v.values))
 
-    res = _state_residuals(image, params, env, op, window)
-    image.residuals = (res["certificate_u"], res["certificate_v"])
-    image.diagnostics.update(res)
+    _certify(image, params, env, op, window)
     image.diagnostics["newton_steps"] = state.iteration
     image.diagnostics["newton_converged"] = bool(converged)
     image.diagnostics["newton_last_step"] = float(step)

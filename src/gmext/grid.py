@@ -61,10 +61,6 @@ class GridFunction:
         if self.values.shape != (self.grid.n,):
             raise ConfigError("values must match the grid size")
 
-    @classmethod
-    def constant(cls, grid: RadialGrid, c: float) -> "GridFunction":
-        return cls(grid, np.full(grid.n, float(c)))
-
 
 def build_grid(r0: float, R: float, n: int) -> RadialGrid:
     """Uniform xi-mesh with r = r0 * exp(xi); endpoints land on r0 and R."""

@@ -19,6 +19,9 @@ from .grid import assemble_operator, grid_for_decades
 from .params import ExponentSet, Outcome, SourceEnvelope, classify
 from .scalar import NonlinearitySpec, solve_monotone
 
+# the probe window stays this many decades clear of both truncation ends
+_WINDOW_MARGIN_DECADES = 0.5
+
 
 def integral_criterion(alpha: float) -> bool:
     """True when int_1^inf t * t^-alpha dt diverges, i.e. alpha <= 2.
@@ -123,10 +126,10 @@ def degeneration_probe(
     R_sequence: tuple[float, ...] = (1e2, 1e3, 1e4),
     r0: float = 1.0,
     nodes_per_decade: int = 512,
-    window_margin_decades: float = 0.5,
 ) -> ProbeReport:
     """Solve the obstructed scalar problem on each truncation and record the
-    superharmonic profile w * r^(N-2) over the fitting window.
+    superharmonic profile w * r^(N-2) over the fitting window, which keeps
+    half a decade clear of r0 and of R.
 
     For integral-type obstructions the truncated solutions grow without bound
     as R does, so the absolute floor min(w r^(N-2)) rises while the profile
@@ -144,8 +147,8 @@ def degeneration_probe(
     for R in R_sequence:
         grid = grid_for_decades(r0, R, nodes_per_decade)
         op = assemble_operator(grid, params.N)
-        lo = r0 * 10.0 ** window_margin_decades
-        hi = R * 10.0 ** -window_margin_decades
+        lo = r0 * 10.0 ** _WINDOW_MARGIN_DECADES
+        hi = R * 10.0 ** -_WINDOW_MARGIN_DECADES
         flag = ""
         try:
             res = solve_monotone(

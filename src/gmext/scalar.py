@@ -50,7 +50,14 @@ from .errors import (
 )
 from .grid import GridFunction, RadialGrid, RadialOperator, backward_error
 
-DEFAULT_DELTA_SCHEDULE: tuple[float, ...] = tuple(10.0 ** -j for j in range(9))
+# shift schedule of the monotone drive, relative to max(W); an unshifted
+# stage always follows
+_DELTA_SCHEDULE: tuple[float, ...] = tuple(10.0 ** -j for j in range(9))
+# per-sweep relative-change stop of the final (unshifted) stage; shifted
+# stages stop at 1e-4 or after _STAGE_CAP sweeps
+_SWEEP_TOL = 1e-10
+_MAX_SWEEPS = 500
+_STAGE_CAP = 12
 
 _TINY = 1e-300
 _COLLAPSE_FLOOR = 1e-250
@@ -125,16 +132,15 @@ def barrier_Z(
     grid: RadialGrid,
     N: int,
     A,
-    tail_exponent: float | None = None,
     truncate_tail: bool = False,
 ) -> GridFunction:
     """Decaying Neumann potential Z(r) = int_r^inf t^(1-N) int_{r0}^t tau^(N-1) A dtau dt.
 
     ``A`` may be a callable of r or nodal values.  Both integrals use
     composite trapezoid on the xi-mesh; the part beyond the truncation radius
-    is added in closed form assuming A follows its fitted (or supplied)
-    power-law tail.  A tail exponent <= 2 means the first moment of A
-    diverges and no decaying solution exists (NONINTEGRABLE_SOURCE), unless
+    is added in closed form assuming A follows its fitted power-law tail.
+    A tail exponent <= 2 means the first moment of A diverges and no
+    decaying solution exists (NONINTEGRABLE_SOURCE), unless
     ``truncate_tail`` asks for the truncated-domain potential with Z(R) = 0.
     """
     a_vals = np.asarray(A(grid.r), dtype=float) if callable(A) else np.asarray(A, dtype=float)
@@ -158,7 +164,7 @@ def barrier_Z(
     if truncate_tail:
         return GridFunction(grid, core)
 
-    alpha = float(tail_exponent) if tail_exponent is not None else fit_tail_exponent(grid, a_vals)
+    alpha = fit_tail_exponent(grid, a_vals)
     if alpha <= 2.0:
         raise NonintegrableSourceError(
             f"source tail ~ r^-{alpha:g} has a divergent first moment (needs exponent > 2)"
@@ -231,13 +237,8 @@ def solve_monotone(
     op: RadialOperator,
     Psi: GridFunction | np.ndarray,
     g: NonlinearitySpec,
-    delta_schedule: tuple[float, ...] = DEFAULT_DELTA_SCHEDULE,
-    tol: float = 1e-10,
     outer: float | str = "barrier",
-    max_sweeps: int = 500,
-    stage_cap: int = 12,
     res_tol: float = 1e-11,
-    tail_exponent: float | None = None,
     truncate_tail: bool = False,
     record_history: bool = False,
     pin_rounds: int = 4,
@@ -247,14 +248,17 @@ def solve_monotone(
 
     ``outer`` selects the outer Dirichlet value: "barrier" pins the upper
     barrier value W(R) (the construction's own choice), "zero" pins 0, a
-    float pins that value, and "extrapolate" iteratively re-pins from the
-    solution's own outer power law (the accurate choice for asymptotics
-    work, since both fixed pins leave an O(1) boundary layer).
+    float pins that value, and "extrapolate" re-pins from the solution's own
+    outer power law (the accurate choice for asymptotics work, since both
+    fixed pins leave an O(1) boundary layer).  The re-pinning starts from a
+    zero pin and runs ``pin_rounds`` full solves; its 1e-9 stop test is not
+    met in practice (the pin still moves by a few percent in the last
+    round), so with the default four rounds the answer is the solve at the
+    third extrapolated pin, not a self-consistent one.
 
-    ``tol`` is the per-sweep relative-change criterion of the monotone
-    stages; ``res_tol`` the backward-error target of the Newton finish.
-    ``delta_schedule`` entries are relative to max(W); the drive always ends
-    with an unshifted stage.
+    ``res_tol`` is the backward-error target of the Newton finish.  The
+    monotone drive's shift schedule, sweep tolerance and sweep caps are
+    module constants.
 
     ``start_factor >= 1`` scales the starting supersolution (any multiple of
     the upper barrier is again a supersolution); the converged answer must
@@ -281,10 +285,10 @@ def solve_monotone(
         pair = BarrierPair(wf, wf)
         return ScalarSolveResult(wf, pair, outer_value, [], 0, 0.0, 1)
 
-    Z = barrier_Z(grid, op.N, psi, tail_exponent=tail_exponent, truncate_tail=truncate_tail)
+    Z = barrier_Z(grid, op.N, psi, truncate_tail=truncate_tail)
     W = barrier_W(Z, g).values
     W_start = W * start_factor
-    drive = (delta_schedule, tol, max_sweeps, stage_cap, res_tol, record_history)
+    drive = (res_tol, record_history)
     if outer != "extrapolate":
         return _solve_pinned(op, psi, g, W_start, _resolve_outer(outer, W_start), *drive)
     if g.is_linear:
@@ -306,8 +310,7 @@ def solve_monotone(
 
 def _solve_pinned(
     op: RadialOperator, psi: np.ndarray, g: NonlinearitySpec, W: np.ndarray,
-    outer_value: float, delta_schedule: tuple[float, ...], tol: float,
-    max_sweeps: int, stage_cap: int, res_tol: float, record_history: bool,
+    outer_value: float, res_tol: float, record_history: bool,
 ) -> ScalarSolveResult:
     """The monotone drive and Newton finish from the upper barrier ``W``
     with the outer value fixed."""
@@ -351,7 +354,7 @@ def _solve_pinned(
     w = W.copy()
     stages: list[StageRecord] = []
     prev_delta: float | None = None
-    for rel_delta in list(delta_schedule) + [0.0]:
+    for rel_delta in _DELTA_SCHEDULE + (0.0,):
         delta = rel_delta * scale
         final = delta == 0.0
         if prev_delta is not None:
@@ -359,8 +362,8 @@ def _solve_pinned(
         prev_delta = delta
         Vf = np.maximum(V, gfloor)
         M = psi * g.dg_magnitude(Vf + delta)
-        cap = max_sweeps if final else stage_cap
-        stage_tol = tol if final else max(tol, 1e-4)
+        cap = _MAX_SWEEPS if final else _STAGE_CAP
+        stage_tol = _SWEEP_TOL if final else 1e-4
         record = StageRecord(delta=delta, sweeps=0, monotone_ok=True, max_violation=0.0)
         if record_history:
             record.iterates.append(w.copy())

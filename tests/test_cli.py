@@ -161,15 +161,16 @@ def test_bad_replay_manifest_exit_64(solved_dir, tmp_path, edit):
 
 
 def test_replay_of_retired_keys(solved_dir, tmp_path):
-    # older manifests record damping and polish; only their fixed values replay
+    # older manifests record damping, polish, tol and max_iter; only their
+    # fixed values replay
     manifest = json.loads((solved_dir / "run1.manifest.json").read_text())
-    manifest["config"].update(damping=0.5, polish=2)
+    manifest["config"].update(damping=0.5, polish=2, tol=1e-11, max_iter=200)
     code, _, err = _replay(json.dumps(manifest), tmp_path)
     assert code == 0, err
     replay = tmp_path / "replay.csv"
     assert replay.read_bytes() == (solved_dir / "run1.csv").read_bytes()
     replay.unlink()
-    for key, value in (("damping", 0.7), ("polish", 3)):
+    for key, value in (("damping", 0.7), ("polish", 3), ("tol", 1e-9), ("max_iter", 50)):
         edited = dict(manifest, config=dict(manifest["config"], **{key: value}))
         code, _, err = _replay(json.dumps(edited), tmp_path)
         assert code == 64
@@ -178,9 +179,17 @@ def test_replay_of_retired_keys(solved_dir, tmp_path):
 
 
 def test_removed_solve_flags_rejected(tmp_path):
-    for flag in ("--damping", "--polish"):
-        code, _, _ = run_cli(["solve", *BASE, flag, "1", "--output", str(tmp_path)])
+    out = tmp_path / "out"
+    for flag in ("--damping", "--polish", "--tol", "--max-iter"):
+        code, _, _ = run_cli(["solve", *BASE, flag, "1", "--output", str(out)])
         assert code == 64
+    # a config file naming a retired key at another value is refused, not ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 1e-9\n")
+    code, _, err = run_cli(["solve", *BASE, "--config", str(cfg), "--output", str(out)])
+    assert code == 64
+    assert "configuration error:" in err and "tol" in err
+    assert not out.exists()
 
 
 def test_solve_refuses_nonexistence(tmp_path):
@@ -188,6 +197,50 @@ def test_solve_refuses_nonexistence(tmp_path):
                             "--s", "1", "--k", "4", "--output", str(tmp_path)])
     assert code == 1
     assert "probe" in err
+
+
+def _write_bad_manifest(tmp_path, which):
+    path = tmp_path / "bad.manifest.json"
+    if which == "not_json":
+        path.write_text("{not json")
+    elif which == "list":
+        path.write_text("[1, 2]")
+    elif which == "no_power":
+        path.write_text(json.dumps({"fits": {"u": {}}, "verdict": {"u_profile": {}}}))
+    elif which == "null_power":
+        path.write_text(json.dumps({
+            "fits": {c: {"power": None} for c in "uv"},
+            "verdict": {f"{c}_profile": {"power": None, "log_power": 0.0} for c in "uv"},
+        }))
+    return path
+
+
+BAD_MANIFESTS = ["missing", "not_json", "list", "no_power", "null_power"]
+
+
+@pytest.mark.parametrize("which", BAD_MANIFESTS)
+def test_bad_reference_exit_64_before_solving(tmp_path, which, monkeypatch):
+    import gmext.cli
+
+    def no_solve(cfg):
+        raise AssertionError("solved before reading --reference")
+
+    monkeypatch.setattr(gmext.cli, "run_solve", no_solve)
+    out = tmp_path / "out"
+    code, _, err = run_cli(["solve", *BASE, "--output", str(out),
+                            "--reference", str(_write_bad_manifest(tmp_path, which))])
+    assert code == 64
+    assert err.startswith("configuration error: unreadable manifest")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", BAD_MANIFESTS)
+def test_fit_bad_manifest_exit_64(solved_dir, tmp_path, which):
+    code, out, err = run_cli(["fit", str(solved_dir / "run1.csv"),
+                              "--manifest", str(_write_bad_manifest(tmp_path, which))])
+    assert code == 64
+    assert err.startswith("configuration error: unreadable manifest")
+    assert out == ""
 
 
 def test_truncation_reference_delta(solved_dir, tmp_path):
@@ -241,9 +294,18 @@ def test_fit_window_warning(solved_dir):
 
 def test_fit_malformed_csv_exit_65(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("r,u\n1.0,nope\n")
-    code, _, err = run_cli(["fit", str(bad)])
-    assert code == 65
+    # u = r^-1 exactly on radii off the log-uniform grid: fitted against the
+    # rebuilt grid it would report a wrong power with a tiny rms
+    perturbed = np.geomspace(1.0, 1e4, 1025)
+    perturbed[512] *= 1.0 + 1e-6
+    off_grid = ["r,u,v\n" + "".join("%.17g,%.17g,%.17g\n" % (x, 1 / x, 1 / x) for x in r)
+                for r in (np.linspace(1.0, 1e4, 1025), perturbed)]
+    # a non-number, rows shorter than the header, a single row, off-grid radii
+    for text in ["r,u\n1.0,nope\n", "r,u,v\n1,2\n3,4\n", "r,u,v\n1,1,1\n", *off_grid]:
+        bad.write_text(text)
+        code, out, err = run_cli(["fit", str(bad), "--window", "10", "1000"])
+        assert code == 65
+        assert err.startswith("malformed CSV:") and out == ""
 
 
 # ---------------------------------------------------------------------------
