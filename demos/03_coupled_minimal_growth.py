@@ -59,7 +59,8 @@ box = verify_box(state, state.schedule, verdict.u_profile, verdict.v_profile)
 print(f"\nfixed point after {state.diagnostics['newton_steps']} Newton steps "
       f"(gap to its image under the map: {state.diagnostics['fixed_point_gap']:.1e})")
 print(f"fitted exponents: u {fit_u.power:+.4f}, v {fit_v.power:+.4f}  (both predicted -1)")
-print(f"residual certificates: u {state.residuals[0]:.2e}, v {state.residuals[1]:.2e}")
+print(f"residual certificates: u {state.diagnostics['certificate_u']:.2e}, "
+      f"v {state.diagnostics['certificate_v']:.2e}")
 print(f"box check on the window: ok = {box.ok}, "
       f"margins u {box.margin_u:.2f}, v {box.margin_v:.2f}")
 

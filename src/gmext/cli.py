@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .coupled import solve_system, suggest_lambda, verify_box
 from .errors import ConfigError, GmextError, WindowError
-from .fitting import compare_profile, fit_power, fit_power_log
+from .fitting import compare_profile, fit_design, fit_power, fit_power_log
 from .grid import GridFunction, assemble_operator, build_grid
 from .params import (
     AsymptoticProfile,
@@ -71,7 +71,7 @@ def read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, val = line.split("=", 1)
         out[key.strip()] = val.strip()
-    return out
+    return _check_keys(out, path)
 
 
 def _collect(args: argparse.Namespace, defaults: dict) -> dict:
@@ -152,12 +152,23 @@ _SOLVE_DEFAULTS = {
 # or config file may still name them, but only at these values
 _FIXED_KEYS = {"damping": 0.5, "polish": 2, "tol": 1e-11, "max_iter": 200}
 
+_KNOWN_KEYS = {*_PARAM_KEYS, *_GRID_KEYS, *_SOLVE_DEFAULTS, *_FIXED_KEYS}
+
+
+def _check_keys(cfg: dict, source: str) -> dict:
+    """``cfg`` itself, or a ConfigError naming the keys no command reads."""
+    unknown = sorted(set(cfg) - _KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"{source}: unknown key(s) {', '.join(unknown)}")
+    return cfg
+
 
 def _solve_config(args: argparse.Namespace) -> dict:
     """Effective solve settings from flags and config file, or from a
     replayed manifest; both go through the same coercion."""
     if getattr(args, "from_manifest", None):
         cfg = _load_manifest(args.from_manifest, lambda m: dict(m["config"]))
+        _check_keys(cfg, args.from_manifest)
     else:
         cfg = _collect(args, dict(_SOLVE_DEFAULTS))
     params = params_from(cfg)
@@ -178,32 +189,36 @@ def _solve_config(args: argparse.Namespace) -> dict:
 
 
 def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
-    """Execute one solve; returns (manifest, csv rows, exit code)."""
+    """Execute one solve; returns (manifest, csv rows, exit code).
+
+    A nonexistence configuration is refused with ConfigError by the
+    calibration (default lam) or by ``solve_system`` (explicit lam); a
+    window the fits would refuse is a ConfigError before any solving."""
     params = params_from(cfg)
     verdict = classify(params, float(cfg["r0"]))
-    if not verdict.exists:
-        raise ConfigError(
-            f"{_verdict_line(verdict)}: refusing to solve; "
-            "use 'gmext probe' for nonexistence corroboration"
-        )
     grid = build_grid(float(cfg["r0"]), float(cfg["R"]), int(cfg["n"]))
     op = assemble_operator(grid, params.N)
     env = SourceEnvelope.radial(float(cfg["rho0"]), params.k)
+    window = (float(cfg["window_lo"]), float(cfg["window_hi"]))
+    if window[0] <= 0 or window[1] <= 0:
+        window = grid.default_window()
+        cfg = dict(cfg, window_lo=window[0], window_hi=window[1])
+    # short domains get a short default window; accept down to one decade here
+    # (interactive fits keep the stricter default).  The fits need 8 nodes in
+    # the window, so they refuse every window the certificates would.
+    expect_log_v = verdict.exists and verdict.v_profile.kind is ProfileKind.POWER_LOG
+    try:
+        fit_design(grid, window, 1.0, grid.r0 if expect_log_v else None)
+    except WindowError as exc:
+        raise ConfigError(f"fitting window: {exc}") from exc
     schedule = None
     if params.lam <= 0.0:
         lam, schedule = suggest_lambda(params, env, op)
         params = params.with_lam(lam)
         cfg = dict(cfg, lam=lam)
-    window = (float(cfg["window_lo"]), float(cfg["window_hi"]))
-    if window[0] <= 0 or window[1] <= 0:
-        window = grid.default_window()
-        cfg = dict(cfg, window_lo=window[0], window_hi=window[1])
 
     state = solve_system(params, env, op, window=window, schedule=schedule)
 
-    # short domains get a short default window; accept down to one decade here
-    # (interactive fits keep the stricter default)
-    expect_log_v = verdict.v_profile.kind is ProfileKind.POWER_LOG
     fit_u = fit_power(state.u, window, min_decades=1.0)
     fit_v = (fit_power_log(state.v, window, grid.r0, min_decades=1.0) if expect_log_v
              else fit_power(state.v, window, min_decades=1.0))
@@ -276,8 +291,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"{_verdict_line(verdict)}: refusing to solve; "
               "use 'gmext probe' for nonexistence corroboration", file=sys.stderr)
         return _exit_for(verdict)
-    outdir = Path(args.output or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
     manifest, rows, code = run_solve(cfg)
 
     if ref_powers is not None:
@@ -287,6 +300,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "delta_v_power": abs(manifest["fits"]["v"]["power"] - ref_powers["v"]),
         }
 
+    outdir = Path(args.output or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
     stem = args.name or "solution"
     csv_path = outdir / f"{stem}.csv"
     man_path = outdir / f"{stem}.manifest.json"

@@ -25,7 +25,7 @@ activator-inhibitor feedback contractive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .params import (
     classify,
     constant_schedule,
 )
-from .scalar import NonlinearitySpec, solve_monotone, _extrapolated_pin
+from .scalar import NonlinearitySpec, solve_monotone, _extrapolated_pin, _repin
 
 _TINY = 1e-300
 _RANGE = (1e-30, 1e30)
@@ -63,8 +63,6 @@ _NEWTON_TOL = 1e-11
 _NEWTON_CAP = 200
 # relative widening of the calibrated ratio range on both sides
 _CALIBRATION_MARGIN = 0.05
-# pin rounds of the linear calibration solves
-_SELFPIN_ROUNDS = 4
 # step halvings a Newton step may take to keep the state positive
 _HALVINGS = 30
 
@@ -74,7 +72,6 @@ class CoupledState:
     u: GridFunction
     v: GridFunction
     iteration: int = 0
-    residuals: tuple[float, float] = (np.inf, np.inf)
     # L u - rhs_u and L v - rhs_v at every node, set by solve_system
     node_residuals: tuple[np.ndarray, np.ndarray] | None = None
     schedule: ConstantSchedule | None = None
@@ -82,12 +79,18 @@ class CoupledState:
     diagnostics: dict = field(default_factory=dict)
 
     def check_positive(self) -> None:
-        if np.any(self.u.values <= 0) or np.any(self.v.values[:-1] <= 0):
-            raise DivergedError("state lost positivity")
-        hi = max(float(np.max(self.u.values)), float(np.max(self.v.values)))
-        lo = min(float(np.min(self.u.values[:-1])), float(np.min(self.v.values[:-1])))
-        if hi > _RANGE[1] or lo < _RANGE[0]:
-            raise DivergedError(f"state left the admissible range: [{lo:.2e}, {hi:.2e}]")
+        _check_range(self.u.values, self.v.values)
+
+
+def _check_range(u: np.ndarray, v: np.ndarray) -> None:
+    """DivergedError unless u > 0 and v > 0 off the Dirichlet node and both
+    stay inside ``_RANGE``."""
+    if np.any(u <= 0) or np.any(v[:-1] <= 0):
+        raise DivergedError("state lost positivity")
+    hi = max(float(np.max(u)), float(np.max(v)))
+    lo = min(float(np.min(u[:-1])), float(np.min(v[:-1])))
+    if hi > _RANGE[1] or lo < _RANGE[0]:
+        raise DivergedError(f"state left the admissible range: [{lo:.2e}, {hi:.2e}]")
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,11 @@ def calibrate_barrier_constants(
 ) -> tuple[float, float]:
     """Extreme solution/profile ratios of the three scalar reference problems.
 
-    Solved on the operator's own grid with extrapolated outer pins (four
-    re-pinning rounds from a zero pin; like ``solve_monotone``'s, the loop
-    ends at its round cap, not at a self-consistent pin).  The ratios are
-    taken over [r0, R/10] (the outer decade is excluded as pin territory)
-    and widened by 5% on both sides.
+    Solved on the operator's own grid with extrapolated outer pins: all
+    three go through ``scalar._repin``, four re-pinning rounds from a zero
+    pin that end at the round cap, not at a self-consistent pin.  The
+    ratios are taken over [r0, R/10] (the outer decade is excluded as pin
+    territory) and widened by 5% on both sides.
     """
     grid = op.grid
     if verdict is None:
@@ -159,14 +162,7 @@ def calibrate_barrier_constants(
 
 
 def _linear_selfpin(op: RadialOperator, rhs: np.ndarray) -> np.ndarray:
-    pin = 0.0
-    for _ in range(_SELFPIN_ROUNDS):
-        w = op.solve(rhs, pin)
-        new_pin = _extrapolated_pin(op.grid, np.maximum(w, _TINY))
-        if abs(new_pin - pin) <= 1e-9 * max(abs(new_pin), _TINY):
-            break
-        pin = new_pin
-    return np.clip(w, 0.0, None)
+    return np.clip(_repin(op.grid, lambda pin: op.solve(rhs, pin)), 0.0, None)
 
 
 def suggest_lambda(
@@ -183,16 +179,15 @@ def suggest_lambda(
     return lam, constant_schedule(params.with_lam(lam), env, C3, C4)
 
 
-def _coupling(params: ExponentSet, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The activator's coupling term f(u, v) (without the source)."""
+def _equations(params: ExponentSet, rho: np.ndarray, u: np.ndarray,
+               v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The discrete equations L u = f(u, v) + lam rho, L v = u^m v^-s: the
+    activator coupling f and both right-hand sides, as (f, rhs_u, rhs_v)."""
     if params.kind is SystemKind.MIXED:
-        return v ** params.q / u ** params.p
-    return u ** params.p / v ** params.q
-
-
-def _activator_rhs(params: ExponentSet, u: np.ndarray, v: np.ndarray,
-                   rho: np.ndarray) -> np.ndarray:
-    return _coupling(params, u, v) + params.lam * rho
+        f = v ** params.q / u ** params.p
+    else:
+        f = u ** params.p / v ** params.q
+    return f, f + params.lam * rho, u ** params.m * v ** -params.s
 
 
 def _midpoint_pins(schedule: ConstantSchedule, verdict: RegimeVerdict,
@@ -216,24 +211,23 @@ def apply_H(
     """One application of the fixed-point map.
 
     Outer pins default to the attached schedule's box midpoints on the
-    predicted profiles (geometric means), else to the state's own boundary
-    values.
+    predicted profiles (geometric means); a state without a schedule needs
+    explicit ``pins``.
     """
     state.check_positive()
     verdict = state.verdict or classify(params, op.grid.r0)
     if not verdict.exists:
         raise ConfigError("apply_H needs an existence-classified parameter set")
     grid = op.grid
-    rho = env.rho(grid.r)
     u, v = state.u.values, state.v.values
 
     if pins is None:
-        if state.schedule is not None:
-            pins = _midpoint_pins(state.schedule, verdict, grid)
-        else:
-            pins = (float(u[-1]), float(v[-1]))
+        if state.schedule is None:
+            raise ConfigError("apply_H needs outer pins or a state with a schedule")
+        pins = _midpoint_pins(state.schedule, verdict, grid)
 
-    Tu = solve_linear(op, _activator_rhs(params, u, v, rho), pins[0])
+    _, rhs_u, _ = _equations(params, env.rho(grid.r), u, v)
+    Tu = solve_linear(op, rhs_u, pins[0])
     inner = solve_monotone(
         op, u ** params.m, NonlinearitySpec.power(params.s), outer=pins[1],
     )
@@ -269,19 +263,16 @@ def _certify(
     window: tuple[float, float],
 ) -> None:
     """Store the node residuals of the discrete equations on ``state``, and
-    their certificates in ``residuals`` and ``diagnostics``."""
+    their certificates in ``diagnostics``."""
     u, v = state.u.values, state.v.values
-    rhs_u = _activator_rhs(params, u, v, env.rho(op.grid.r))
-    rhs_v = u ** params.m * v ** -params.s
+    _, rhs_u, rhs_v = _equations(params, env.rho(op.grid.r), u, v)
     gamma_v = -state.verdict.v_profile.power
     w_u = params.k
     w_v = params.m * activator_decay(state.verdict) - params.s * gamma_v
     state.node_residuals = (op.apply(u) - rhs_u, op.apply(v) - rhs_v)
-    state.residuals = (weighted_residual(op, u, rhs_u, w_u, window),
-                       weighted_residual(op, v, rhs_v, w_v, window))
     state.diagnostics.update({
-        "certificate_u": state.residuals[0],
-        "certificate_v": state.residuals[1],
+        "certificate_u": weighted_residual(op, u, rhs_u, w_u, window),
+        "certificate_v": weighted_residual(op, v, rhs_v, w_v, window),
         "source_residual_u": source_relative_residual(op, u, rhs_u, w_u, window),
         "source_residual_v": source_relative_residual(op, v, rhs_v, w_v, window),
         "backward_error_u": backward_error(op, u, rhs_u),
@@ -294,27 +285,26 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
 
 
 def _newton(
-    state: CoupledState, params: ExponentSet, env: SourceEnvelope, op: RadialOperator,
-    pins: tuple[float, float],
-) -> tuple[CoupledState, float]:
-    """Newton on L u = f(u, v) + lam rho, L v = u^m v^-s with the outer
-    values pinned at ``pins``, until the largest nodewise relative step
-    drops below ``_NEWTON_TOL`` or ``_NEWTON_CAP`` steps are spent.  A step
-    is halved until u > 0 and v > 0 off the Dirichlet node; a non-finite
-    residual, a singular Jacobian or exhausted halving raise DivergedError."""
-    state.check_positive()
-    grid = op.grid
-    rho = env.rho(grid.r)
+    params: ExponentSet, env: SourceEnvelope, op: RadialOperator,
+    u: np.ndarray, v: np.ndarray, pins: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Newton on L u = f(u, v) + lam rho, L v = u^m v^-s from (u, v) with the
+    outer values pinned at ``pins``, until the largest nodewise relative step
+    drops below ``_NEWTON_TOL`` or ``_NEWTON_CAP`` steps are spent; returns
+    the final (u, v), the number of steps and the last step.  A step is
+    halved until u > 0 and v > 0 off the Dirichlet node; a start or iterate
+    outside ``_check_range``, a non-finite residual, a singular Jacobian or
+    exhausted halving raise DivergedError."""
+    _check_range(u, v)
+    rho = env.rho(op.grid.r)
     sign = -1.0 if params.kind is SystemKind.MIXED else 1.0
-    ab = block_band(grid.n)
-    rhs = np.empty(2 * grid.n)
-    u, v = state.u.values, state.v.values
+    ab = block_band(op.grid.n)
+    rhs = np.empty(2 * op.grid.n)
     step = np.inf
-    for _ in range(_NEWTON_CAP):
+    for steps in range(1, _NEWTON_CAP + 1):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f = _coupling(params, u, v)
-            g = u ** params.m * v ** -params.s
-            rhs[0::2] = f + params.lam * rho - op.apply(u)
+            f, rhs_u, g = _equations(params, rho, u, v)
+            rhs[0::2] = rhs_u - op.apply(u)
             rhs[1::2] = g - op.apply(v)
             # Jacobian diagonals: -df/du, -df/dv, -dg/du, -dg/dv
             duu = -sign * params.p * f / u
@@ -337,14 +327,10 @@ def _newton(
             raise DivergedError("step halving could not keep the Newton state positive")
         step = max(_relative_change(u_new, u), _relative_change(v_new, v))
         u, v = u_new, v_new
-        state = CoupledState(
-            u=GridFunction(grid, u), v=GridFunction(grid, v), iteration=state.iteration + 1,
-            schedule=state.schedule, verdict=state.verdict,
-        )
-        state.check_positive()
+        _check_range(u, v)
         if step < _NEWTON_TOL:
             break
-    return state, step
+    return u, v, steps, step
 
 
 def solve_system(
@@ -363,12 +349,15 @@ def solve_system(
     schedule's box-midpoint pins; the polish then twice re-pins both outer
     values from the solution's own outer power law, removing the O(1)
     amplitude mismatch the fixed pins leave at the truncation radius.  Each
-    phase stops when the largest relative step drops below 1e-11 or after
-    200 steps (``_NEWTON_TOL``, ``_NEWTON_CAP``).  The stored state is the
-    image of the Newton state under H at the final pins, so it satisfies the
-    discrete equations to solver accuracy; the relative gap between the two
-    is recorded as ``fixed_point_gap``.  The state carries the node
-    residuals ``L u - rhs_u``, ``L v - rhs_v`` and their certificates.
+    of the three Newton phases works on the (u, v) arrays and stops when the
+    largest relative step drops below 1e-11 or after 200 steps
+    (``_NEWTON_TOL``, ``_NEWTON_CAP``).  The stored state is the image of
+    the Newton state under H at the final pins, so it satisfies the discrete
+    equations to solver accuracy; the relative gap between the two is
+    recorded as ``fixed_point_gap``.  The state carries the node residuals
+    ``L u - rhs_u``, ``L v - rhs_v`` and, in ``diagnostics``, their
+    certificates (``certificate_u``/``certificate_v``), backward errors and
+    source-relative residuals.
     """
     grid = op.grid
     verdict = classify(params, grid.r0)
@@ -394,15 +383,14 @@ def solve_system(
         window = grid.default_window()
 
     pins = _midpoint_pins(schedule, verdict, grid)
-    state, step = _newton(state, params, env, op, pins)
-    converged = step < _NEWTON_TOL
-    for _ in range(_POLISH_ROUNDS):
-        pins = (
-            _extrapolated_pin(grid, state.u.values),
-            _extrapolated_pin(grid, state.v.values),
-        )
-        state, step = _newton(state, params, env, op, pins)
+    u, v, steps, converged = state.u.values, state.v.values, 0, True
+    for phase in range(1 + _POLISH_ROUNDS):
+        if phase:
+            pins = (_extrapolated_pin(grid, u), _extrapolated_pin(grid, v))
+        u, v, taken, step = _newton(params, env, op, u, v, pins)
+        steps += taken
         converged = converged and step < _NEWTON_TOL
+    state = replace(state, u=GridFunction(grid, u), v=GridFunction(grid, v), iteration=steps)
     image = apply_H(state, params, env, op, pins=pins)
     gap = max(_relative_change(image.u.values, state.u.values),
               _relative_change(image.v.values, state.v.values))
@@ -412,7 +400,6 @@ def solve_system(
     image.diagnostics["newton_converged"] = bool(converged)
     image.diagnostics["newton_last_step"] = float(step)
     image.diagnostics["fixed_point_gap"] = gap
-    image.diagnostics["window"] = window
     return image
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearWindowError, ConfigError, WindowError
-from .grid import GridFunction
-from .params import AsymptoticProfile, ProfileKind
+from .errors import CollinearWindowError, WindowError
+from .grid import GridFunction, RadialGrid
+from .params import AsymptoticProfile
 
 MIN_WINDOW_DECADES = 1.5
 
@@ -36,7 +36,15 @@ class ProfileMatch:
     log_power_error: float
 
 
-def _window_data(w: GridFunction, window: tuple[float, float], min_decades: float):
+def fit_design(grid: RadialGrid, window: tuple[float, float],
+               min_decades: float = MIN_WINDOW_DECADES, r0: float | None = None):
+    """Node mask and least-squares design matrix of a fit over ``window``:
+    columns 1 and ln r, plus ln ln(r/r0) for the log-corrected fit (``r0``
+    given).  Raises WindowError for a window that cannot carry the fit:
+    empty or reversed, shorter than ``min_decades``, fewer than 8 nodes, or
+    (log-corrected) starting at or below r0 or too short to separate ln r
+    from ln ln r.  It reads the grid only, so a window can be checked before
+    anything is solved."""
     lo, hi = window
     if not (0 < lo < hi):
         raise WindowError(f"invalid window ({lo}, {hi})")
@@ -45,13 +53,40 @@ def _window_data(w: GridFunction, window: tuple[float, float], min_decades: floa
             f"window ({lo:g}, {hi:g}) spans {np.log10(hi/lo):.2f} decades; "
             f"need at least {min_decades}"
         )
-    mask = w.grid.window_mask(lo, hi)
+    mask = grid.window_mask(lo, hi)
     if np.count_nonzero(mask) < 8:
         raise WindowError("window contains fewer than 8 grid nodes")
+    r = grid.r[mask]
+    if r0 is None:
+        return mask, np.vstack([np.ones_like(r), np.log(r)]).T
+    if lo <= r0:
+        raise WindowError("log-corrected fit needs the window to start beyond r0")
+    A = np.vstack([np.ones_like(r), np.log(r), np.log(np.log(r / r0))]).T
+    # guard against a window too short to separate ln r from ln ln r
+    scaled = A / np.linalg.norm(A, axis=0)
+    if np.linalg.svd(scaled, compute_uv=False)[-1] < 1e-7:
+        raise CollinearWindowError(
+            "window too narrow to separate the power from the log correction"
+        )
+    return mask, A
+
+
+def _least_squares(w: GridFunction, window: tuple[float, float], mask: np.ndarray,
+                   A: np.ndarray) -> FitResult:
     vals = w.values[mask]
     if np.any(vals <= 0):
         raise WindowError("fit requires positive values on the window")
-    return w.grid.r[mask], vals
+    y = np.log(vals)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - A @ coef
+    return FitResult(
+        power=float(coef[1]),
+        log_power=float(coef[2]) if coef.size == 3 else 0.0,
+        amplitude=float(np.exp(coef[0])),
+        window=(float(window[0]), float(window[1])),
+        rms_residual=float(np.sqrt(np.mean(resid ** 2))),
+        n_points=y.size,
+    )
 
 
 def fit_power(w: GridFunction, window: tuple[float, float],
@@ -61,47 +96,13 @@ def fit_power(w: GridFunction, window: tuple[float, float],
     ``min_decades`` guards against windows too short for a stable slope;
     callers fitting clean closed forms may lower it explicitly.
     """
-    r, vals = _window_data(w, window, min_decades)
-    x, y = np.log(r), np.log(vals)
-    A = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    return FitResult(
-        power=float(coef[1]),
-        log_power=0.0,
-        amplitude=float(np.exp(coef[0])),
-        window=(float(window[0]), float(window[1])),
-        rms_residual=float(np.sqrt(np.mean(resid ** 2))),
-        n_points=x.size,
-    )
+    return _least_squares(w, window, *fit_design(w.grid, window, min_decades))
 
 
 def fit_power_log(w: GridFunction, window: tuple[float, float], r0: float,
                   min_decades: float = MIN_WINDOW_DECADES) -> FitResult:
     """Two-regressor fit ln w ~ ln A + e ln r + f ln ln(r/r0)."""
-    r, vals = _window_data(w, window, min_decades)
-    if window[0] <= r0:
-        raise WindowError("log-corrected fit needs the window to start beyond r0")
-    x1 = np.log(r)
-    x2 = np.log(np.log(r / r0))
-    A = np.vstack([np.ones_like(x1), x1, x2]).T
-    # guard against a window too short to separate ln r from ln ln r
-    scaled = A / np.linalg.norm(A, axis=0)
-    sv = np.linalg.svd(scaled, compute_uv=False)
-    if sv[-1] < 1e-7:
-        raise CollinearWindowError(
-            "window too narrow to separate the power from the log correction"
-        )
-    coef, *_ = np.linalg.lstsq(A, np.log(vals), rcond=None)
-    resid = np.log(vals) - A @ coef
-    return FitResult(
-        power=float(coef[1]),
-        log_power=float(coef[2]),
-        amplitude=float(np.exp(coef[0])),
-        window=(float(window[0]), float(window[1])),
-        rms_residual=float(np.sqrt(np.mean(resid ** 2))),
-        n_points=x1.size,
-    )
+    return _least_squares(w, window, *fit_design(w.grid, window, min_decades, r0))
 
 
 def compare_profile(
@@ -111,8 +112,6 @@ def compare_profile(
     tol_log: float = 0.1,
 ) -> ProfileMatch:
     """PASS iff both the power and the log exponent sit within tolerance."""
-    if predicted.kind not in (ProfileKind.PURE_POWER, ProfileKind.POWER_LOG):
-        raise ConfigError(f"cannot compare against profile kind {predicted.kind}")
     dp = abs(fit.power - predicted.power)
     dl = abs(fit.log_power - predicted.log_power)
     return ProfileMatch(passed=bool(dp <= tol_power and dl <= tol_log),

@@ -199,15 +199,15 @@ def assemble_operator(grid: RadialGrid, N: int) -> RadialOperator:
     return RadialOperator(grid=grid, N=int(N), sub=sub, diag=diag, sup=sup)
 
 
-def solve_linear(op: RadialOperator, rhs: GridFunction | np.ndarray, outer_value: float) -> GridFunction:
-    """Solve -Lap w = rhs, Neumann inner row, w(R) = outer_value.
+def solve_linear(op: RadialOperator, rhs: np.ndarray, outer_value: float) -> GridFunction:
+    """Solve -Lap w = rhs (nodal values), Neumann inner row, w(R) = outer_value.
 
     Nonnegative rhs and boundary value give a nonnegative solution by
     inverse-positivity; tiny negative round-off is clipped to zero.
     """
     if outer_value < 0:
         raise ConfigError("outer_value must be nonnegative")
-    vals = rhs.values if isinstance(rhs, GridFunction) else np.asarray(rhs, dtype=float)
+    vals = np.asarray(rhs, dtype=float)
     if np.any(vals < 0):
         raise ConfigError("rhs must be nonnegative")
     w = op.solve(vals, outer_value)

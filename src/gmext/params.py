@@ -66,8 +66,6 @@ class Outcome(Enum):
 class ProfileKind(Enum):
     PURE_POWER = "PURE_POWER"
     POWER_LOG = "POWER_LOG"
-    POWER_LOGLOG = "POWER_LOGLOG"
-    HARMONIC_MINUS_CORRECTION = "HARMONIC_MINUS_CORRECTION"
 
 
 @dataclass(frozen=True)
@@ -149,11 +147,11 @@ class SourceEnvelope:
 
 @dataclass(frozen=True)
 class AsymptoticProfile:
-    """Decay profile r^power * log^log_power(r/r0), or variants.
+    """Decay profile r^power (PURE_POWER) or r^power * log^log_power(r/r0)
+    (POWER_LOG).
 
     ``power`` is negative for every decaying profile in scope.  POWER_LOG
-    carries a nonzero ``log_power``; POWER_LOGLOG and
-    HARMONIC_MINUS_CORRECTION are descriptive kinds used in reports only.
+    carries a nonzero ``log_power``.
     """
 
     kind: ProfileKind

@@ -58,6 +58,8 @@ _DELTA_SCHEDULE: tuple[float, ...] = tuple(10.0 ** -j for j in range(9))
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 500
 _STAGE_CAP = 12
+# cap on the solves of an extrapolated-pin loop (``_repin``)
+_PIN_ROUNDS = 4
 
 _TINY = 1e-300
 _COLLAPSE_FLOOR = 1e-250
@@ -131,19 +133,19 @@ def fit_tail_exponent(grid: RadialGrid, values: np.ndarray) -> float:
 def barrier_Z(
     grid: RadialGrid,
     N: int,
-    A,
+    A: np.ndarray,
     truncate_tail: bool = False,
 ) -> GridFunction:
     """Decaying Neumann potential Z(r) = int_r^inf t^(1-N) int_{r0}^t tau^(N-1) A dtau dt.
 
-    ``A`` may be a callable of r or nodal values.  Both integrals use
-    composite trapezoid on the xi-mesh; the part beyond the truncation radius
+    ``A`` holds the envelope's nodal values.  Both integrals use composite
+    trapezoid on the xi-mesh; the part beyond the truncation radius
     is added in closed form assuming A follows its fitted power-law tail.
     A tail exponent <= 2 means the first moment of A diverges and no
     decaying solution exists (NONINTEGRABLE_SOURCE), unless
     ``truncate_tail`` asks for the truncated-domain potential with Z(R) = 0.
     """
-    a_vals = np.asarray(A(grid.r), dtype=float) if callable(A) else np.asarray(A, dtype=float)
+    a_vals = np.asarray(A, dtype=float)
     if a_vals.shape != (grid.n,):
         raise ConfigError("A must provide one value per grid node")
     if np.any(a_vals < 0):
@@ -233,28 +235,47 @@ def _extrapolated_pin(grid: RadialGrid, w: np.ndarray) -> float:
     return float(np.exp(coef[1] + coef[0] * np.log(grid.R)))
 
 
+def _repin(grid: RadialGrid, solve_at, rounds: int = _PIN_ROUNDS) -> np.ndarray:
+    """The extrapolated-pin loop: ``solve_at(pin)`` returns the nodal
+    solution at outer value ``pin``; the loop starts from a zero pin and
+    re-pins from each solution's own outer power law until the pin moves by
+    at most 1e-9 relative or ``rounds`` solves are spent.  Returns the last
+    solution.  The stop test is not met in practice, so the loop ends at its
+    cap (the pin still moves by a few percent in the last round)."""
+    pin = 0.0
+    for _ in range(max(1, rounds)):
+        w = solve_at(pin)
+        new_pin = _extrapolated_pin(grid, w)
+        if abs(new_pin - pin) <= 1e-9 * max(new_pin, _TINY):
+            break
+        pin = new_pin
+    return w
+
+
 def solve_monotone(
     op: RadialOperator,
-    Psi: GridFunction | np.ndarray,
+    Psi: np.ndarray,
     g: NonlinearitySpec,
     outer: float | str = "barrier",
     res_tol: float = 1e-11,
     truncate_tail: bool = False,
     record_history: bool = False,
-    pin_rounds: int = 4,
+    pin_rounds: int = _PIN_ROUNDS,
     start_factor: float = 1.0,
 ) -> ScalarSolveResult:
     """Solve -Lap w = Psi g(w) with Neumann inner row and Dirichlet outer row.
 
-    ``outer`` selects the outer Dirichlet value: "barrier" pins the upper
-    barrier value W(R) (the construction's own choice), "zero" pins 0, a
-    float pins that value, and "extrapolate" re-pins from the solution's own
-    outer power law (the accurate choice for asymptotics work, since both
-    fixed pins leave an O(1) boundary layer).  The re-pinning starts from a
-    zero pin and runs ``pin_rounds`` full solves; its 1e-9 stop test is not
-    met in practice (the pin still moves by a few percent in the last
-    round), so with the default four rounds the answer is the solve at the
-    third extrapolated pin, not a self-consistent one.
+    ``Psi`` holds nodal values.  ``outer`` selects the outer Dirichlet
+    value: "barrier" pins the upper barrier value W(R) (the construction's
+    own choice), "zero" pins 0, a float pins that value, and "extrapolate"
+    re-pins from the solution's own outer power law (the accurate choice for
+    asymptotics work, since both fixed pins leave an O(1) boundary layer).
+    The re-pinning is ``_repin``, the loop the linear calibration solves use
+    too: it starts from a zero pin and runs ``pin_rounds`` full solves; its
+    1e-9 stop test is not met in practice, so with the default four rounds
+    the answer is the solve at the third extrapolated pin, not a
+    self-consistent one.  ``solves`` and ``pin_rounds`` of the result count
+    every round.
 
     ``res_tol`` is the backward-error target of the Newton finish.  The
     monotone drive's shift schedule, sweep tolerance and sweep caps are
@@ -270,7 +291,7 @@ def solve_monotone(
     if start_factor < 1.0:
         raise ConfigError("start_factor must be >= 1 to stay a supersolution")
     grid = op.grid
-    psi = Psi.values if isinstance(Psi, GridFunction) else np.asarray(Psi, dtype=float)
+    psi = np.asarray(Psi, dtype=float)
     if psi.shape != (grid.n,):
         raise ConfigError("Psi must provide one value per grid node")
     if np.any(psi < 0):
@@ -295,16 +316,16 @@ def solve_monotone(
         # the barrier potential already is the decaying solution, so its
         # boundary value is the exact self-consistent pin
         return _solve_pinned(op, psi, g, W_start, float(W[-1]), *drive)
-    pin = 0.0
-    solves = 0
-    for rounds in range(1, max(1, pin_rounds) + 1):
-        result = _solve_pinned(op, psi, g, W_start, pin, *drive)
-        solves += result.solves
-        pin = _extrapolated_pin(grid, result.w.values)
-        if abs(pin - result.outer_value) <= 1e-9 * max(pin, _TINY):
-            break
-    result.pin_rounds = rounds
-    result.solves = solves
+    rounds: list[ScalarSolveResult] = []
+
+    def solve_at(pin: float) -> np.ndarray:
+        rounds.append(_solve_pinned(op, psi, g, W_start, pin, *drive))
+        return rounds[-1].w.values
+
+    _repin(grid, solve_at, pin_rounds)
+    result = rounds[-1]
+    result.pin_rounds = len(rounds)
+    result.solves = sum(r.solves for r in rounds)
     return result
 
 

@@ -165,12 +165,14 @@ def test_criterion_04_coupled_suite():
         fit_v = fit_power(state.v, case["window"])
         good = (abs(fit_u.power - case["u_power"]) <= 0.05
                 and abs(fit_v.power - case["v_power"]) <= 0.05
-                and state.residuals[0] < 1e-8 and state.residuals[1] < 1e-8)
+                and state.diagnostics["certificate_u"] < 1e-8
+                and state.diagnostics["certificate_v"] < 1e-8)
         ok = ok and good
         details.append(
             f"{key}: u {fit_u.power:+.3f}/{case['u_power']} "
             f"v {fit_v.power:+.3f}/{case['v_power']} "
-            f"certs ({state.residuals[0]:.1e}, {state.residuals[1]:.1e})"
+            f"certs ({state.diagnostics['certificate_u']:.1e}, "
+            f"{state.diagnostics['certificate_v']:.1e})"
         )
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
@@ -179,7 +181,8 @@ def test_criterion_04_coupled_suite():
         params, env, op, state, case = coupled_solve(key)
         assert abs(fit_power(state.u, case["window"]).power - case["u_power"]) <= 0.05
         assert abs(fit_power(state.v, case["window"]).power - case["v_power"]) <= 0.05
-        assert state.residuals[0] < 1e-8 and state.residuals[1] < 1e-8
+        assert (state.diagnostics["certificate_u"] < 1e-8
+                and state.diagnostics["certificate_v"] < 1e-8)
     assert elapsed < 60.0
 
 

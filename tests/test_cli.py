@@ -199,6 +199,68 @@ def test_solve_refuses_nonexistence(tmp_path):
     assert "probe" in err
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-3], ids=["default_lambda", "explicit_lambda"])
+def test_run_solve_refuses_nonexistence(lam):
+    # cmd_solve refuses first (exit 1); run_solve itself raises ConfigError,
+    # which main maps to exit 64
+    from gmext.cli import _SOLVE_DEFAULTS, run_solve
+    from gmext.errors import ConfigError
+
+    cfg = dict(_SOLVE_DEFAULTS, N=3, p=2, q=1, m=6, s=1, k=4, lam=lam, R=1e3, n=1025)
+    with pytest.raises(ConfigError):
+        run_solve(cfg)
+
+
+def _no_calibration(*args, **kwargs):
+    raise AssertionError("calibrated before the input was checked")
+
+
+@pytest.mark.parametrize("source", ["solve_config", "classify_config", "manifest"])
+def test_unknown_keys_exit_64(solved_dir, tmp_path, source, monkeypatch):
+    import gmext.coupled
+
+    monkeypatch.setattr(gmext.coupled, "calibrate_barrier_constants", _no_calibration)
+    out = tmp_path / "out"
+    if source == "manifest":
+        manifest = json.loads((solved_dir / "run1.manifest.json").read_text())
+        manifest["config"]["nodes"] = 8193
+        path = tmp_path / "typo.manifest.json"
+        path.write_text(json.dumps(manifest))
+        argv = ["solve", "--from-manifest", str(path), "--output", str(out)]
+        named = ["nodes"]
+    else:
+        path = tmp_path / "typo.cfg"
+        path.write_text("nodes = 8193\nlamda = 1e-5\n")
+        if source == "solve_config":
+            argv = ["solve", *BASE, "--config", str(path), "--output", str(out)]
+        else:
+            argv = ["classify", *BASE, "--config", str(path)]
+        named = ["lamda", "nodes"]
+    code, _, err = run_cli(argv)
+    assert code == 64
+    assert err.startswith("configuration error:")
+    assert all(key in err for key in named)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", [
+    ["--R", "100"],
+    ["--R", "1e3", "--window-lo", "10", "--window-hi", "50"],
+    ["--m", "4", "--window-lo", "1", "--window-hi", "1e3"],
+], ids=["empty_default", "short", "log_fit_at_r0"])
+def test_bad_window_exit_64_before_solving(tmp_path, window, monkeypatch):
+    # the last case has a log-corrected inhibitor profile, whose fit needs
+    # the window to start beyond r0
+    import gmext.coupled
+
+    monkeypatch.setattr(gmext.coupled, "calibrate_barrier_constants", _no_calibration)
+    out = tmp_path / "out"
+    code, _, err = run_cli(["solve", *BASE, *window, "--output", str(out)])
+    assert code == 64
+    assert err.startswith("configuration error: fitting window:")
+    assert not out.exists()
+
+
 def _write_bad_manifest(tmp_path, which):
     path = tmp_path / "bad.manifest.json"
     if which == "not_json":

@@ -34,6 +34,16 @@ def test_calibration_orders_constants():
     assert (C3, C4) == calibrate_barrier_constants(params, op)
 
 
+def test_calibration_reference_values():
+    # MIN-i at n = 1025 to 1e-12: a change to the extrapolated-pin loop (or
+    # anything else the calibration runs) moves these and must update them
+    params = ExponentSet(**COUPLED_MIN_I["params"])
+    op = cached_operator(1.0, 1e3, 1025, 3)
+    C3, C4 = calibrate_barrier_constants(params, op)
+    assert C3 == pytest.approx(0.474972133947711, rel=1e-12, abs=0.0)
+    assert C4 == pytest.approx(2.079359676217518, rel=1e-12, abs=0.0)
+
+
 def test_calibration_rejects_nonexistence():
     params = ExponentSet(N=3, p=2, q=1, m=6, s=1, k=4)
     op = cached_operator(1.0, 1e3, 1025, 3)
@@ -97,6 +107,15 @@ def test_diverged_guard():
     state = CoupledState(u=huge, v=ok)
     with pytest.raises(DivergedError):
         state.check_positive()
+
+
+def test_apply_H_without_schedule_needs_pins():
+    params = ExponentSet(**COUPLED_MIN_I["params"]).with_lam(1e-5)
+    op = cached_operator(1.0, 1e3, 1025, 3)
+    r = op.grid.r
+    state = CoupledState(u=GridFunction(op.grid, r ** -1.0), v=GridFunction(op.grid, r ** -1.0))
+    with pytest.raises(ConfigError):
+        apply_H(state, params, SourceEnvelope.radial(1.0, params.k), op)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +228,8 @@ def test_coupled_instances(case):
     fit_v = fit_power(state.v, case["window"])
     assert fit_u.power == pytest.approx(case["u_power"], abs=0.05)
     assert fit_v.power == pytest.approx(case["v_power"], abs=0.05)
-    assert state.residuals[0] < 1e-8
-    assert state.residuals[1] < 1e-8
+    assert state.diagnostics["certificate_u"] < 1e-8
+    assert state.diagnostics["certificate_v"] < 1e-8
     assert state.diagnostics["inner_monotone_ok"]
     assert state.diagnostics["inner_sandwiched"]
 

@@ -26,7 +26,7 @@ def test_barrier_Z_closed_form_r4():
     # A = r^-4, N = 3: the potential is exactly r^-1 - r^-2/2
     op = make_op(n=4097)
     r = op.grid.r
-    Z = barrier_Z(op.grid, 3, lambda rr: rr ** -4.0)
+    Z = barrier_Z(op.grid, 3, r ** -4.0)
     exact = 1 / r - 0.5 / r ** 2
     assert np.max(np.abs(Z.values - exact) / exact) < 1e-5
 
@@ -40,7 +40,7 @@ def test_barrier_Z_zero_source():
 def test_barrier_Z_nonintegrable_tail():
     op = make_op(n=257)
     with pytest.raises(NonintegrableSourceError):
-        barrier_Z(op.grid, 3, lambda rr: rr ** -2.0)
+        barrier_Z(op.grid, 3, op.grid.r ** -2.0)
 
 
 def test_barrier_Z_is_discrete_solution():
