@@ -42,7 +42,7 @@ grid = build_grid(1.0, 1e4, 4097)
 op = assemble_operator(grid, params0.N)
 env = SourceEnvelope.radial(1.0, params0.k)
 
-C3, C4 = calibrate_barrier_constants(params0, op, verdict)
+C3, C4 = calibrate_barrier_constants(params0, op)
 probe = constant_schedule(params0.with_lam(1.0), env, C3, C4)
 lam = probe.lambda_star / 2.0
 params = params0.with_lam(lam)
@@ -54,7 +54,7 @@ print(f"box bounds: D = {sched.D:.3e}, E = {sched.E:.3e}, F = {sched.F:.3e}, G =
 state = solve_system(params, env, op, schedule=sched)
 fit_u = fit_power(state.u, (10.0, 1e3))
 fit_v = fit_power(state.v, (10.0, 1e3))
-box = verify_box(state, state.schedule, verdict.u_profile, verdict.v_profile)
+box = verify_box(state)
 
 print(f"\nfixed point after {state.diagnostics['newton_steps']} Newton steps "
       f"(gap to its image under the map: {state.diagnostics['fixed_point_gap']:.1e})")

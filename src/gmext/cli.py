@@ -225,7 +225,7 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
     cmp_u = compare_profile(fit_u, verdict.u_profile)
     cmp_v = compare_profile(fit_v, verdict.v_profile)
 
-    box = verify_box(state, state.schedule, verdict.u_profile, verdict.v_profile, window)
+    box = verify_box(state, window)
 
     rows = list(zip(grid.r, state.u.values, state.v.values, *state.node_residuals))
 
@@ -333,11 +333,14 @@ def _parse_range(spec: str) -> tuple[str, list[float]]:
     if key not in ("p", "q", "m", "s", "k", "lam"):
         raise ConfigError(f"cannot sweep over {key!r}")
     parts = body.split(":")
-    if len(parts) == 1:
-        return key, [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ConfigError(f"range spec must be lo:hi:count, got {body!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        if len(parts) == 1:
+            return key, [float(parts[0])]
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ConfigError(f"bad range spec {spec!r}: {exc}") from exc
     if count < 1:
         return key, []
     if count == 1:
@@ -395,7 +398,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"fixed value for {key} required (flag or config)")
         base[key] = float(cfg[key])
 
-    jobs = args.jobs or int(os.environ.get("GM_EXT_JOBS", "1"))
+    try:
+        jobs = args.jobs or int(os.environ.get("GM_EXT_JOBS", "1"))
+    except ValueError as exc:
+        raise ConfigError(f"GM_EXT_JOBS must be an integer: {exc}") from exc
     axis_keys = sorted(axes)
     grids = [axes[key] for key in axis_keys]
     cells = [dict(base, **dict(zip(axis_keys, combo))) for combo in itertools.product(*grids)]

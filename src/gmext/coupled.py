@@ -35,14 +35,12 @@ from .grid import (
     RadialGrid,
     RadialOperator,
     backward_error,
-    block_band,
     solve_block,
     solve_linear,
     source_relative_residual,
     weighted_residual,
 )
 from .params import (
-    AsymptoticProfile,
     ConstantSchedule,
     ExponentSet,
     RegimeVerdict,
@@ -69,13 +67,18 @@ _HALVINGS = 30
 
 @dataclass
 class CoupledState:
+    """A coupled iterate with the verdict and the constant schedule it was
+    built from: the schedule's box midpoints are ``apply_H``'s default pins,
+    and the schedule and the verdict's profiles are the box ``verify_box``
+    checks."""
+
     u: GridFunction
     v: GridFunction
+    schedule: ConstantSchedule
+    verdict: RegimeVerdict
     iteration: int = 0
     # L u - rhs_u and L v - rhs_v at every node, set by solve_system
     node_residuals: tuple[np.ndarray, np.ndarray] | None = None
-    schedule: ConstantSchedule | None = None
-    verdict: RegimeVerdict | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def check_positive(self) -> None:
@@ -118,19 +121,19 @@ def activator_decay(verdict: RegimeVerdict) -> float:
 def calibrate_barrier_constants(
     params: ExponentSet,
     op: RadialOperator,
-    verdict: RegimeVerdict | None = None,
 ) -> tuple[float, float]:
     """Extreme solution/profile ratios of the three scalar reference problems.
 
-    Solved on the operator's own grid with extrapolated outer pins: all
-    three go through ``scalar._repin``, four re-pinning rounds from a zero
-    pin that end at the round cap, not at a self-consistent pin.  The
-    ratios are taken over [r0, R/10] (the outer decade is excluded as pin
-    territory) and widened by 5% on both sides.
+    The exponents are classified at the grid's r0 here; a nonexistence
+    verdict is a ConfigError.  The problems are solved on the operator's own
+    grid with extrapolated outer pins: all three go through
+    ``scalar._repin``, four re-pinning rounds from a zero pin that end at
+    the round cap, not at a self-consistent pin.  The ratios are taken over
+    [r0, R/10] (the outer decade is excluded as pin territory) and widened
+    by 5% on both sides.  Neither lam nor the source envelope enters.
     """
     grid = op.grid
-    if verdict is None:
-        verdict = classify(params, grid.r0)
+    verdict = classify(params, grid.r0)
     if not verdict.exists:
         raise ConfigError("calibration needs an existence-classified parameter set")
     a_u = activator_decay(verdict)
@@ -172,8 +175,7 @@ def suggest_lambda(
     fraction: float = 0.5,
 ) -> tuple[float, ConstantSchedule]:
     """Threshold-based default source strength: fraction * lambda threshold."""
-    verdict = classify(params, op.grid.r0)
-    C3, C4 = calibrate_barrier_constants(params, op, verdict)
+    C3, C4 = calibrate_barrier_constants(params, op)
     probe = constant_schedule(params.with_lam(1.0), env, C3, C4)
     lam = fraction * probe.threshold
     return lam, constant_schedule(params.with_lam(lam), env, C3, C4)
@@ -210,33 +212,28 @@ def apply_H(
 ) -> CoupledState:
     """One application of the fixed-point map.
 
-    Outer pins default to the attached schedule's box midpoints on the
-    predicted profiles (geometric means); a state without a schedule needs
-    explicit ``pins``.
+    Outer pins default to the state's box midpoints on its verdict's
+    profiles (geometric means of the schedule's bounds).  The image keeps
+    the state's schedule and verdict; its ``diagnostics`` hold only this
+    application's inner-solve flags, ``inner_monotone_ok`` and
+    ``inner_sandwiched``.
     """
     state.check_positive()
-    verdict = state.verdict or classify(params, op.grid.r0)
-    if not verdict.exists:
-        raise ConfigError("apply_H needs an existence-classified parameter set")
     grid = op.grid
     u, v = state.u.values, state.v.values
-
     if pins is None:
-        if state.schedule is None:
-            raise ConfigError("apply_H needs outer pins or a state with a schedule")
-        pins = _midpoint_pins(state.schedule, verdict, grid)
+        pins = _midpoint_pins(state.schedule, state.verdict, grid)
 
     _, rhs_u, _ = _equations(params, env.rho(grid.r), u, v)
     Tu = solve_linear(op, rhs_u, pins[0])
     inner = solve_monotone(
         op, u ** params.m, NonlinearitySpec.power(params.s), outer=pins[1],
     )
-    diag = dict(state.diagnostics)
-    diag["inner_monotone_ok"] = diag.get("inner_monotone_ok", True) and inner.monotone_ok
-    diag["inner_sandwiched"] = diag.get("inner_sandwiched", True) and inner.sandwiched
     new = CoupledState(
-        u=Tu, v=inner.w, iteration=state.iteration + 1,
-        schedule=state.schedule, verdict=verdict, diagnostics=diag,
+        u=Tu, v=inner.w, schedule=state.schedule, verdict=state.verdict,
+        iteration=state.iteration + 1,
+        diagnostics={"inner_monotone_ok": inner.monotone_ok,
+                     "inner_sandwiched": inner.sandwiched},
     )
     new.check_positive()
     return new
@@ -298,7 +295,6 @@ def _newton(
     _check_range(u, v)
     rho = env.rho(op.grid.r)
     sign = -1.0 if params.kind is SystemKind.MIXED else 1.0
-    ab = block_band(op.grid.n)
     rhs = np.empty(2 * op.grid.n)
     step = np.inf
     for steps in range(1, _NEWTON_CAP + 1):
@@ -315,7 +311,7 @@ def _newton(
         rhs[-1] = pins[1] - v[-1]
         if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(duu + duv + dvu + dvv))):
             raise DivergedError("non-finite Newton residual")
-        dx = solve_block(op, duu, duv, dvu, dvv, rhs, ab)
+        dx = solve_block(op, duu, duv, dvu, dvv, rhs)
         du, dv = dx[0::2], dx[1::2]
         t = 1.0
         for _ in range(_HALVINGS):
@@ -372,7 +368,7 @@ def solve_system(
         # the box machinery applies verbatim in all three existence regimes:
         # the threshold algebra only needs the calibrated comparison
         # constants taken against the regime's own profiles
-        C3, C4 = calibrate_barrier_constants(params, op, verdict)
+        C3, C4 = calibrate_barrier_constants(params, op)
         schedule = constant_schedule(params, env, C3, C4)
     elif schedule.lam != params.lam:
         raise ConfigError(
@@ -405,12 +401,11 @@ def solve_system(
 
 def verify_box(
     state: CoupledState,
-    schedule: ConstantSchedule,
-    u_profile: AsymptoticProfile,
-    v_profile: AsymptoticProfile,
     window: tuple[float, float] | None = None,
 ) -> BoxReport:
-    """Nodewise check of the four box inequalities over the window.
+    """Nodewise check of the four box inequalities over the window (by
+    default the grid's), with the bounds of the state's schedule on its
+    verdict's profiles.
 
     Margins are the smallest relative slack to each bound (negative when
     violated); report-only, no exception.
@@ -419,12 +414,12 @@ def verify_box(
     if window is None:
         window = grid.default_window()
     mask = grid.window_mask(*window)
-    pu = u_profile.values(grid.r)[mask]
-    pv = v_profile.values(grid.r)[mask]
+    pu = state.verdict.u_profile.values(grid.r)[mask]
+    pv = state.verdict.v_profile.values(grid.r)[mask]
     u = state.u.values[mask]
     v = state.v.values[mask]
-    lo_u, hi_u = schedule.D * pu, schedule.E * pu
-    lo_v, hi_v = schedule.F * pv, schedule.G * pv
+    lo_u, hi_u = state.schedule.D * pu, state.schedule.E * pu
+    lo_v, hi_v = state.schedule.F * pv, state.schedule.G * pv
     r_win = grid.r[mask]
     bad_u = (u < lo_u) | (u > hi_u)
     bad_v = (v < lo_v) | (v > hi_v)

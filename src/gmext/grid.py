@@ -63,7 +63,12 @@ class GridFunction:
 
 
 def build_grid(r0: float, R: float, n: int) -> RadialGrid:
-    """Uniform xi-mesh with r = r0 * exp(xi); endpoints land on r0 and R."""
+    """Uniform xi-mesh with r = r0 * exp(xi).
+
+    ``r[0]`` is r0 exactly, but ``r[-1]`` is R only up to rounding: for
+    r0 = 1, R = 1e4, n = 4097 it is 10000.00000000001, so ``grid.R`` and
+    ``grid.r[-1]`` can differ in the last digits.
+    """
     if not (r0 > 0 and R > r0):
         raise ConfigError(f"need R > r0 > 0, got r0={r0}, R={R}")
     if n < 2:
@@ -127,16 +132,10 @@ class RadialOperator:
         return solve_banded((1, 1), ab, b)
 
 
-def block_band(n: int) -> np.ndarray:
-    """Work buffer of ``solve_block`` for an n-node grid: LAPACK band storage
-    of a (2,2)-banded matrix of size 2n, with the two fill-in rows."""
-    return np.zeros((7, 2 * n), order="F")
-
-
 def solve_block(
     op: RadialOperator,
     duu: np.ndarray, duv: np.ndarray, dvu: np.ndarray, dvv: np.ndarray,
-    rhs: np.ndarray, ab: np.ndarray,
+    rhs: np.ndarray,
 ) -> np.ndarray:
     """Solve the coupled pair
 
@@ -145,20 +144,20 @@ def solve_block(
 
     with both Dirichlet rows kept as identity rows (the four diagonals never
     touch them).  Unknowns and ``rhs`` are interleaved, x = (u0, v0, u1, v1,
-    ...), which makes the matrix (2,2)-banded.  ``ab`` is a ``block_band``
-    buffer; it and ``rhs`` are overwritten, and the solution is returned in
-    ``rhs``'s storage.  A singular matrix raises DivergedError.
+    ...), which makes the matrix (2,2)-banded.  The band is built afresh on
+    every call; ``rhs`` is overwritten and the solution is returned in its
+    storage.  A singular matrix raises DivergedError.
     """
-    # band storage ab[4 + i - j, j] = A[i, j]; rows 0-1 are LU fill-in and
-    # need no values.  dgbsv overwrites the band, so every call refills it.
+    # LAPACK band storage ab[4 + i - j, j] = A[i, j] of the 2n x 2n matrix;
+    # rows 0-1 are LU fill-in and need no values, and every entry outside
+    # the stencil stays zero
+    ab = np.zeros((7, 2 * op.grid.n), order="F")
     ab[2, 2::2] = op.sup[:-1]
     ab[2, 3::2] = op.sup[:-1]
-    ab[3, 0::2] = 0.0
     ab[3, 1::2] = duv
     np.add(op.diag, duu, out=ab[4, 0::2])
     np.add(op.diag, dvv, out=ab[4, 1::2])
     ab[5, 0::2] = dvu
-    ab[5, 1::2] = 0.0
     ab[6, 0:-2:2] = op.sub[1:]
     ab[6, 1:-2:2] = op.sub[1:]
     # Dirichlet rows of u (2n-2) and v (2n-1)

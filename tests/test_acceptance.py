@@ -283,12 +283,12 @@ def test_criterion_07_box_invariance():
         verdict = classify(params)
         from gmext import calibrate_barrier_constants
 
-        C3, C4 = calibrate_barrier_constants(params, op, verdict)
+        C3, C4 = calibrate_barrier_constants(params, op)
         sched = constant_schedule(params, env, C3, C4)
         state = initial_state(op, verdict, sched)
         for _ in range(50):
             state = apply_H(state, params, env, op)
-            rep = verify_box(state, sched, verdict.u_profile, verdict.v_profile)
+            rep = verify_box(state)
             total_checked += 1
             if not rep.ok:
                 violations += 1

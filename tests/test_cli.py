@@ -98,6 +98,18 @@ def test_unexpected_exception_exit_70(monkeypatch):
     assert err == "internal error: RuntimeError: boom second line\n"
 
 
+def test_solver_error_exit_70(tmp_path):
+    # classified as existence, but its box-midpoint start state leaves the
+    # admissible range: a tagged solver error, not a traceback
+    out = tmp_path / "out"
+    code, _, err = run_cli(["solve", "--N", "3", "--p", "6", "--q", "1.5", "--m", "6",
+                            "--s", "1", "--k", "4", "--output", str(out)])
+    assert code == 70
+    assert len(err.splitlines()) == 1
+    assert err.startswith("solver error [DIVERGED]")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve + manifest reproducibility
 
@@ -416,6 +428,24 @@ def test_sweep_empty_range(tmp_path):
     assert code == 0
     content = out.read_text().strip().splitlines()
     assert len(content) == 1  # header only
+
+
+@pytest.mark.parametrize("vary, jobs_env", [
+    ("p=3:7:2.5", None),
+    ("p=abc", None),
+    ("p=3:7:3", "abc"),
+], ids=["fractional_count", "not_a_number", "bad_jobs_env"])
+def test_sweep_malformed_input_exit_64(tmp_path, monkeypatch, vary, jobs_env):
+    if jobs_env is not None:
+        monkeypatch.setenv("GM_EXT_JOBS", jobs_env)
+    out = tmp_path / "bad.csv"
+    code, _, err = run_cli([
+        "sweep", "--N", "3", "--q", "1", "--m", "6", "--s", "1", "--k", "4",
+        "--vary", vary, "--output", str(out),
+    ])
+    assert code == 64
+    assert err.startswith("configuration error:")
+    assert not out.exists()
 
 
 def test_sweep_records_cell_errors_inline(tmp_path):

@@ -9,6 +9,7 @@ from gmext import (
     apply_H,
     calibrate_barrier_constants,
     classify,
+    constant_schedule,
     solve_system,
     suggest_lambda,
     verify_box,
@@ -101,21 +102,14 @@ def test_solve_rejects_schedule_at_other_lambda():
 
 
 def test_diverged_guard():
+    params = ExponentSet(**COUPLED_MIN_I["params"]).with_lam(1e-5)
     op = cached_operator(1.0, 1e3, 1025, 3)
     huge = GridFunction(op.grid, np.full(op.grid.n, 1e31))
     ok = GridFunction(op.grid, np.full(op.grid.n, 1.0))
-    state = CoupledState(u=huge, v=ok)
+    sched = constant_schedule(params, SourceEnvelope.radial(1.0, params.k), 0.5, 2.0)
+    state = CoupledState(u=huge, v=ok, schedule=sched, verdict=classify(params))
     with pytest.raises(DivergedError):
         state.check_positive()
-
-
-def test_apply_H_without_schedule_needs_pins():
-    params = ExponentSet(**COUPLED_MIN_I["params"]).with_lam(1e-5)
-    op = cached_operator(1.0, 1e3, 1025, 3)
-    r = op.grid.r
-    state = CoupledState(u=GridFunction(op.grid, r ** -1.0), v=GridFunction(op.grid, r ** -1.0))
-    with pytest.raises(ConfigError):
-        apply_H(state, params, SourceEnvelope.radial(1.0, params.k), op)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +128,8 @@ def test_apply_H_fixed_point(case):
     rel_v = np.max(np.abs(mapped.v.values - state.v.values)
                    / np.maximum(state.v.values, 1e-300))
     assert rel_u < 1e-8 and rel_v < 1e-8
+    # the image reports its own inner solve, not the solved state's diagnostics
+    assert set(mapped.diagnostics) == {"inner_monotone_ok", "inner_sandwiched"}
 
 
 def test_newton_solve_applies_H_once(monkeypatch):
@@ -167,6 +163,18 @@ def test_sentinel_cell_diverges():
     cfg = dict(_SOLVE_DEFAULTS, N=3, p=6.0, q=1.5, m=6.0, s=1.0, k=4.0)
     with pytest.raises(DivergedError):
         run_solve(cfg)
+
+
+@pytest.mark.xfail(strict=True, raises=DivergedError,
+                   reason="the POWER_LOG inhibitor profile vanishes at r0, so the "
+                          "box-midpoint start state is floored at 1e-300 there")
+def test_log_inhibitor_cell_solves():
+    # Thm2.2(i) with v ~ r^-1 log^0.5 (r/r0); every log-inhibitor existence
+    # cell fails the same way at its start state
+    from gmext.cli import _SOLVE_DEFAULTS, run_solve
+
+    cfg = dict(_SOLVE_DEFAULTS, N=3, p=5.0, q=1.0, m=4.0, s=1.0, k=4.0, R=1e3, n=1025)
+    run_solve(cfg)
 
 
 def test_two_corner_orbits_agree():
@@ -211,7 +219,7 @@ def test_box_invariance_short_orbit():
     state = initial_state(op, verdict, sched)
     for _ in range(10):
         state = apply_H(state, params, env, op)
-        report = verify_box(state, sched, verdict.u_profile, verdict.v_profile)
+        report = verify_box(state)
         assert report.ok, report
 
 

@@ -8,7 +8,7 @@ from gmext import (
     solve_linear,
 )
 from gmext.errors import ConfigError, DivergedError
-from gmext.grid import block_band, solve_block
+from gmext.grid import solve_block
 
 
 def make_op(r0=1.0, R=1e4, n=4097, N=3):
@@ -186,7 +186,7 @@ def test_block_solve_matches_dense():
     A[1::2, 1::2] = L + off_dirichlet(dvv)
     assert A[-2, -2] == 1.0 and np.count_nonzero(A[-2:]) == 2
     expected = np.linalg.solve(A, rhs)
-    x = solve_block(op, duu, duv, dvu, dvv, rhs.copy(), block_band(n))
+    x = solve_block(op, duu, duv, dvu, dvv, rhs.copy())
     assert np.allclose(x, expected, rtol=1e-12, atol=1e-14)
     assert x[-2] == rhs[-2] and x[-1] == rhs[-1]
 
@@ -196,4 +196,4 @@ def test_block_solve_singular_raises_diverged():
     op = make_op(R=2.0, n=2)
     zero = np.zeros(2)
     with pytest.raises(DivergedError):
-        solve_block(op, -op.diag, zero, zero, zero, np.ones(4), block_band(2))
+        solve_block(op, -op.diag, zero, zero, zero, np.ones(4))
