@@ -4,10 +4,14 @@ Exit codes: 0 existence / success, 1 nonexistence, 2 inconclusive,
 64 malformed configuration, 65 malformed CSV, 70 solver failure or any other
 unexpected error.
 
-Configuration comes from a flat key-value file (``--config``) overridden by
-command-line flags; every ``solve`` run writes a JSON manifest recording all
-effective settings, so ``solve --from-manifest run.json`` reproduces the
-solution CSV byte for byte.
+Every command reads its settings in one place (``_settings``): defaults, then
+a flat key-value file (``--config``), then command-line flags, each value
+converted by one key-to-type table, so a missing, unknown or ill-typed
+setting exits 64 before any work.  Every ``solve`` run writes a JSON manifest
+recording all effective settings, so ``solve --from-manifest run.json``
+(which takes no other setting) reproduces the solution CSV byte for byte.
+``sweep --solve`` solves each existence cell at ``--lambda`` (or the config
+file's ``lam``) when given, else at half the cell's lambda threshold.
 """
 
 from __future__ import annotations
@@ -54,7 +58,32 @@ _FLOAT_FMT = "%.17g"
 # configuration plumbing
 
 _PARAM_KEYS = ("N", "p", "q", "m", "s", "k", "lam", "kind")
-_GRID_KEYS = ("r0", "R", "n")
+_PARAM_DEFAULTS = {"lam": 0.0, "kind": SystemKind.GM}
+_SOLVE_DEFAULTS = {**_PARAM_DEFAULTS, "r0": 1.0, "R": 1e4, "n": 4097, "rho0": 1.0,
+                   "window_lo": 0.0, "window_hi": 0.0}
+
+
+def _whole(value) -> int:
+    # int() alone would truncate a manifest's 1025.5 to 1025
+    number = int(value)
+    if number != float(value):
+        raise ValueError(f"{value!r} is not a whole number")
+    return number
+
+
+def _radii(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
+# the type of every setting; a config file or manifest may set all but the
+# flag-only R_list
+_TYPES = {"N": _whole, "n": _whole, "kind": SystemKind, "R_list": _radii,
+          **dict.fromkeys(("p", "q", "m", "s", "k", "lam", "r0", "R", "rho0",
+                           "window_lo", "window_hi"), float)}
+
+# settings that older manifests record and that are now fixed; a manifest
+# or config file may still name them, but only at these values
+_RETIRED = {"damping": 0.5, "polish": 2, "tol": 1e-11, "max_iter": 200}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -71,31 +100,48 @@ def read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, val = line.split("=", 1)
         out[key.strip()] = val.strip()
-    return _check_keys(out, path)
+    return out
 
 
-def _collect(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults <- config file <- explicit flags."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        merged.update(read_config_file(args.config))
-    for key in set(merged) | set(_PARAM_KEYS) | set(_GRID_KEYS):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+def _settings(args: argparse.Namespace, defaults: dict, optional=()) -> dict:
+    """Typed settings of one command: ``defaults`` <- config file <- flags,
+    or the config of the manifest that ``--from-manifest`` replays, which
+    names every setting itself and admits no other.  Unknown keys, retired
+    keys off their fixed value, missing settings (but ``optional`` ones) and
+    values of the wrong type are ConfigErrors, raised before any work."""
+    flags = {key: getattr(args, key) for key in _TYPES if getattr(args, key, None) is not None}
+    source = getattr(args, "from_manifest", None)
+    if source:
+        extra = sorted(flags) + (["config"] if args.config else [])
+        if extra:
+            raise ConfigError(f"--from-manifest replays the manifest's settings; "
+                              f"drop {', '.join(extra)}")
+        merged = loaded = _load_manifest(source, lambda m: dict(m["config"]))
+    else:
+        source = getattr(args, "config", None)
+        loaded = read_config_file(source) if source else {}
+        merged = {**defaults, **loaded, **flags}
+    unknown = sorted(loaded.keys() - (_TYPES.keys() - {"R_list"}) - _RETIRED.keys())
+    if unknown:
+        raise ConfigError(f"{source}: unknown key(s) {', '.join(unknown)}")
+    missing = sorted({*_PARAM_KEYS, *defaults} - merged.keys() - set(optional))
+    if missing:
+        raise ConfigError(f"missing setting(s) {', '.join(missing)} (flag or config)")
+    typed = {}
+    try:
+        for key, value in merged.items():
+            if key not in _RETIRED:
+                typed[key] = _TYPES[key](value)
+            elif float(value) != _RETIRED[key]:
+                raise ConfigError(f"{key} = {value!r} is no longer supported "
+                                  f"(fixed at {_RETIRED[key]})")
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad value {value!r} for {key}: {exc}") from exc
+    return typed
 
 
 def params_from(cfg: dict) -> ExponentSet:
-    try:
-        kind = SystemKind(str(cfg.get("kind", "GM")))
-        return ExponentSet(
-            N=int(cfg["N"]), p=float(cfg["p"]), q=float(cfg["q"]),
-            m=float(cfg["m"]), s=float(cfg["s"]), k=float(cfg["k"]),
-            lam=float(cfg.get("lam", 0.0)), kind=kind,
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad parameter configuration: {exc}") from exc
+    return ExponentSet(**{key: cfg[key] for key in _PARAM_KEYS})
 
 
 def _verdict_line(verdict) -> str:
@@ -132,9 +178,7 @@ def _load_manifest(path: str, extract):
 # classify
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    cfg = _collect(args, {"lam": 0.0, "kind": "GM"})
-    params = params_from(cfg)
-    verdict = classify(params)
+    verdict = classify(params_from(_settings(args, _PARAM_DEFAULTS)))
     print(_verdict_line(verdict))
     return _exit_for(verdict)
 
@@ -142,88 +186,69 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # solve
 
-_SOLVE_DEFAULTS = {
-    "lam": 0.0, "kind": "GM", "r0": 1.0, "R": 1e4, "n": 4097,
-    "rho0": 1.0, "window_lo": 0.0, "window_hi": 0.0,
-}
-
-
-# settings that older manifests record and that are now fixed; a manifest
-# or config file may still name them, but only at these values
-_FIXED_KEYS = {"damping": 0.5, "polish": 2, "tol": 1e-11, "max_iter": 200}
-
-_KNOWN_KEYS = {*_PARAM_KEYS, *_GRID_KEYS, *_SOLVE_DEFAULTS, *_FIXED_KEYS}
-
-
-def _check_keys(cfg: dict, source: str) -> dict:
-    """``cfg`` itself, or a ConfigError naming the keys no command reads."""
-    unknown = sorted(set(cfg) - _KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"{source}: unknown key(s) {', '.join(unknown)}")
-    return cfg
-
-
 def _solve_config(args: argparse.Namespace) -> dict:
     """Effective solve settings from flags and config file, or from a
-    replayed manifest; both go through the same coercion."""
-    if getattr(args, "from_manifest", None):
-        cfg = _load_manifest(args.from_manifest, lambda m: dict(m["config"]))
-        _check_keys(cfg, args.from_manifest)
-    else:
-        cfg = _collect(args, dict(_SOLVE_DEFAULTS))
-    params = params_from(cfg)
-    try:
-        for key, fixed in _FIXED_KEYS.items():
-            if key in cfg and float(cfg[key]) != fixed:
-                raise ConfigError(f"{key} = {cfg[key]!r} is no longer supported "
-                                  f"(fixed at {fixed})")
-        return {
-            "N": params.N, "p": params.p, "q": params.q, "m": params.m,
-            "s": params.s, "k": params.k, "lam": params.lam, "kind": params.kind.value,
-            "r0": float(cfg["r0"]), "R": float(cfg["R"]), "n": int(cfg["n"]),
-            "rho0": float(cfg["rho0"]),
-            "window_lo": float(cfg["window_lo"]), "window_hi": float(cfg["window_hi"]),
-        }
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad solve configuration: {exc}") from exc
+    replayed manifest."""
+    return _settings(args, _SOLVE_DEFAULTS)
+
+
+def _log_r0(grid, predicted: AsymptoticProfile | None) -> float | None:
+    """r0 of the log-corrected fit when ``predicted`` has a log power, else
+    None: the fit's one decision, shared by the window check."""
+    if predicted is not None and predicted.kind is ProfileKind.POWER_LOG:
+        return grid.r0
+    return None
+
+
+def _fit_profile(gf: GridFunction, window, predicted: AsymptoticProfile | None, *tol):
+    """Fit of ``gf`` over ``window`` and its comparison with ``predicted``
+    (None without a prediction; ``tol`` as in ``compare_profile``)."""
+    r0 = _log_r0(gf.grid, predicted)
+    fit = (fit_power(gf, window, min_decades=1.0) if r0 is None
+           else fit_power_log(gf, window, r0, min_decades=1.0))
+    return fit, None if predicted is None else compare_profile(fit, predicted, *tol)
 
 
 def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
-    """Execute one solve; returns (manifest, csv rows, exit code).
+    """Execute one solve of typed settings; returns (manifest, csv rows,
+    exit code).
 
     A nonexistence configuration is refused with ConfigError by the
     calibration (default lam) or by ``solve_system`` (explicit lam); a
     window the fits would refuse is a ConfigError before any solving."""
     params = params_from(cfg)
-    verdict = classify(params, float(cfg["r0"]))
-    grid = build_grid(float(cfg["r0"]), float(cfg["R"]), int(cfg["n"]))
+    verdict = classify(params, cfg["r0"])
+    grid = build_grid(cfg["r0"], cfg["R"], cfg["n"])
     op = assemble_operator(grid, params.N)
-    env = SourceEnvelope.radial(float(cfg["rho0"]), params.k)
-    window = (float(cfg["window_lo"]), float(cfg["window_hi"]))
+    env = SourceEnvelope.radial(cfg["rho0"], params.k)
+    window = (cfg["window_lo"], cfg["window_hi"])
     if window[0] <= 0 or window[1] <= 0:
         window = grid.default_window()
-        cfg = dict(cfg, window_lo=window[0], window_hi=window[1])
     # short domains get a short default window; accept down to one decade here
     # (interactive fits keep the stricter default).  The fits need 8 nodes in
     # the window, so they refuse every window the certificates would.
-    expect_log_v = verdict.exists and verdict.v_profile.kind is ProfileKind.POWER_LOG
     try:
-        fit_design(grid, window, 1.0, grid.r0 if expect_log_v else None)
+        fit_design(grid, window, 1.0, _log_r0(grid, verdict.v_profile))
     except WindowError as exc:
         raise ConfigError(f"fitting window: {exc}") from exc
     schedule = None
     if params.lam <= 0.0:
         lam, schedule = suggest_lambda(params, env, op)
         params = params.with_lam(lam)
-        cfg = dict(cfg, lam=lam)
 
     state = solve_system(params, env, op, window=window, schedule=schedule)
 
-    fit_u = fit_power(state.u, window, min_decades=1.0)
-    fit_v = (fit_power_log(state.v, window, grid.r0, min_decades=1.0) if expect_log_v
-             else fit_power(state.v, window, min_decades=1.0))
-    cmp_u = compare_profile(fit_u, verdict.u_profile)
-    cmp_v = compare_profile(fit_v, verdict.v_profile)
+    verdict_block = {"outcome": verdict.outcome.value,
+                     "matched_condition": verdict.matched_condition}
+    fits_block = {"window": list(window)}
+    for c in "uv":
+        profile = getattr(verdict, f"{c}_profile")
+        fit, match = _fit_profile(getattr(state, c), window, profile)
+        verdict_block[f"{c}_profile"] = {"power": profile.power,
+                                         "log_power": profile.log_power}
+        fits_block[c] = {"power": fit.power, "log_power": fit.log_power,
+                         "amplitude": fit.amplitude, "rms": fit.rms_residual,
+                         "matches_prediction": match.passed}
 
     box = verify_box(state, window)
 
@@ -232,25 +257,11 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
     manifest = {
         "tool": "gmext",
         "version": __version__,
-        "config": {k: cfg[k] for k in sorted(cfg)},
-        "verdict": {
-            "outcome": verdict.outcome.value,
-            "matched_condition": verdict.matched_condition,
-            "u_profile": {"power": verdict.u_profile.power,
-                          "log_power": verdict.u_profile.log_power},
-            "v_profile": {"power": verdict.v_profile.power,
-                          "log_power": verdict.v_profile.log_power},
-        },
+        "config": dict(cfg, kind=params.kind.value, lam=params.lam,
+                       window_lo=window[0], window_hi=window[1]),
+        "verdict": verdict_block,
         "schedule": dataclasses.asdict(state.schedule),
-        "fits": {
-            "window": list(window),
-            "u": {"power": fit_u.power, "log_power": fit_u.log_power,
-                  "amplitude": fit_u.amplitude, "rms": fit_u.rms_residual,
-                  "matches_prediction": cmp_u.passed},
-            "v": {"power": fit_v.power, "log_power": fit_v.log_power,
-                  "amplitude": fit_v.amplitude, "rms": fit_v.rms_residual,
-                  "matches_prediction": cmp_v.passed},
-        },
+        "fits": fits_block,
         "residuals": {k: state.diagnostics[k] for k in (
             "certificate_u", "certificate_v", "backward_error_u",
             "backward_error_v", "source_residual_u", "source_residual_v")},
@@ -355,13 +366,11 @@ _SWEEP_FIELDS = [
 ]
 
 
-def _sweep_cell(task: dict) -> dict:
-    exponents = {key: task["cell"][key] for key in ("p", "q", "m", "s", "k")}
+def _sweep_cell(cfg: dict, solve: bool) -> dict:
+    exponents = {key: cfg[key] for key in ("p", "q", "m", "s", "k")}
     row = dict({key: "" for key in _SWEEP_FIELDS}, **exponents)
     try:
-        params = ExponentSet(N=task["N"], **exponents, lam=task["cell"].get("lam", 0.0),
-                             kind=SystemKind(task["kind"]))
-        verdict = classify(params)
+        verdict = classify(params_from(cfg))
         row["outcome"] = verdict.outcome.value
         row["condition"] = verdict.matched_condition
         if verdict.exists:
@@ -369,9 +378,7 @@ def _sweep_cell(task: dict) -> dict:
             row["u_log_power"] = verdict.u_profile.log_power
             row["v_power"] = verdict.v_profile.power
             row["v_log_power"] = verdict.v_profile.log_power
-            if task["solve"]:
-                cfg = dict(task["solve_cfg"], **exponents, N=params.N, lam=params.lam,
-                           kind=params.kind.value)
+            if solve:
                 manifest, _, _ = run_solve(cfg)
                 row["fit_u_power"] = manifest["fits"]["u"]["power"]
                 row["fit_v_power"] = manifest["fits"]["v"]["power"]
@@ -384,39 +391,23 @@ def _sweep_cell(task: dict) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _collect(args, {"lam": 0.0, "kind": "GM", "r0": 1.0, "R": 1e4,
-                          "n": 2049, "rho0": 1.0})
-    base = {"p": None, "q": None, "m": None, "s": None, "k": None}
-    axes: dict[str, list[float]] = {}
-    for spec in args.vary or []:
-        key, values = _parse_range(spec)
-        axes[key] = values
-    for key in base:
-        if key in axes:
-            continue
-        if cfg.get(key) is None:
-            raise ConfigError(f"fixed value for {key} required (flag or config)")
-        base[key] = float(cfg[key])
-
+    axes = dict(_parse_range(spec) for spec in args.vary or [])
+    # settings are coerced once; each cell overlays only its axis values
+    base = _settings(args, dict(_SOLVE_DEFAULTS, n=2049), optional=axes)
     try:
         jobs = args.jobs or int(os.environ.get("GM_EXT_JOBS", "1"))
     except ValueError as exc:
         raise ConfigError(f"GM_EXT_JOBS must be an integer: {exc}") from exc
     axis_keys = sorted(axes)
-    grids = [axes[key] for key in axis_keys]
-    cells = [dict(base, **dict(zip(axis_keys, combo))) for combo in itertools.product(*grids)]
+    combos = list(itertools.product(*(axes[key] for key in axis_keys)))
+    cells = (dict(base, **dict(zip(axis_keys, combo))) for combo in combos)
+    solve = itertools.repeat(args.solve)
 
-    solve_cfg = dict(_SOLVE_DEFAULTS)
-    solve_cfg.update({"r0": float(cfg["r0"]), "R": float(cfg["R"]),
-                      "n": int(cfg["n"]), "rho0": float(cfg["rho0"])})
-    tasks = [{"N": int(cfg["N"]), "kind": str(cfg["kind"]), "cell": cell,
-              "solve": bool(args.solve), "solve_cfg": solve_cfg} for cell in cells]
-
-    if jobs > 1 and len(tasks) > 1:
+    if jobs > 1 and len(combos) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, tasks))
+            rows = list(pool.map(_sweep_cell, cells, solve))
     else:
-        rows = [_sweep_cell(task) for task in tasks]
+        rows = list(map(_sweep_cell, cells, solve))
 
     out = Path(args.output or "atlas.csv")
     with out.open("w", newline="", encoding="utf-8") as fh:
@@ -474,26 +465,22 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     code = 0
     for name in ("u", "v"):
-        gf = GridFunction(grid, data[:, cols[name]])
         predicted = None
-        expect_log = False
         if predicted_powers is not None:
             power, log_power = predicted_powers[name]
-            expect_log = log_power != 0.0
             predicted = AsymptoticProfile(
-                ProfileKind.POWER_LOG if expect_log else ProfileKind.PURE_POWER,
+                ProfileKind.POWER_LOG if log_power != 0.0 else ProfileKind.PURE_POWER,
                 power, log_power, grid.r0,
             )
         try:
-            fit = (fit_power_log(gf, window, grid.r0, min_decades=1.0) if expect_log
-                   else fit_power(gf, window, min_decades=1.0))
+            fit, match = _fit_profile(GridFunction(grid, data[:, cols[name]]), window,
+                                      predicted, args.tol_power, args.tol_log)
         except WindowError as exc:
             print(f"{name}: window error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         line = (f"{name}: power {fit.power:+.6f} log_power {fit.log_power:+.6f} "
                 f"amplitude {fit.amplitude:.6g} rms {fit.rms_residual:.3e}")
-        if predicted is not None:
-            match = compare_profile(fit, predicted, args.tol_power, args.tol_log)
+        if match is not None:
             line += f"  vs predicted {predicted.label()}: "
             line += "PASS" if match.passed else "FAIL"
             if not match.passed:
@@ -506,11 +493,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # probe
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    cfg = _collect(args, {"lam": 0.0, "kind": "GM", "rho0": 1.0})
+    cfg = _settings(args, dict(_PARAM_DEFAULTS, rho0=1.0, R_list="1e2,1e3,1e4"))
     params = params_from(cfg)
-    env = SourceEnvelope.radial(float(cfg["rho0"]), params.k)
-    R_seq = tuple(float(x) for x in (args.R_list or "1e2,1e3,1e4").split(","))
-    report = degeneration_probe(params, env, R_seq)
+    env = SourceEnvelope.radial(cfg["rho0"], params.k)
+    report = degeneration_probe(params, env, cfg["R_list"])
     for line in report.lines():
         print(line)
     return 0

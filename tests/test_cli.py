@@ -156,13 +156,15 @@ def _replay(manifest_text, tmp_path):
                     "--output", str(tmp_path), "--name", "replay"])
 
 
-@pytest.mark.parametrize("edit", ["drop_r0", "bad_n", "no_config", "not_json"])
+@pytest.mark.parametrize("edit", ["drop_r0", "bad_n", "fractional_n", "no_config", "not_json"])
 def test_bad_replay_manifest_exit_64(solved_dir, tmp_path, edit):
     manifest = json.loads((solved_dir / "run1.manifest.json").read_text())
     if edit == "drop_r0":
         del manifest["config"]["r0"]
     elif edit == "bad_n":
         manifest["config"]["n"] = "many"
+    elif edit == "fractional_n":
+        manifest["config"]["n"] = 2049.5
     elif edit == "no_config":
         del manifest["config"]
     text = "{not json" if edit == "not_json" else json.dumps(manifest)
@@ -170,6 +172,20 @@ def test_bad_replay_manifest_exit_64(solved_dir, tmp_path, edit):
     assert code == 64
     assert "configuration error:" in err
     assert not (tmp_path / "replay.csv").exists()
+
+
+def test_replay_refuses_other_settings(solved_dir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 513\n")
+    out = tmp_path / "out"
+    for extra, named in ((["--n", "513", "--p", "7"], "drop n, p"),
+                         (["--config", str(cfg)], "drop config")):
+        code, _, err = run_cli(["solve", "--from-manifest", str(solved_dir / "run1.manifest.json"),
+                                *extra, "--output", str(out)])
+        assert code == 64
+        assert err.startswith("configuration error:")
+        assert named in err
+        assert not out.exists()
 
 
 def test_replay_of_retired_keys(solved_dir, tmp_path):
@@ -446,6 +462,51 @@ def test_sweep_malformed_input_exit_64(tmp_path, monkeypatch, vary, jobs_env):
     assert code == 64
     assert err.startswith("configuration error:")
     assert not out.exists()
+
+
+SWEEP = ["sweep", "--N", "3", "--q", "1", "--m", "6", "--s", "1", "--k", "4"]
+PROBE = ["probe", "--N", "3", "--p", "5", "--q", "1", "--m", "2", "--s", "1", "--k", "4"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    ([*SWEEP[:1], *SWEEP[3:], "--vary", "p=3:7:3"], None),
+    ([*SWEEP, "--vary", "p=3:7:3"], "R = abc"),
+    (SWEEP, "p = abc"),
+    ([*SWEEP, "--vary", "p=3:7:3"], "kind = BAD"),
+    ([*PROBE, "--R-list", "1e2,abc"], None),
+    (PROBE, "rho0 = abc"),
+], ids=["sweep_no_N", "sweep_R", "sweep_p", "sweep_kind", "probe_R_list", "probe_rho0"])
+def test_bad_settings_exit_64(tmp_path, argv, config):
+    out = tmp_path / "atlas.csv"
+    argv = [*argv, "--output", str(out)] if argv[0] == "sweep" else list(argv)
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config + "\n")
+        argv += ["--config", str(path)]
+    code, stdout, err = run_cli(argv)
+    assert code == 64
+    assert len(err.splitlines()) == 1 and err.startswith("configuration error:")
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_sweep_solve_honours_lambda(tmp_path):
+    # MIN-i; the row does not record lambda, so only the fits tell them apart
+    def row(*extra):
+        out = tmp_path / "lam.csv"
+        code, _, err = run_cli([*SWEEP, "--p", "5", "--R", "1e3", "--n", "1025", "--solve",
+                                *extra, "--output", str(out)])
+        assert code == 0, err
+        with out.open() as fh:
+            (only,) = csv.DictReader(fh)
+        return only
+
+    cfg = tmp_path / "lam.cfg"
+    cfg.write_text("lam = 1e-9\n")
+    axis = row("--vary", "lam=1e-9")
+    assert row("--lambda", "1e-9") == axis
+    assert row("--config", str(cfg)) == axis
+    assert row()["fit_u_power"] != axis["fit_u_power"]
 
 
 def test_sweep_records_cell_errors_inline(tmp_path):

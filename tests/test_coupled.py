@@ -72,7 +72,7 @@ def test_default_lambda_solve_calibrates_once(monkeypatch):
 
     monkeypatch.setattr(coupled, "calibrate_barrier_constants", counting)
     kw = COUPLED_MIN_I["params"]
-    cfg = dict(_SOLVE_DEFAULTS, R=1e3, n=1025, kind=kw["kind"].value,
+    cfg = dict(_SOLVE_DEFAULTS, R=1e3, n=1025, kind=kw["kind"],
                **{key: kw[key] for key in ("N", "p", "q", "m", "s", "k")})
     run_solve(cfg)
     assert len(calls) == 1
