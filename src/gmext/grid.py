@@ -15,6 +15,11 @@ tridiagonal matrix has positive diagonal, nonpositive off-diagonals and is
 weakly diagonally dominant with a strictly dominant Dirichlet row: an
 irreducible M-matrix, so the inverse is nonnegative and the scheme obeys a
 discrete comparison principle.
+
+``RadialOperator.solve`` is LAPACK ``gtsv`` on copies of the three
+diagonals and the right-hand side; ``solve_block`` is LAPACK ``gbsv``.  Each
+imports its scipy routine when it is first called, so building grids and
+operators, and everything that only classifies or fits, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbsv
 
 from .errors import ConfigError, DivergedError
 
@@ -118,18 +121,25 @@ class RadialOperator:
 
     def solve(self, rhs: np.ndarray, outer_value: float, shift: np.ndarray | None = None) -> np.ndarray:
         """Solve (L + diag(shift)) w = rhs with the outer row forced to
-        ``outer_value``.  ``shift`` never touches the Dirichlet row."""
-        n = self.grid.n
+        ``outer_value``.  ``shift`` never touches the Dirichlet row.
+
+        ``gtsv`` overwrites all four arrays it is given with its LU factors,
+        so it only ever sees fresh copies, never the operator's own arrays.
+        Non-finite data or a singular matrix raises DivergedError.
+        """
+        from scipy.linalg.lapack import dgtsv
+
         d = self.diag.copy()
         if shift is not None:
             d[:-1] += shift[:-1]
-        ab = np.zeros((3, n))
-        ab[0, 1:] = self.sup[:-1]
-        ab[1, :] = d
-        ab[2, :-1] = self.sub[1:]
-        b = np.asarray(rhs, dtype=float).copy()
+        b = np.array(rhs, dtype=float)
         b[-1] = outer_value
-        return solve_banded((1, 1), ab, b)
+        if not (np.isfinite(d).all() and np.isfinite(b).all()):
+            raise DivergedError("tridiagonal solve got a non-finite diagonal, rhs or outer value")
+        *_, x, info = dgtsv(self.sub[1:].copy(), d, self.sup[:-1].copy(), b, 1, 1, 1, 1)
+        if info != 0:
+            raise DivergedError(f"tridiagonal matrix is singular (dgtsv info {info})")
+        return x
 
 
 def solve_block(
@@ -148,6 +158,8 @@ def solve_block(
     every call; ``rhs`` is overwritten and the solution is returned in its
     storage.  A singular matrix raises DivergedError.
     """
+    from scipy.linalg.lapack import dgbsv
+
     # LAPACK band storage ab[4 + i - j, j] = A[i, j] of the 2n x 2n matrix;
     # rows 0-1 are LU fill-in and need no values, and every entry outside
     # the stencil stays zero

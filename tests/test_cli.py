@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -601,6 +602,57 @@ def test_probe_existence_params_rejected():
 
 # ---------------------------------------------------------------------------
 # console entry point end to end
+
+
+SCIPY_GUARD = """
+import csv, io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+sys.path.insert(0, sys.argv[1])
+tmp = sys.argv[2]
+loaded = {}
+
+def record(step):
+    loaded[step] = sorted(m for m in sys.modules if m.startswith("scipy"))
+
+import gmext
+from gmext import assemble_operator, build_grid, cli, solve_linear
+record("import")
+with open(tmp + "/synth.csv", "w", newline="") as fh:
+    writer = csv.writer(fh)
+    writer.writerow(["r", "u", "v"])
+    for i in range(257):
+        r = 10.0 ** (4.0 * i / 256)
+        writer.writerow(["%.17g" % r, "%.17g" % r ** -2.0, "%.17g" % r ** -1.0])
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    codes = [
+        cli.main(["classify", *sys.argv[3:]]),
+        cli.main(["sweep", "--N", "3", "--m", "6", "--s", "1", "--k", "4",
+                  "--vary", "p=3:7:2", "--vary", "q=0.5:3:2", "--jobs", "1",
+                  "--output", tmp + "/atlas.csv"]),
+        cli.main(["fit", tmp + "/synth.csv", "--window", "10", "1000"]),
+    ]
+record("classify, sweep, fit")
+op = assemble_operator(build_grid(1.0, 10.0, 17), 3)
+solve_linear(op, op.grid.r ** -4.0, 0.0)
+record("solve_linear")
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_scipy_loads_only_on_first_solve(tmp_path):
+    # classify, a classify-only sweep and fit need numpy alone; the
+    # tridiagonal kernel binds LAPACK on its first call
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_GUARD, str(src), str(tmp_path), *BASE],
+        capture_output=True, text=True, check=True,
+    )
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0, 0]
+    assert report["loaded"]["import"] == []
+    assert report["loaded"]["classify, sweep, fit"] == []
+    assert "scipy.linalg" in report["loaded"]["solve_linear"]
 
 
 def test_console_script_subprocess():

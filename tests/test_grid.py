@@ -166,6 +166,42 @@ def test_backward_error_of_direct_solve():
     assert backward_error(op, w.values, r ** -4.0) < 1e-13
 
 
+def test_tridiagonal_solve_matches_dense():
+    # gtsv against the dense L + diag(shift); the Dirichlet row ignores the
+    # shift, and the operator's own diagonals survive the in-place LU
+    rng = np.random.default_rng(11)
+    n = 17
+    op = make_op(R=10.0, n=n)
+    before = [a.copy() for a in (op.sub, op.diag, op.sup)]
+    shift = rng.uniform(0.0, 2.0, n)
+    rhs = rng.uniform(-1.0, 1.0, n)
+    outer_value = 0.7
+    A = np.diag(op.diag + np.append(shift[:-1], 0.0))
+    A += np.diag(op.sup[:-1], 1) + np.diag(op.sub[1:], -1)
+    b = rhs.copy()
+    b[-1] = outer_value
+    expected = np.linalg.solve(A, b)
+    x = op.solve(rhs, outer_value, shift)
+    assert np.allclose(x, expected, rtol=1e-12, atol=1e-14)
+    assert x[-1] == outer_value
+    other = shift.copy()
+    other[-1] = 1e6
+    assert np.array_equal(op.solve(rhs, outer_value, other), x)
+    for kept, now in zip(before, (op.sub, op.diag, op.sup)):
+        assert np.array_equal(kept, now)
+
+
+def test_tridiagonal_solve_bad_data_raises_diverged():
+    op = make_op(R=2.0, n=2)
+    with pytest.raises(DivergedError):
+        op.solve(np.array([np.nan, 0.0]), 1.0)
+    with pytest.raises(DivergedError):
+        op.solve(np.ones(2), float("nan"))
+    # shift = -diag zeroes the first column exactly
+    with pytest.raises(DivergedError):
+        op.solve(np.ones(2), 1.0, -op.diag)
+
+
 def test_block_solve_matches_dense():
     # interleaved (u0, v0, u1, v1, ...) band solve against the dense block
     # matrix; the four diagonals must leave both Dirichlet rows untouched
