@@ -128,7 +128,11 @@ def calibrate_barrier_constants(
     verdict is a ConfigError.  The problems are solved on the operator's own
     grid with extrapolated outer pins: all three go through
     ``scalar._repin``, four re-pinning rounds from a zero pin that end at
-    the round cap, not at a self-consistent pin.  The ratios are taken over
+    the round cap, not at a self-consistent pin.  The nonlinear w_a problem
+    runs Newton in the three rounds that only choose a pin and the monotone
+    drive in the last; the two linear problems take one tridiagonal solve a
+    round.  On MIN-i at n = 4097 the calibration costs 46 tridiagonal solves
+    (132 with the drive in every round).  The ratios are taken over
     [r0, R/10] (the outer decade is excluded as pin territory) and widened
     by 5% on both sides.  Neither lam nor the source envelope enters.
     """

@@ -16,6 +16,22 @@ from gmext import (
 )
 
 
+@pytest.fixture
+def solve_calls(monkeypatch) -> list:
+    """One entry per ``RadialOperator.solve`` call; clear it to start a count."""
+    from gmext.grid import RadialOperator
+
+    calls = []
+    real = RadialOperator.solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadialOperator, "solve", counting)
+    return calls
+
+
 @lru_cache(maxsize=16)
 def cached_operator(r0: float, R: float, n: int, N: int):
     return assemble_operator(build_grid(r0, R, n), N)

@@ -45,6 +45,14 @@ def test_calibration_reference_values():
     assert C4 == pytest.approx(2.079359676217518, rel=1e-12, abs=0.0)
 
 
+def test_calibration_solve_count_guard(solve_calls):
+    # MIN-i at n = 4097: the w_a reference solve runs the monotone drive once
+    # (the drive in every pin round took 132 tridiagonal solves in all)
+    params = ExponentSet(**COUPLED_MIN_I["params"])
+    calibrate_barrier_constants(params, cached_operator(1.0, 1e4, 4097, 3))
+    assert len(solve_calls) <= 56
+
+
 def test_calibration_rejects_nonexistence():
     params = ExponentSet(N=3, p=2, q=1, m=6, s=1, k=4)
     op = cached_operator(1.0, 1e3, 1025, 3)

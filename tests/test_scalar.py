@@ -9,9 +9,10 @@ from gmext import (
     build_grid,
     solve_monotone,
 )
+from gmext import scalar
 from gmext.fitting import fit_power, fit_power_log
 from gmext.grid import GridFunction
-from gmext.errors import DegenerateSolveError, NonintegrableSourceError
+from gmext.errors import ConfigError, DegenerateSolveError, NonintegrableSourceError
 
 
 def make_op(r0=1.0, R=1e4, n=2049, N=3):
@@ -164,6 +165,94 @@ def test_extrapolated_solve_counts_every_pin_round(monkeypatch):
                          outer="extrapolate")
     assert res.pin_rounds > 1
     assert res.solves == len(calls)
+
+
+def _drive_every_round(op, psi, g):
+    """The extrapolated-pin loop with the full monotone drive in every round;
+    returns the per-round results."""
+    W = barrier_W(barrier_Z(op.grid, op.N, psi), g).values
+    rounds = []
+
+    def solve_at(pin):
+        rounds.append(scalar._solve_pinned(op, psi, g, W, pin, 1e-11, False))
+        return rounds[-1].w.values
+
+    scalar._repin(op.grid, solve_at)
+    return rounds
+
+
+@pytest.mark.parametrize("alpha,s", [(2.5, 0.5), (3.0, 1.0), (4.0, 2.0), (6.0, 1.0)])
+def test_newton_pin_rounds_match_drive_in_every_round(alpha, s):
+    # Newton in the pin-choosing rounds moves the answer by solver tolerance
+    # only, and the reported round keeps the drive's certificates
+    op = make_op(n=2049)
+    psi = op.grid.r ** -alpha
+    g = NonlinearitySpec.power(s)
+    ref = _drive_every_round(op, psi, g)
+    res = solve_monotone(op, psi, g, outer="extrapolate")
+    w_ref = ref[-1].w.values
+    assert np.max(np.abs(res.w.values - w_ref) / w_ref) <= 1e-7
+    assert res.pin_rounds == len(ref)
+    assert res.solves < sum(r.solves for r in ref)
+    assert res.stages and res.monotone_ok and res.sandwiched
+
+
+def test_unconverged_newton_pin_round_runs_the_drive(monkeypatch, solve_calls):
+    # a pin-choosing round whose Newton ends above the acceptance level falls
+    # back to the drive, so every round then matches the reference loop
+    op = make_op(n=2049)
+    psi = op.grid.r ** -6.0
+    g = NonlinearitySpec.power(1.0)
+    ref = _drive_every_round(op, psi, g)
+    real = scalar._newton
+
+    def unconverged(op, psi, g, w, outer_value, tol, gfloor, cap_hi):
+        w, be, steps = real(op, psi, g, w, outer_value, tol, gfloor, cap_hi)
+        # only the pin-choosing rounds ask for _WARM_TOL; the drive's own
+        # Newton finish reports what it reached
+        return w, (np.inf if tol == scalar._WARM_TOL else be), steps
+
+    monkeypatch.setattr(scalar, "_newton", unconverged)
+    solve_calls.clear()
+    res = solve_monotone(op, psi, g, outer="extrapolate")
+    assert np.array_equal(res.w.values, ref[-1].w.values)
+    assert res.backward_error == ref[-1].backward_error
+    assert res.outer_value == ref[-1].outer_value
+    assert res.pin_rounds == len(ref)
+    # the discarded Newton steps are counted too
+    assert res.solves == len(solve_calls) > sum(r.solves for r in ref)
+
+
+def test_pin_stop_test_on_newton_round_reports_the_drive(solve_calls):
+    # with a round cap the loop never reaches, its 1e-9 stop test ends it on
+    # a Newton round, and the drive then solves that round's pin for the report
+    op = make_op(R=1e3, n=513)
+    psi = op.grid.r ** -6.0
+    g = NonlinearitySpec.power(1.0)
+    W = barrier_W(barrier_Z(op.grid, op.N, psi), g).values
+    res = solve_monotone(op, psi, g, outer="extrapolate", pin_rounds=200)
+    assert 4 < res.pin_rounds < 200
+    assert res.solves == len(solve_calls)
+    ref = scalar._solve_pinned(op, psi, g, W, res.outer_value, 1e-11, False)
+    assert np.array_equal(res.w.values, ref.w.values)
+    assert res.stages and res.monotone_ok and res.sandwiched
+
+
+def test_extrapolated_solve_count_guard(solve_calls):
+    # one drive plus three Newton pin rounds; the drive in every round took 124
+    op = make_op(n=2049)
+    solve_monotone(op, op.grid.r ** -6.0, NonlinearitySpec.power(1.0), outer="extrapolate")
+    assert len(solve_calls) <= 48
+
+
+@pytest.mark.parametrize("outer", ["extrapolated", -0.5, float("nan")],
+                         ids=["misspelled-mode", "negative-pin", "nan-pin"])
+@pytest.mark.parametrize("source", ["zero", "positive"])
+def test_bad_outer_is_config_error(outer, source):
+    op = make_op(n=257)
+    psi = np.zeros(257) if source == "zero" else op.grid.r ** -4.0
+    with pytest.raises(ConfigError):
+        solve_monotone(op, psi, NonlinearitySpec.power(1.0), outer=outer)
 
 
 # ---------------------------------------------------------------------------
