@@ -127,12 +127,11 @@ def calibrate_barrier_constants(
     The exponents are classified at the grid's r0 here; a nonexistence
     verdict is a ConfigError.  The problems are solved on the operator's own
     grid with extrapolated outer pins: all three go through
-    ``scalar._repin``, four re-pinning rounds from a zero pin that end at
-    the round cap, not at a self-consistent pin.  The nonlinear w_a problem
-    runs Newton in the three rounds that only choose a pin and the monotone
-    drive in the last; the two linear problems take one tridiagonal solve a
-    round.  On MIN-i at n = 4097 the calibration costs 46 tridiagonal solves
-    (132 with the drive in every round).  The ratios are taken over
+    ``scalar._repin``, which spends three rounds from a zero pin on choosing
+    the pin and ends at its round cap, not at a self-consistent pin.  The
+    nonlinear w_a problem runs Newton in those rounds and the monotone drive
+    at the chosen pin; the two linear problems take one tridiagonal solve a
+    round and one at the chosen pin.  The ratios are taken over
     [r0, R/10] (the outer decade is excluded as pin territory) and widened
     by 5% on both sides.  Neither lam nor the source envelope enters.
     """
@@ -169,7 +168,8 @@ def calibrate_barrier_constants(
 
 
 def _linear_selfpin(op: RadialOperator, rhs: np.ndarray) -> np.ndarray:
-    return np.clip(_repin(op.grid, lambda pin: op.solve(rhs, pin)), 0.0, None)
+    pin, _ = _repin(op.grid, lambda pin: op.solve(rhs, pin))
+    return np.clip(op.solve(rhs, pin), 0.0, None)
 
 
 def suggest_lambda(

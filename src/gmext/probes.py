@@ -140,8 +140,9 @@ def degeneration_probe(
     alpha, s_eff, label = _probe_target(params)
     if len(R_sequence) < 2:
         raise ConfigError("R_sequence needs at least two truncation radii")
-    if sorted(R_sequence) != list(R_sequence):
-        raise ConfigError("R_sequence must be increasing")
+    radii = np.asarray(R_sequence, dtype=float)
+    if not (np.all(np.isfinite(radii)) and np.all(np.diff(radii, prepend=r0) > 0)):
+        raise ConfigError("R_sequence must be finite, above r0 and strictly increasing")
     rows = []
     g = NonlinearitySpec.power(s_eff)
     for R in R_sequence:

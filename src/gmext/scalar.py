@@ -32,12 +32,13 @@ mirrors the constructive existence argument:
     (the barrier bracket itself carries O(h^2) slack, so it is not used as a
     hard clip here).
 
-With the extrapolated outer pin, only the last, reported pin round runs
-steps 1-4.  The rounds before it exist only to choose the next pin, so they
-run the Newton of step 4 alone, to a backward error of 1e-14, each from the
-previous round's solution (the first from W).  On a concave, inverse-positive
-problem like this one Newton converges from there (Ortega-Rheinboldt), and it
-lands within 1e-8 relative of the drive's answer at the same pin.
+With the extrapolated outer pin, the rounds of the pin loop only choose the
+pin, so they run the Newton of step 4 alone, to a backward error of 1e-14,
+each from the previous round's solution (the first from W).  On a concave,
+inverse-positive problem like this one Newton converges from there
+(Ortega-Rheinboldt), and it lands within 1e-8 relative of the drive's answer
+at the same pin.  The reported solve then runs steps 1-4 once, at the chosen
+pin.
 
 Schedule entries are interpreted relative to max(W) so the drive is invariant
 under the amplitude scaling w -> c w, Psi -> c^(1+s) Psi.
@@ -65,7 +66,12 @@ _DELTA_SCHEDULE: tuple[float, ...] = tuple(10.0 ** -j for j in range(9))
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 500
 _STAGE_CAP = 12
-# cap on the solves of an extrapolated-pin loop (``_repin``)
+# backward-error target of the drive's Newton finish, and the largest
+# backward error a pinned solve may end at
+_RES_TOL = 1e-11
+_ACCEPT_BE = 1e-8
+# cap on the rounds of an extrapolated-pin solve (``_repin``), the reported
+# solve included
 _PIN_ROUNDS = 4
 # backward-error stop of the Newton rounds that only choose the next pin;
 # the operator's conditioning turns 1e-11 into a forward error near 1e-6,
@@ -83,8 +89,8 @@ class NonlinearitySpec:
     s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.s < 0:
-            raise ConfigError("s must be nonnegative (g must be nonincreasing)")
+        if not 0.0 <= self.s < np.inf:
+            raise ConfigError("s must be finite and nonnegative (g must be nonincreasing)")
 
     @classmethod
     def constant(cls) -> "NonlinearitySpec":
@@ -159,8 +165,8 @@ def barrier_Z(
     a_vals = np.asarray(A, dtype=float)
     if a_vals.shape != (grid.n,):
         raise ConfigError("A must provide one value per grid node")
-    if np.any(a_vals < 0):
-        raise ConfigError("A must be nonnegative")
+    if not np.all((0.0 <= a_vals) & (a_vals < np.inf)):
+        raise ConfigError("A must be finite and nonnegative")
     if not np.any(a_vals > 0):
         return GridFunction(grid, np.zeros(grid.n))
 
@@ -255,24 +261,25 @@ def _extrapolated_pin(grid: RadialGrid, w: np.ndarray) -> float:
     return float(np.exp(coef[1] + coef[0] * np.log(grid.R)))
 
 
-def _repin(grid: RadialGrid, solve_at, rounds: int = _PIN_ROUNDS) -> np.ndarray:
-    """The extrapolated-pin loop: ``solve_at(pin)`` returns the nodal
-    solution at outer value ``pin``; the loop starts from a zero pin and
-    re-pins from each solution's own outer power law until the pin moves by
-    at most 1e-9 relative or ``rounds`` solves are spent.  Returns the last
-    solution.  The stop test is not met in practice, so the loop ends at its
-    cap (the pin still moves by a few percent in the last round).  How a
-    round solves is up to ``solve_at``: ``solve_monotone`` runs Newton in the
-    rounds that only choose the next pin and the monotone drive in the last,
-    and the linear calibration problems take one tridiagonal solve a round."""
+def _repin(grid: RadialGrid, solve_at, rounds: int = _PIN_ROUNDS) -> tuple[float, int]:
+    """The extrapolated-pin loop, which only chooses the pin.
+
+    ``solve_at(pin)`` returns the nodal solution at outer value ``pin``.
+    Starting from a zero pin, each round re-pins from its solution's own
+    outer power law, until the pin moves by at most 1e-9 relative or
+    ``rounds - 1`` solves are spent.  Returns ``(pin, pin_rounds)``: the pin
+    the caller solves at for its answer, and the number of rounds counting
+    that solve.  The stop test is not met in practice, so the loop ends at
+    its cap (the pin still moves by a few percent in the last round).  How a
+    round solves is up to ``solve_at``: ``solve_monotone`` runs Newton and
+    the linear calibration problems one tridiagonal solve."""
     pin = 0.0
-    for _ in range(max(1, rounds)):
-        w = solve_at(pin)
-        new_pin = _extrapolated_pin(grid, w)
+    for k in range(1, rounds):
+        new_pin = _extrapolated_pin(grid, solve_at(pin))
         if abs(new_pin - pin) <= 1e-9 * max(new_pin, _TINY):
-            break
+            return pin, k
         pin = new_pin
-    return w
+    return pin, max(1, rounds)
 
 
 def solve_monotone(
@@ -280,11 +287,9 @@ def solve_monotone(
     Psi: np.ndarray,
     g: NonlinearitySpec,
     outer: float | str = "barrier",
-    res_tol: float = 1e-11,
     truncate_tail: bool = False,
     record_history: bool = False,
     pin_rounds: int = _PIN_ROUNDS,
-    start_factor: float = 1.0,
 ) -> ScalarSolveResult:
     """Solve -Lap w = Psi g(w) with Neumann inner row and Dirichlet outer row.
 
@@ -294,37 +299,29 @@ def solve_monotone(
     re-pins from the solution's own outer power law (the accurate choice for
     asymptotics work, since both fixed pins leave an O(1) boundary layer).
     The re-pinning is ``_repin``, the loop the linear calibration solves use
-    too: it starts from a zero pin and runs ``pin_rounds`` solves; its 1e-9
-    stop test is not met in practice, so with the default four rounds the
-    answer is the solve at the third extrapolated pin, not a self-consistent
-    one.  The rounds before the last only choose the next pin and run Newton
-    warm-started from the previous round (``_solve_extrapolated``); the last
-    round runs the monotone drive from the upper barrier, so the stage
-    records, barriers and certificates are those of a fixed-pin solve at the
-    last pin.  ``solves`` and ``pin_rounds`` of the result count every round.
-    On demo 02's problems (n = 4097 and 16385) an extrapolated solve costs
-    33-79 tridiagonal solves; the drive in every round cost 108-247.
+    too: it starts from a zero pin and spends ``pin_rounds - 1`` Newton
+    solves on choosing the pin; its 1e-9 stop test is not met in practice,
+    so with the default four rounds the answer is the solve at the third
+    extrapolated pin, not a self-consistent one.  The reported solve runs
+    the monotone drive from the upper barrier at that pin
+    (``_solve_extrapolated``), so the stage records, barriers and
+    certificates are those of a fixed-pin solve.  ``solves`` and
+    ``pin_rounds`` of the result count every round.
 
-    ``res_tol`` is the backward-error target of the Newton finish.  The
+    The Newton finish stops at a backward error of ``_RES_TOL``; the
     monotone drive's shift schedule, sweep tolerance and sweep caps are
-    module constants.
-
-    ``start_factor >= 1`` scales the starting supersolution (any multiple of
-    the upper barrier is again a supersolution); the converged answer must
-    not depend on it, which the test suite exercises.
+    module constants too.
 
     Raises DEGENERATE when the data force w == 0, NO_CONVERGENCE when the
     sweep budget ends far from the residual target.
     """
-    if start_factor < 1.0:
-        raise ConfigError("start_factor must be >= 1 to stay a supersolution")
     pin = _resolve_outer(outer)
     grid = op.grid
     psi = np.asarray(Psi, dtype=float)
     if psi.shape != (grid.n,):
         raise ConfigError("Psi must provide one value per grid node")
-    if np.any(psi < 0):
-        raise ConfigError("Psi must be nonnegative")
+    if not np.all((0.0 <= psi) & (psi < np.inf)):
+        raise ConfigError("Psi must be finite and nonnegative")
 
     if not np.any(psi > 0):
         # w == 0 is its own barrier and its own extrapolation, so only a
@@ -338,73 +335,50 @@ def solve_monotone(
 
     Z = barrier_Z(grid, op.N, psi, truncate_tail=truncate_tail)
     W = barrier_W(Z, g).values
-    W_start = W * start_factor
     if outer == "extrapolate" and not g.is_linear:
-        return _solve_extrapolated(op, psi, g, W_start, pin_rounds, res_tol, record_history)
-    if outer == "barrier":
-        pin = float(W_start[-1])
-    elif pin is None:
-        # "extrapolate" with g == 1: the barrier potential already is the
-        # decaying solution, so its boundary value is the exact
+        return _solve_extrapolated(op, psi, g, W, pin_rounds, record_history)
+    if pin is None:
+        # the upper barrier's outer value: the construction's own pin for
+        # "barrier", and for "extrapolate" with g == 1, whose barrier
+        # potential already is the decaying solution, the exact
         # self-consistent pin
         pin = float(W[-1])
-    return _solve_pinned(op, psi, g, W_start, pin, res_tol, record_history)
+    return _solve_pinned(op, psi, g, W, pin, record_history)
 
 
 def _solve_extrapolated(
     op: RadialOperator, psi: np.ndarray, g: NonlinearitySpec, W: np.ndarray,
-    rounds: int, res_tol: float, record_history: bool,
+    rounds: int, record_history: bool,
 ) -> ScalarSolveResult:
-    """``_repin`` over problems pinned at its pins, all bracketed by the upper
-    barrier ``W``.
+    """The monotone drive ``_solve_pinned`` from the upper barrier ``W`` at
+    the pin ``_repin`` chooses.
 
-    A round that only chooses the next pin runs ``_newton`` to ``_WARM_TOL``
-    (round 1 from ``W``, each later round from the previous round's
-    solution); a warm round that ends above the drive's acceptance level
-    runs the drive instead.  The reported round, the last, runs the full
-    drive ``_solve_pinned`` from ``W``, so the result carries the stage
-    records and barriers of a fixed-pin solve.  Its ``solves`` and
-    ``pin_rounds`` count every round.
+    Each round that chooses the pin runs ``_newton`` to ``_WARM_TOL`` (the
+    first from ``W``, each later one from the previous round's solution); a
+    round whose Newton ends above ``_ACCEPT_BE`` runs the drive instead.  The
+    result's ``solves`` and ``pin_rounds`` count every round.
     """
-    pins: list[float] = []
-    drives: list[ScalarSolveResult] = []
     solves = 0
     warm = W
 
-    def drive(pin: float) -> np.ndarray:
-        nonlocal solves
-        drives.append(_solve_pinned(op, psi, g, W, pin, res_tol, record_history))
-        solves += drives[-1].solves
-        return drives[-1].w.values
-
     def solve_at(pin: float) -> np.ndarray:
         nonlocal solves, warm
-        pins.append(pin)
-        if len(pins) < rounds:
-            _, scale, gfloor = _pin_frame(g, W, pin)
-            w = warm.copy()
-            w[-1] = pin
-            w, be, steps = _newton(op, psi, g, w, pin, _WARM_TOL, gfloor, 2.0 * scale)
-            solves += steps
-            if be <= _accept_level(res_tol):
-                warm = w
-                return w
-        warm = drive(pin)
+        _, scale, gfloor = _pin_frame(g, W, pin)
+        w = warm.copy()
+        w[-1] = pin
+        warm, be, steps = _newton(op, psi, g, w, pin, _WARM_TOL, gfloor, 2.0 * scale)
+        solves += steps
+        if be > _ACCEPT_BE:
+            drive = _solve_pinned(op, psi, g, W, pin, record_history)
+            solves += drive.solves
+            warm = drive.w.values
         return warm
 
-    w = _repin(op.grid, solve_at, rounds)
-    if not drives or drives[-1].w.values is not w:
-        # the pin stop test ended the loop on a warm round
-        drive(pins[-1])
-    result = drives[-1]
-    result.pin_rounds = len(pins)
-    result.solves = solves
+    pin, pin_rounds = _repin(op.grid, solve_at, rounds)
+    result = _solve_pinned(op, psi, g, W, pin, record_history)
+    result.pin_rounds = pin_rounds
+    result.solves += solves
     return result
-
-
-def _accept_level(res_tol: float) -> float:
-    """The largest backward error a pinned solve may end at."""
-    return max(1e-8, 100.0 * res_tol)
 
 
 def _pin_frame(
@@ -457,7 +431,7 @@ def _newton(
 
 def _solve_pinned(
     op: RadialOperator, psi: np.ndarray, g: NonlinearitySpec, W: np.ndarray,
-    outer_value: float, res_tol: float, record_history: bool,
+    outer_value: float, record_history: bool,
 ) -> ScalarSolveResult:
     """The monotone drive and Newton finish from the upper barrier ``W``
     with the outer value fixed."""
@@ -530,11 +504,11 @@ def _solve_pinned(
                 M = psi * g.dg_magnitude(Vf + delta)
         stages.append(record)
 
-    w, be, newton_sweeps = _newton(op, psi, g, w, outer_value, res_tol, gfloor, 2.0 * scale)
+    w, be, newton_sweeps = _newton(op, psi, g, w, outer_value, _RES_TOL, gfloor, 2.0 * scale)
     solves += newton_sweeps
     if float(np.max(w)) <= _COLLAPSE_FLOOR:
         raise DegenerateSolveError("iterates collapsed below the positivity floor")
-    if be > _accept_level(res_tol):
+    if be > _ACCEPT_BE:
         raise ConvergenceError(
             f"monotone iteration stalled: backward error {be:.2e} after "
             f"{sum(st.sweeps for st in stages)} sweeps + {newton_sweeps} Newton steps"

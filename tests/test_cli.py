@@ -411,7 +411,7 @@ def test_sweep_classifier_boundary(tmp_path):
         "--output", str(out),
     ])
     assert code == 0, err
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 54
     # the boundary p = q + 3 separates existence from the rest
     for row in rows:
@@ -429,7 +429,7 @@ def test_sweep_profile_switches_across_threshold(tmp_path):
         "--vary", "m=3.5:4.5:3", "--output", str(out),
     ])
     assert code == 0, err
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     logs = [float(row["v_log_power"]) for row in rows]
     powers = [float(row["v_power"]) for row in rows]
     assert logs == [0.0, 0.5, 0.0]
@@ -475,8 +475,12 @@ PROBE = ["probe", "--N", "3", "--p", "5", "--q", "1", "--m", "2", "--s", "1", "-
     (SWEEP, "p = abc"),
     ([*SWEEP, "--vary", "p=3:7:3"], "kind = BAD"),
     ([*PROBE, "--R-list", "1e2,abc"], None),
+    ([*PROBE, "--R-list", "1e2,nan"], None),
+    ([*PROBE, "--R-list", "1e2,inf"], None),
+    ([*PROBE, "--R-list", "1e2,1e2"], None),
     (PROBE, "rho0 = abc"),
-], ids=["sweep_no_N", "sweep_R", "sweep_p", "sweep_kind", "probe_R_list", "probe_rho0"])
+], ids=["sweep_no_N", "sweep_R", "sweep_p", "sweep_kind", "probe_R_list", "probe_R_nan",
+        "probe_R_inf", "probe_R_repeated", "probe_rho0"])
 def test_bad_settings_exit_64(tmp_path, argv, config):
     out = tmp_path / "atlas.csv"
     argv = [*argv, "--output", str(out)] if argv[0] == "sweep" else list(argv)
@@ -517,7 +521,7 @@ def test_sweep_records_cell_errors_inline(tmp_path):
         "--vary", "p=-1:7:2", "--output", str(out),
     ])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert rows[0]["error"] == "BAD_CONFIG"
     assert rows[1]["error"] == ""
 
@@ -530,7 +534,7 @@ def test_sweep_solve_path_records_fits(tmp_path):
         "--output", str(out),
     ])
     assert code == 0, err
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 2
     for row in rows:
         assert row["outcome"] == "EXISTS_MINIMAL_GROWTH"
@@ -555,7 +559,7 @@ def test_sweep_contains_unexpected_cell_failure(tmp_path, monkeypatch):
         "--jobs", "1", "--output", str(out),
     ])
     assert code == 0, err
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert rows[0]["error"] == "INTERNAL:ValueError" and rows[0]["fit_u_power"] == ""
     assert rows[1]["error"] == "" and rows[1]["fit_u_power"] != ""
     assert "internal error: ValueError" in err
@@ -569,7 +573,7 @@ def test_sweep_jobs_env_fallback(tmp_path, monkeypatch):
         "--vary", "p=3:7:3", "--vary", "q=1:2:2", "--output", str(out),
     ])
     assert code == 0, err
-    assert len(list(csv.DictReader(out.open()))) == 6
+    assert len(list(csv.DictReader(out.read_text().splitlines()))) == 6
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -103,5 +103,7 @@ def test_probe_validates_radius_sequence():
     env = SourceEnvelope.radial(1.0, 4.0)
     with pytest.raises(ConfigError):
         degeneration_probe(params, env, (1e3,))
-    with pytest.raises(ConfigError):
-        degeneration_probe(params, env, (1e3, 1e2))
+    for radii in ((1e3, 1e2), (1e2, float("nan")), (1e2, float("inf")), (1e2, 1e2),
+                  (-1.0, 1e2)):
+        with pytest.raises(ConfigError):
+            degeneration_probe(params, env, radii)

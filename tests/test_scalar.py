@@ -130,17 +130,18 @@ def test_two_starts_agree():
     # same pinned problem from the barrier and from 1.5x the barrier
     op = make_op(n=1025)
     r = op.grid.r
+    psi = r ** -3.5
     g = NonlinearitySpec.power(1.0)
+    W = barrier_W(barrier_Z(op.grid, op.N, psi), g).values
     pin = float((2 / r[-1]) ** 0.5)  # roughly the barrier scale at R
-    res1 = solve_monotone(op, r ** -3.5, g, outer=pin, res_tol=1e-12)
-    res2 = solve_monotone(op, r ** -3.5, g, outer=pin, res_tol=1e-12, start_factor=1.5)
+    res1 = scalar._solve_pinned(op, psi, g, W, pin, False)
+    res2 = scalar._solve_pinned(op, psi, g, 1.5 * W, pin, False)
     diff = np.max(np.abs(res1.w.values[:-1] - res2.w.values[:-1]) / res1.w.values[:-1])
     assert diff < 1e-8
     assert res2.monotone_ok
     # the self-pinned solve starts every pin round from the scaled barrier
-    ext1 = solve_monotone(op, r ** -3.5, g, outer="extrapolate", res_tol=1e-12)
-    ext2 = solve_monotone(op, r ** -3.5, g, outer="extrapolate", res_tol=1e-12,
-                          start_factor=1.5)
+    ext1 = scalar._solve_extrapolated(op, psi, g, W, scalar._PIN_ROUNDS, False)
+    ext2 = scalar._solve_extrapolated(op, psi, g, 1.5 * W, scalar._PIN_ROUNDS, False)
     assert np.allclose(ext2.barriers.upper.values, 1.5 * ext1.barriers.upper.values,
                        rtol=1e-14, atol=0.0)
     diff = np.max(np.abs(ext1.w.values - ext2.w.values) / ext1.w.values)
@@ -167,6 +168,58 @@ def test_extrapolated_solve_counts_every_pin_round(monkeypatch):
     assert res.solves == len(calls)
 
 
+def test_repin_spends_one_solve_less_than_its_rounds():
+    # each stub solution continues to the outer pin (previous pin + 1), so
+    # the R-th pin is about R - 1; the caller makes the R-th solve itself
+    op = make_op(n=513)
+    R = op.grid.R
+    calls = []
+
+    def solve_at(pin):
+        calls.append(pin)
+        return (pin + 1.0) * R / op.grid.r
+
+    pin, rounds = scalar._repin(op.grid, solve_at, 4)
+    assert len(calls) == 3 and rounds == 4
+    assert calls == pytest.approx([0.0, 1.0, 2.0], abs=1e-9)
+    assert pin == pytest.approx(3.0, rel=1e-9)
+
+
+def test_repin_stop_test_returns_the_pin_it_stopped_at():
+    op = make_op(n=513)
+    calls = []
+
+    def solve_at(pin):
+        calls.append(pin)
+        return 5.0 * op.grid.R / op.grid.r
+
+    pin, rounds = scalar._repin(op.grid, solve_at, 10)
+    assert rounds == 2 and len(calls) == 2
+    assert pin == calls[-1] == pytest.approx(5.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("rounds", [0, 1])
+def test_repin_single_round_makes_no_call(rounds):
+    def solve_at(pin):
+        raise AssertionError("no pin round to run")
+
+    assert scalar._repin(make_op(n=513).grid, solve_at, rounds) == (0.0, 1)
+
+
+def test_one_pin_round_is_the_drive_at_zero(solve_calls):
+    op = make_op(n=1025)
+    psi = op.grid.r ** -6.0
+    g = NonlinearitySpec.power(1.0)
+    W = barrier_W(barrier_Z(op.grid, op.N, psi), g).values
+    ref = scalar._solve_pinned(op, psi, g, W, 0.0, False)
+    solve_calls.clear()
+    res = solve_monotone(op, psi, g, outer="extrapolate", pin_rounds=1)
+    assert np.array_equal(res.w.values, ref.w.values)
+    assert res.outer_value == 0.0 and res.backward_error == ref.backward_error
+    assert res.pin_rounds == 1
+    assert res.solves == ref.solves == len(solve_calls)
+
+
 def _drive_every_round(op, psi, g):
     """The extrapolated-pin loop with the full monotone drive in every round;
     returns the per-round results."""
@@ -174,10 +227,11 @@ def _drive_every_round(op, psi, g):
     rounds = []
 
     def solve_at(pin):
-        rounds.append(scalar._solve_pinned(op, psi, g, W, pin, 1e-11, False))
+        rounds.append(scalar._solve_pinned(op, psi, g, W, pin, False))
         return rounds[-1].w.values
 
-    scalar._repin(op.grid, solve_at)
+    pin, _ = scalar._repin(op.grid, solve_at)
+    solve_at(pin)
     return rounds
 
 
@@ -233,7 +287,7 @@ def test_pin_stop_test_on_newton_round_reports_the_drive(solve_calls):
     res = solve_monotone(op, psi, g, outer="extrapolate", pin_rounds=200)
     assert 4 < res.pin_rounds < 200
     assert res.solves == len(solve_calls)
-    ref = scalar._solve_pinned(op, psi, g, W, res.outer_value, 1e-11, False)
+    ref = scalar._solve_pinned(op, psi, g, W, res.outer_value, False)
     assert np.array_equal(res.w.values, ref.w.values)
     assert res.stages and res.monotone_ok and res.sandwiched
 
@@ -253,6 +307,22 @@ def test_bad_outer_is_config_error(outer, source):
     psi = np.zeros(257) if source == "zero" else op.grid.r ** -4.0
     with pytest.raises(ConfigError):
         solve_monotone(op, psi, NonlinearitySpec.power(1.0), outer=outer)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0],
+                         ids=["nan", "inf", "-inf", "negative"])
+@pytest.mark.parametrize("where", ["Psi", "A", "s"])
+def test_nonfinite_or_negative_scalar_input_is_config_error(where, bad):
+    op = make_op(n=257)
+    data = op.grid.r ** -4.0
+    data[100] = bad
+    with pytest.raises(ConfigError):
+        if where == "Psi":
+            solve_monotone(op, data, NonlinearitySpec.power(1.0))
+        elif where == "A":
+            barrier_Z(op.grid, 3, data)
+        else:
+            NonlinearitySpec(bad)
 
 
 # ---------------------------------------------------------------------------
