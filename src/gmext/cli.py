@@ -4,12 +4,17 @@ Exit codes: 0 existence / success, 1 nonexistence, 2 inconclusive,
 64 malformed configuration, 65 malformed CSV, 70 solver failure or any other
 unexpected error.
 
-Every command reads its settings in one place (``_settings``): defaults, then
-a flat key-value file (``--config``), then command-line flags, each value
-converted by one key-to-type table, so a missing, unknown or ill-typed
-setting exits 64 before any work.  Every ``solve`` run writes a JSON manifest
-recording all effective settings, so ``solve --from-manifest run.json``
-(which takes no other setting) reproduces the solution CSV byte for byte.
+Each command's settings and their defaults are declared once, in
+``_COMMAND_DEFAULTS``; every setting is a flag, which argparse takes as plain
+text.  ``_settings`` is the one place that reads and converts them: defaults,
+then a flat key-value file (``--config``), then the flags, each value
+converted by one key-to-type table.  So a missing, unknown or ill-typed
+setting exits 64 with one ``configuration error:`` line before any work,
+whether it came from a flag, a config file or a replayed manifest.
+
+Every ``solve`` run writes a JSON manifest recording all effective settings,
+so ``solve --from-manifest run.json`` (which takes no other setting)
+reproduces the solution CSV byte for byte.
 ``sweep --solve`` solves each existence cell at ``--lambda`` (or the config
 file's ``lam``) when given, else at half the cell's lambda threshold.
 """
@@ -61,6 +66,14 @@ _PARAM_KEYS = ("N", "p", "q", "m", "s", "k", "lam", "kind")
 _PARAM_DEFAULTS = {"lam": 0.0, "kind": SystemKind.GM}
 _SOLVE_DEFAULTS = {**_PARAM_DEFAULTS, "r0": 1.0, "R": 1e4, "n": 4097, "rho0": 1.0,
                    "window_lo": 0.0, "window_hi": 0.0}
+# every command's settings: the parameters (_PARAM_KEYS) and these, with
+# their defaults; build_parser makes a flag of each, _settings converts it
+_COMMAND_DEFAULTS = {
+    "classify": _PARAM_DEFAULTS,
+    "solve": _SOLVE_DEFAULTS,
+    "sweep": dict(_SOLVE_DEFAULTS, n=2049),
+    "probe": dict(_PARAM_DEFAULTS, rho0=1.0, R_list="1e2,1e3,1e4"),
+}
 
 
 def _whole(value) -> int:
@@ -74,6 +87,10 @@ def _whole(value) -> int:
 def _radii(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
+
+# help of the setting flags whose name does not say what they take
+_HELP = {"kind": "one of " + ", ".join(kind.value for kind in SystemKind),
+         "R_list": "comma-separated truncation radii"}
 
 # the type of every setting; a config file or manifest may set all but the
 # flag-only R_list
@@ -103,13 +120,16 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _settings(args: argparse.Namespace, defaults: dict, optional=()) -> dict:
-    """Typed settings of one command: ``defaults`` <- config file <- flags,
-    or the config of the manifest that ``--from-manifest`` replays, which
-    names every setting itself and admits no other.  Unknown keys, retired
-    keys off their fixed value, missing settings (but ``optional`` ones) and
-    values of the wrong type are ConfigErrors, raised before any work."""
-    flags = {key: getattr(args, key) for key in _TYPES if getattr(args, key, None) is not None}
+def _settings(args: argparse.Namespace, optional=()) -> dict:
+    """Typed settings of ``args.command``: its defaults <- config file <-
+    flags, or the config of the manifest that ``--from-manifest`` replays,
+    which names every setting itself and admits no other.  Unknown keys,
+    retired keys off their fixed value, missing settings (but ``optional``
+    ones) and values of the wrong type are ConfigErrors, raised before any
+    work."""
+    defaults = _COMMAND_DEFAULTS[args.command]
+    flags = {key: value for key in (*_PARAM_KEYS, *defaults)
+             if (value := getattr(args, key)) is not None}
     source = getattr(args, "from_manifest", None)
     if source:
         extra = sorted(flags) + (["config"] if args.config else [])
@@ -178,7 +198,7 @@ def _load_manifest(path: str, extract):
 # classify
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    verdict = classify(params_from(_settings(args, _PARAM_DEFAULTS)))
+    verdict = classify(params_from(_settings(args)))
     print(_verdict_line(verdict))
     return _exit_for(verdict)
 
@@ -189,7 +209,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _solve_config(args: argparse.Namespace) -> dict:
     """Effective solve settings from flags and config file, or from a
     replayed manifest."""
-    return _settings(args, _SOLVE_DEFAULTS)
+    return _settings(args)
 
 
 def _log_r0(grid, predicted: AsymptoticProfile | None) -> float | None:
@@ -341,7 +361,7 @@ def _parse_range(spec: str) -> tuple[str, list[float]]:
         raise ConfigError(f"range spec must look like p=lo:hi:count, got {spec!r}")
     key, body = spec.split("=", 1)
     key = key.strip()
-    if key not in ("p", "q", "m", "s", "k", "lam"):
+    if key not in _PARAM_KEYS or _TYPES[key] is not float:
         raise ConfigError(f"cannot sweep over {key!r}")
     parts = body.split(":")
     if len(parts) not in (1, 3):
@@ -393,11 +413,11 @@ def _sweep_cell(cfg: dict, solve: bool) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     axes = dict(_parse_range(spec) for spec in args.vary or [])
     # settings are coerced once; each cell overlays only its axis values
-    base = _settings(args, dict(_SOLVE_DEFAULTS, n=2049), optional=axes)
+    base = _settings(args, optional=axes)
     try:
-        jobs = args.jobs or int(os.environ.get("GM_EXT_JOBS", "1"))
+        jobs = int(args.jobs or os.environ.get("GM_EXT_JOBS", "1"))
     except ValueError as exc:
-        raise ConfigError(f"GM_EXT_JOBS must be an integer: {exc}") from exc
+        raise ConfigError(f"--jobs or GM_EXT_JOBS must be an integer: {exc}") from exc
     axis_keys = sorted(axes)
     combos = list(itertools.product(*(axes[key] for key in axis_keys)))
     cells = (dict(base, **dict(zip(axis_keys, combo))) for combo in combos)
@@ -493,7 +513,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # probe
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    cfg = _settings(args, dict(_PARAM_DEFAULTS, rho0=1.0, R_list="1e2,1e3,1e4"))
+    cfg = _settings(args)
     params = params_from(cfg)
     env = SourceEnvelope.radial(cfg["rho0"], params.k)
     report = degeneration_probe(params, env, cfg["R_list"])
@@ -505,16 +525,16 @@ def cmd_probe(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--q", type=float)
-    sub.add_argument("--m", type=float)
-    sub.add_argument("--s", type=float)
-    sub.add_argument("--k", type=float)
-    sub.add_argument("--lambda", dest="lam", type=float)
-    sub.add_argument("--kind", choices=[k.value for k in SystemKind])
+def _command(subs, name: str, func, summary: str) -> argparse.ArgumentParser:
+    """Subcommand ``name`` with a flag for each of its settings, taken as
+    text for ``_settings`` to convert, and ``--config``."""
+    sub = subs.add_parser(name, help=summary)
+    for key in dict.fromkeys((*_PARAM_KEYS, *_COMMAND_DEFAULTS[name])):
+        sub.add_argument("--" + ("lambda" if key == "lam" else key.replace("_", "-")),
+                         dest=key, help=_HELP.get(key))
     sub.add_argument("--config", help="flat key-value configuration file")
+    sub.set_defaults(func=func)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,37 +545,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gmext {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sc = subs.add_parser("classify", help="regime verdict for one parameter set")
-    _add_param_flags(sc)
-    sc.set_defaults(func=cmd_classify)
+    _command(subs, "classify", cmd_classify, "regime verdict for one parameter set")
 
-    ss = subs.add_parser("solve", help="solve the coupled system, write CSV + manifest")
-    _add_param_flags(ss)
-    ss.add_argument("--r0", type=float)
-    ss.add_argument("--R", type=float)
-    ss.add_argument("--n", type=int)
-    ss.add_argument("--rho0", type=float)
-    ss.add_argument("--window-lo", dest="window_lo", type=float)
-    ss.add_argument("--window-hi", dest="window_hi", type=float)
+    ss = _command(subs, "solve", cmd_solve, "solve the coupled system, write CSV + manifest")
     ss.add_argument("--output", help="output directory (default: .)")
     ss.add_argument("--name", help="basename for CSV/manifest (default: solution)")
     ss.add_argument("--from-manifest", dest="from_manifest",
                     help="reproduce a run from its manifest")
     ss.add_argument("--reference", help="prior manifest for truncation-stability deltas")
-    ss.set_defaults(func=cmd_solve)
 
-    sw = subs.add_parser("sweep", help="grid-evaluate the classifier (and optionally solve)")
-    _add_param_flags(sw)
+    sw = _command(subs, "sweep", cmd_sweep,
+                  "grid-evaluate the classifier (and optionally solve)")
     sw.add_argument("--vary", action="append",
                     help="axis spec key=lo:hi:count (repeatable)")
     sw.add_argument("--solve", action="store_true", help="also solve each existence cell")
-    sw.add_argument("--r0", type=float)
-    sw.add_argument("--R", type=float)
-    sw.add_argument("--n", type=int)
-    sw.add_argument("--rho0", type=float)
-    sw.add_argument("--jobs", type=int, help="worker pool size (env GM_EXT_JOBS)")
+    sw.add_argument("--jobs", help="worker pool size (env GM_EXT_JOBS)")
     sw.add_argument("--output", help="atlas CSV path (default: atlas.csv)")
-    sw.set_defaults(func=cmd_sweep)
 
     sf = subs.add_parser("fit", help="fit decay exponents of a solution CSV")
     sf.add_argument("csv")
@@ -565,12 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--tol-log", dest="tol_log", type=float, default=0.1)
     sf.set_defaults(func=cmd_fit)
 
-    sp = subs.add_parser("probe", help="degeneration probe for nonexistence regimes")
-    _add_param_flags(sp)
-    sp.add_argument("--rho0", type=float)
-    sp.add_argument("--R-list", dest="R_list",
-                    help="comma-separated truncation radii (default 1e2,1e3,1e4)")
-    sp.set_defaults(func=cmd_probe)
+    _command(subs, "probe", cmd_probe, "degeneration probe for nonexistence regimes")
     return parser
 
 

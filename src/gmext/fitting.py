@@ -46,7 +46,7 @@ def fit_design(grid: RadialGrid, window: tuple[float, float],
     from ln ln r.  It reads the grid only, so a window can be checked before
     anything is solved."""
     lo, hi = window
-    if not (0 < lo < hi):
+    if not 0 < lo < hi < np.inf:
         raise WindowError(f"invalid window ({lo}, {hi})")
     if np.log10(hi / lo) < min_decades - 1e-12:
         raise WindowError(

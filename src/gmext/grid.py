@@ -72,8 +72,8 @@ def build_grid(r0: float, R: float, n: int) -> RadialGrid:
     r0 = 1, R = 1e4, n = 4097 it is 10000.00000000001, so ``grid.R`` and
     ``grid.r[-1]`` can differ in the last digits.
     """
-    if not (r0 > 0 and R > r0):
-        raise ConfigError(f"need R > r0 > 0, got r0={r0}, R={R}")
+    if not 0 < r0 < R < np.inf:
+        raise ConfigError(f"need finite R > r0 > 0, got r0={r0}, R={R}")
     if n < 2:
         raise ConfigError(f"need at least two nodes, got n={n}")
     xi = np.linspace(0.0, np.log(R / r0), int(n))

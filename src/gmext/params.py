@@ -87,15 +87,14 @@ class ExponentSet:
     kind: SystemKind = SystemKind.GM
 
     def __post_init__(self) -> None:
-        if int(self.N) != self.N or self.N < 2:
+        # one chained comparison per field also refuses NaN and +-inf
+        if not (2 <= self.N < math.inf and int(self.N) == self.N):
             raise ConfigError(f"N must be an integer >= 2, got {self.N}")
-        for name in ("p", "q", "m", "s"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.k > 0:
-            raise ConfigError(f"k must be positive, got {self.k}")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be nonnegative, got {self.lam}")
+        for name in ("p", "q", "m", "s", "k"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lam must be nonnegative and finite, got {self.lam}")
         if not isinstance(self.kind, SystemKind):
             raise ConfigError(f"unknown system kind {self.kind!r}")
 
@@ -130,12 +129,13 @@ class SourceEnvelope:
     rho_amplitude: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.C1 <= self.C2):
-            raise ConfigError(f"need C2 >= C1 > 0, got C1={self.C1}, C2={self.C2}")
-        if not self.k > 0:
-            raise ConfigError(f"k must be positive, got {self.k}")
-        if not self.rho_amplitude > 0:
-            raise ConfigError("rho_amplitude must be positive")
+        if not 0 < self.C1 <= self.C2 < math.inf:
+            raise ConfigError(f"need finite C2 >= C1 > 0, got C1={self.C1}, C2={self.C2}")
+        if not 0 < self.k < math.inf:
+            raise ConfigError(f"k must be positive and finite, got {self.k}")
+        if not 0 < self.rho_amplitude < math.inf:
+            raise ConfigError(f"rho_amplitude must be positive and finite, "
+                              f"got {self.rho_amplitude}")
 
     @classmethod
     def radial(cls, rho0: float, k: float) -> "SourceEnvelope":

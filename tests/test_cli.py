@@ -157,7 +157,8 @@ def _replay(manifest_text, tmp_path):
                     "--output", str(tmp_path), "--name", "replay"])
 
 
-@pytest.mark.parametrize("edit", ["drop_r0", "bad_n", "fractional_n", "no_config", "not_json"])
+@pytest.mark.parametrize("edit", ["drop_r0", "bad_n", "fractional_n", "infinite_R", "no_config",
+                                  "not_json"])
 def test_bad_replay_manifest_exit_64(solved_dir, tmp_path, edit):
     manifest = json.loads((solved_dir / "run1.manifest.json").read_text())
     if edit == "drop_r0":
@@ -166,12 +167,14 @@ def test_bad_replay_manifest_exit_64(solved_dir, tmp_path, edit):
         manifest["config"]["n"] = "many"
     elif edit == "fractional_n":
         manifest["config"]["n"] = 2049.5
+    elif edit == "infinite_R":
+        manifest["config"]["R"] = float("inf")  # written as Infinity
     elif edit == "no_config":
         del manifest["config"]
     text = "{not json" if edit == "not_json" else json.dumps(manifest)
     code, _, err = _replay(text, tmp_path)
     assert code == 64
-    assert "configuration error:" in err
+    assert len(err.splitlines()) == 1 and err.startswith("configuration error:")
     assert not (tmp_path / "replay.csv").exists()
 
 
@@ -276,7 +279,9 @@ def test_unknown_keys_exit_64(solved_dir, tmp_path, source, monkeypatch):
     ["--R", "100"],
     ["--R", "1e3", "--window-lo", "10", "--window-hi", "50"],
     ["--m", "4", "--window-lo", "1", "--window-hi", "1e3"],
-], ids=["empty_default", "short", "log_fit_at_r0"])
+    ["--window-lo", "10", "--window-hi", "inf"],
+    ["--window-lo", "nan", "--window-hi", "1e3"],
+], ids=["empty_default", "short", "log_fit_at_r0", "infinite", "nan"])
 def test_bad_window_exit_64_before_solving(tmp_path, window, monkeypatch):
     # the last case has a log-corrected inhibitor profile, whose fit needs
     # the window to start beyond r0
@@ -479,8 +484,16 @@ PROBE = ["probe", "--N", "3", "--p", "5", "--q", "1", "--m", "2", "--s", "1", "-
     ([*PROBE, "--R-list", "1e2,inf"], None),
     ([*PROBE, "--R-list", "1e2,1e2"], None),
     (PROBE, "rho0 = abc"),
+    # the same kinds of bad value given as flags
+    (["classify", *BASE[:2], "--p", "abc", *BASE[4:]], None),
+    ([*PROBE[:1], "--N", "3.5", *PROBE[3:]], None),
+    ([*SWEEP, "--vary", "p=3:7:3", "--n", "1025.5"], None),
+    ([*SWEEP, "--vary", "p=3:7:3", "--kind", "BAD"], None),
+    ([*SWEEP, "--vary", "p=3:7:3", "--jobs", "two"], None),
+    ([*PROBE, "--rho0", "inf"], None),
 ], ids=["sweep_no_N", "sweep_R", "sweep_p", "sweep_kind", "probe_R_list", "probe_R_nan",
-        "probe_R_inf", "probe_R_repeated", "probe_rho0"])
+        "probe_R_inf", "probe_R_repeated", "probe_rho0", "flag_p", "flag_N", "flag_n",
+        "flag_kind", "flag_jobs", "probe_rho0_inf"])
 def test_bad_settings_exit_64(tmp_path, argv, config):
     out = tmp_path / "atlas.csv"
     argv = [*argv, "--output", str(out)] if argv[0] == "sweep" else list(argv)
@@ -495,23 +508,49 @@ def test_bad_settings_exit_64(tmp_path, argv, config):
     assert not out.exists()
 
 
-def test_sweep_solve_honours_lambda(tmp_path):
-    # MIN-i; the row does not record lambda, so only the fits tell them apart
-    def row(*extra):
-        out = tmp_path / "lam.csv"
-        code, _, err = run_cli([*SWEEP, "--p", "5", "--R", "1e3", "--n", "1025", "--solve",
-                                *extra, "--output", str(out)])
-        assert code == 0, err
-        with out.open() as fh:
-            (only,) = csv.DictReader(fh)
-        return only
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--k", "inf", "k must be positive and finite"),
+    ("--lambda", "inf", "lam must be nonnegative and finite"),
+    ("--lambda", "nan", "lam must be nonnegative and finite"),
+    ("--rho0", "inf", "need finite C2 >= C1 > 0"),
+    ("--R", "inf", "need finite R > r0 > 0"),
+], ids=["k_inf", "lambda_inf", "lambda_nan", "rho0_inf", "R_inf"])
+def test_non_finite_setting_refused_with_its_reason(tmp_path, flag, value, reason):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["solve", *BASE, flag, value, "--output", str(out)])
+    assert code == 64
+    assert len(err.splitlines()) == 1 and err.startswith("configuration error:")
+    assert reason in err
+    assert stdout == "" and not out.exists()
 
+
+def _solved_sweep_row(tmp_path, *extra) -> dict:
+    """The one row of a solving sweep over MIN-i."""
+    out = tmp_path / "one.csv"
+    code, _, err = run_cli([*SWEEP, "--p", "5", "--R", "1e3", "--n", "1025", "--solve",
+                            *extra, "--output", str(out)])
+    assert code == 0, err
+    with out.open() as fh:
+        (only,) = csv.DictReader(fh)
+    return only
+
+
+def test_sweep_solve_honours_lambda(tmp_path):
+    # the row does not record lambda, so only the fits tell them apart
     cfg = tmp_path / "lam.cfg"
     cfg.write_text("lam = 1e-9\n")
-    axis = row("--vary", "lam=1e-9")
-    assert row("--lambda", "1e-9") == axis
-    assert row("--config", str(cfg)) == axis
-    assert row()["fit_u_power"] != axis["fit_u_power"]
+    axis = _solved_sweep_row(tmp_path, "--vary", "lam=1e-9")
+    assert _solved_sweep_row(tmp_path, "--lambda", "1e-9") == axis
+    assert _solved_sweep_row(tmp_path, "--config", str(cfg)) == axis
+    assert _solved_sweep_row(tmp_path)["fit_u_power"] != axis["fit_u_power"]
+
+
+def test_sweep_solve_honours_window(tmp_path):
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("window_lo = 20\nwindow_hi = 200\n")
+    flags = _solved_sweep_row(tmp_path, "--window-lo", "20", "--window-hi", "200")
+    assert _solved_sweep_row(tmp_path, "--config", str(cfg)) == flags
+    assert _solved_sweep_row(tmp_path)["fit_v_power"] != flags["fit_v_power"]
 
 
 def test_sweep_records_cell_errors_inline(tmp_path):

@@ -83,6 +83,9 @@ def test_window_validation():
         fit_power(w, (0.0, 100.0))
     with pytest.raises(WindowError):
         fit_power(w, (100.0, 10.0))
+    for window in [(10.0, np.inf), (np.nan, 1e3), (10.0, np.nan)]:
+        with pytest.raises(WindowError):
+            fit_power(w, window)
     with pytest.raises(WindowError):
         fit_power_log(w, (0.5, 1e3), 1.0)  # starts below r0
 

@@ -40,6 +40,9 @@ def test_invalid_grid_rejected():
         build_grid(0.0, 1.0, 64)
     with pytest.raises(ConfigError):
         build_grid(1.0, 10.0, 1)
+    for r0, R in [(1.0, np.inf), (1.0, np.nan), (np.nan, 10.0), (np.inf, np.inf)]:
+        with pytest.raises(ConfigError):
+            build_grid(r0, R, 64)
 
 
 # ---------------------------------------------------------------------------

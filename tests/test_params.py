@@ -46,6 +46,14 @@ def test_sigma_undefined_for_small_p():
     dict(N=3, p=2, q=-1, m=3, s=1, k=4),
     dict(N=3, p=2, q=1, m=3, s=1, k=0),
     dict(N=3, p=2, q=1, m=3, s=1, k=4, lam=-1),
+    dict(N=float("inf"), p=2, q=1, m=3, s=1, k=4),
+    dict(N=float("nan"), p=2, q=1, m=3, s=1, k=4),
+    dict(N=3, p=float("inf"), q=1, m=3, s=1, k=4),
+    dict(N=3, p=2, q=float("nan"), m=3, s=1, k=4),
+    dict(N=3, p=2, q=1, m=3, s=float("inf"), k=4),
+    dict(N=3, p=2, q=1, m=3, s=1, k=float("inf")),
+    dict(N=3, p=2, q=1, m=3, s=1, k=4, lam=float("inf")),
+    dict(N=3, p=2, q=1, m=3, s=1, k=4, lam=float("nan")),
 ])
 def test_invalid_exponents_rejected(bad):
     with pytest.raises(ConfigError):
@@ -57,6 +65,12 @@ def test_envelope_invariants():
     assert env.C1 == env.C2 == 2.0
     with pytest.raises(ConfigError):
         SourceEnvelope(C1=2.0, C2=1.0, k=4.0, rho_amplitude=1.0)
+    for rho0, k in [(float("inf"), 4.0), (float("nan"), 4.0), (1.0, float("inf")),
+                    (1.0, float("nan"))]:
+        with pytest.raises(ConfigError):
+            SourceEnvelope.radial(rho0, k)
+    with pytest.raises(ConfigError):
+        SourceEnvelope(C1=1.0, C2=float("inf"), k=4.0, rho_amplitude=1.0)
 
 
 # ---------------------------------------------------------------------------
