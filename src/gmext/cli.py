@@ -10,7 +10,9 @@ text.  ``_settings`` is the one place that reads and converts them: defaults,
 then a flat key-value file (``--config``), then the flags, each value
 converted by one key-to-type table.  So a missing, unknown or ill-typed
 setting exits 64 with one ``configuration error:`` line before any work,
-whether it came from a flag, a config file or a replayed manifest.
+whether it came from a flag, a config file or a replayed manifest.  The
+parser's own usage errors (an unknown flag, a flag without its value) end
+the same way.
 
 Every ``solve`` run writes a JSON manifest recording all effective settings,
 so ``solve --from-manifest run.json`` (which takes no other setting)
@@ -220,13 +222,13 @@ def _log_r0(grid, predicted: AsymptoticProfile | None) -> float | None:
     return None
 
 
-def _fit_profile(gf: GridFunction, window, predicted: AsymptoticProfile | None, *tol):
+def _fit_profile(gf: GridFunction, window, predicted: AsymptoticProfile | None):
     """Fit of ``gf`` over ``window`` and its comparison with ``predicted``
-    (None without a prediction; ``tol`` as in ``compare_profile``)."""
+    (None without a prediction)."""
     r0 = _log_r0(gf.grid, predicted)
     fit = (fit_power(gf, window, min_decades=1.0) if r0 is None
            else fit_power_log(gf, window, r0, min_decades=1.0))
-    return fit, None if predicted is None else compare_profile(fit, predicted, *tol)
+    return fit, None if predicted is None else compare_profile(fit, predicted)
 
 
 def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
@@ -244,9 +246,11 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
     window = (cfg["window_lo"], cfg["window_hi"])
     if window[0] <= 0 or window[1] <= 0:
         window = grid.default_window()
-    # short domains get a short default window; accept down to one decade here
-    # (interactive fits keep the stricter default).  The fits need 8 nodes in
-    # the window, so they refuse every window the certificates would.
+    # short domains get a short default window, so the command line's fits
+    # (here and in ``gmext fit``, both through _fit_profile) accept down to
+    # one decade; fit_power's own default stays at MIN_WINDOW_DECADES.  The
+    # fits need 8 nodes in the window, so they refuse every window the
+    # certificates would.
     try:
         fit_design(grid, window, 1.0, _log_r0(grid, verdict.v_profile))
     except WindowError as exc:
@@ -479,11 +483,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         return EXIT_BAD_CSV
 
     window = (args.window[0], args.window[1]) if args.window else grid.default_window()
-    if window[0] < 10.0 * grid.r0 or window[1] > grid.R / 10.0:
-        print("warning: window reaches into a boundary layer "
-              "(first or last decade); fits may be contaminated", file=sys.stderr)
-
-    code = 0
+    # both fits run before anything is printed, so a window they refuse
+    # ends in its one error line
+    results = []
     for name in ("u", "v"):
         predicted = None
         if predicted_powers is not None:
@@ -494,10 +496,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
             )
         try:
             fit, match = _fit_profile(GridFunction(grid, data[:, cols[name]]), window,
-                                      predicted, args.tol_power, args.tol_log)
+                                      predicted)
         except WindowError as exc:
             print(f"{name}: window error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        results.append((name, predicted, fit, match))
+    if window[0] < 10.0 * grid.r0 or window[1] > grid.R / 10.0:
+        print("warning: window reaches into a boundary layer "
+              "(first or last decade); fits may be contaminated", file=sys.stderr)
+
+    code = 0
+    for name, predicted, fit, match in results:
         line = (f"{name}: power {fit.power:+.6f} log_power {fit.log_power:+.6f} "
                 f"amplitude {fit.amplitude:.6g} rms {fit.rms_residual:.3e}")
         if match is not None:
@@ -525,6 +534,16 @@ def cmd_probe(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors (an unknown flag, a flag
+    without its value) are ConfigErrors, so they end in one
+    ``configuration error:`` line; its subcommand parsers are of this class
+    too."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _command(subs, name: str, func, summary: str) -> argparse.ArgumentParser:
     """Subcommand ``name`` with a flag for each of its settings, taken as
     text for ``_settings`` to convert, and ``--config``."""
@@ -538,7 +557,7 @@ def _command(subs, name: str, func, summary: str) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gmext",
         description="Steady states of activator-inhibitor systems on exterior radial domains",
     )
@@ -566,8 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("csv")
     sf.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"))
     sf.add_argument("--manifest", help="manifest with predicted profiles")
-    sf.add_argument("--tol-power", dest="tol_power", type=float, default=0.05)
-    sf.add_argument("--tol-log", dest="tol_log", type=float, default=0.1)
     sf.set_defaults(func=cmd_fit)
 
     _command(subs, "probe", cmd_probe, "degeneration probe for nonexistence regimes")
@@ -575,16 +592,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; remap to the documented code
-        if exc.code not in (0, None):
-            return EXIT_USAGE
-        return 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        # only --help and --version exit: usage errors raise ConfigError
+        return exc.code or 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

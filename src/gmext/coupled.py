@@ -32,7 +32,6 @@ import numpy as np
 from .errors import ConfigError, DivergedError
 from .grid import (
     GridFunction,
-    RadialGrid,
     RadialOperator,
     backward_error,
     solve_block,
@@ -49,7 +48,7 @@ from .params import (
     classify,
     constant_schedule,
 )
-from .scalar import NonlinearitySpec, solve_monotone, _extrapolated_pin, _repin
+from .scalar import NonlinearitySpec, solve_monotone, _extrapolated_pin
 
 _TINY = 1e-300
 _RANGE = (1e-30, 1e30)
@@ -126,14 +125,15 @@ def calibrate_barrier_constants(
 
     The exponents are classified at the grid's r0 here; a nonexistence
     verdict is a ConfigError.  The problems are solved on the operator's own
-    grid with extrapolated outer pins: all three go through
-    ``scalar._repin``, which spends three rounds from a zero pin on choosing
-    the pin and ends at its round cap, not at a self-consistent pin.  The
-    nonlinear w_a problem runs Newton in those rounds and the monotone drive
-    at the chosen pin; the two linear problems take one tridiagonal solve a
-    round and one at the chosen pin.  The ratios are taken over
-    [r0, R/10] (the outer decade is excluded as pin territory) and widened
-    by 5% on both sides.  Neither lam nor the source envelope enters.
+    grid.  The nonlinear w_a problem takes extrapolated outer pins
+    (``solve_monotone(outer="extrapolate")``, whose ``scalar._repin`` loop
+    ends at its round cap, not at a self-consistent pin).  The two linear
+    problems w_k and w_h take ``solve_monotone``'s default barrier pin: for
+    g == 1 that is the decaying solution's value Z(R) from ``barrier_Z``
+    (exact for a power-law source, as w_k's is), and the solve is one
+    tridiagonal solve.  The ratios are taken over [r0, R/10] (the outer
+    decade is excluded as pin territory) and widened by 5% on both sides.
+    Neither lam nor the source envelope enters.
     """
     grid = op.grid
     verdict = classify(params, grid.r0)
@@ -147,13 +147,13 @@ def calibrate_barrier_constants(
     g = NonlinearitySpec.power(params.s)
     w_a = solve_monotone(op, r ** -alpha, g, outer="extrapolate").w.values
 
-    w_k = _linear_selfpin(op, r ** -params.k)
+    w_k = solve_monotone(op, r ** -params.k, NonlinearitySpec()).w.values
     psi_safe = np.where(psi > 0, psi, np.inf)
     if params.kind is SystemKind.MIXED:
         coupling_env = psi_safe ** params.q * r ** (params.p * a_u)
     else:
         coupling_env = r ** (-params.p * a_u) * psi_safe ** -params.q
-    w_h = _linear_selfpin(op, coupling_env + r ** -params.k)
+    w_h = solve_monotone(op, coupling_env + r ** -params.k, NonlinearitySpec()).w.values
 
     sel = (r <= grid.R / 10.0) & (psi > 0)
     pu = r ** -a_u
@@ -165,11 +165,6 @@ def calibrate_barrier_constants(
     if not (0 < C3 < C4):
         raise ConfigError("calibration produced an invalid constant pair")
     return C3, C4
-
-
-def _linear_selfpin(op: RadialOperator, rhs: np.ndarray) -> np.ndarray:
-    pin, _ = _repin(op.grid, lambda pin: op.solve(rhs, pin))
-    return np.clip(op.solve(rhs, pin), 0.0, None)
 
 
 def suggest_lambda(
@@ -196,17 +191,6 @@ def _equations(params: ExponentSet, rho: np.ndarray, u: np.ndarray,
     return f, f + params.lam * rho, u ** params.m * v ** -params.s
 
 
-def _midpoint_pins(schedule: ConstantSchedule, verdict: RegimeVerdict,
-                   grid: RadialGrid) -> tuple[float, float]:
-    """Outer values of the box midpoint on the predicted profiles
-    (geometric means of the box bounds)."""
-    psi_R = float(verdict.v_profile.values(grid.r)[-1])
-    return (
-        float(np.sqrt(schedule.D * schedule.E) * grid.R ** -activator_decay(verdict)),
-        float(np.sqrt(schedule.F * schedule.G) * psi_R),
-    )
-
-
 def apply_H(
     state: CoupledState,
     params: ExponentSet,
@@ -216,17 +200,18 @@ def apply_H(
 ) -> CoupledState:
     """One application of the fixed-point map.
 
-    Outer pins default to the state's box midpoints on its verdict's
-    profiles (geometric means of the schedule's bounds).  The image keeps
-    the state's schedule and verdict; its ``diagnostics`` hold only this
-    application's inner-solve flags, ``inner_monotone_ok`` and
-    ``inner_sandwiched``.
+    Outer pins default to the outer node of ``initial_state``'s box
+    midpoint (geometric means of the schedule's bounds on the verdict's
+    profiles).  The image keeps the state's schedule and verdict; its
+    ``diagnostics`` hold only this application's inner-solve flags,
+    ``inner_monotone_ok`` and ``inner_sandwiched``.
     """
     state.check_positive()
     grid = op.grid
     u, v = state.u.values, state.v.values
     if pins is None:
-        pins = _midpoint_pins(state.schedule, state.verdict, grid)
+        start = initial_state(op, state.verdict, state.schedule)
+        pins = (float(start.u.values[-1]), float(start.v.values[-1]))
 
     _, rhs_u, _ = _equations(params, env.rho(grid.r), u, v)
     Tu = solve_linear(op, rhs_u, pins[0])
@@ -345,9 +330,9 @@ def solve_system(
 
     ``schedule`` is the constant schedule at ``params.lam`` (as returned by
     ``suggest_lambda``); without one, C3/C4 are calibrated on ``op`` and the
-    schedule is built here.  Newton starts from the box midpoint with the
-    schedule's box-midpoint pins; the polish then twice re-pins both outer
-    values from the solution's own outer power law, removing the O(1)
+    schedule is built here.  Newton starts from ``initial_state``'s box
+    midpoint, pinned at its outer node; the polish then twice re-pins both
+    outer values from the solution's own outer power law, removing the O(1)
     amplitude mismatch the fixed pins leave at the truncation radius.  Each
     of the three Newton phases works on the (u, v) arrays and stops when the
     largest relative step drops below 1e-11 or after 200 steps
@@ -382,8 +367,8 @@ def solve_system(
     if window is None:
         window = grid.default_window()
 
-    pins = _midpoint_pins(schedule, verdict, grid)
     u, v, steps, converged = state.u.values, state.v.values, 0, True
+    pins = (float(u[-1]), float(v[-1]))
     for phase in range(1 + _POLISH_ROUNDS):
         if phase:
             pins = (_extrapolated_pin(grid, u), _extrapolated_pin(grid, v))

@@ -17,6 +17,10 @@ from .grid import GridFunction, RadialGrid
 from .params import AsymptoticProfile
 
 MIN_WINDOW_DECADES = 1.5
+# largest errors in the power and in the log power that ``compare_profile``
+# passes
+TOL_POWER = 0.05
+TOL_LOG = 0.1
 
 
 @dataclass(frozen=True)
@@ -105,14 +109,10 @@ def fit_power_log(w: GridFunction, window: tuple[float, float], r0: float,
     return _least_squares(w, window, *fit_design(w.grid, window, min_decades, r0))
 
 
-def compare_profile(
-    fit: FitResult,
-    predicted: AsymptoticProfile,
-    tol_power: float = 0.05,
-    tol_log: float = 0.1,
-) -> ProfileMatch:
-    """PASS iff both the power and the log exponent sit within tolerance."""
+def compare_profile(fit: FitResult, predicted: AsymptoticProfile) -> ProfileMatch:
+    """PASS iff the power sits within ``TOL_POWER`` and the log exponent
+    within ``TOL_LOG`` of the prediction."""
     dp = abs(fit.power - predicted.power)
     dl = abs(fit.log_power - predicted.log_power)
-    return ProfileMatch(passed=bool(dp <= tol_power and dl <= tol_log),
+    return ProfileMatch(passed=bool(dp <= TOL_POWER and dl <= TOL_LOG),
                         power_error=float(dp), log_power_error=float(dl))

@@ -271,8 +271,10 @@ def _repin(grid: RadialGrid, solve_at, rounds: int = _PIN_ROUNDS) -> tuple[float
     the caller solves at for its answer, and the number of rounds counting
     that solve.  The stop test is not met in practice, so the loop ends at
     its cap (the pin still moves by a few percent in the last round).  How a
-    round solves is up to ``solve_at``: ``solve_monotone`` runs Newton and
-    the linear calibration problems one tridiagonal solve."""
+    round solves is up to ``solve_at``; its one caller,
+    ``_solve_extrapolated``, runs Newton.  Linear problems do not come
+    here: for g == 1 the barrier value already is the decaying solution's
+    value at R."""
     pin = 0.0
     for k in range(1, rounds):
         new_pin = _extrapolated_pin(grid, solve_at(pin))
@@ -298,12 +300,14 @@ def solve_monotone(
     own choice), "zero" pins 0, a float pins that value, and "extrapolate"
     re-pins from the solution's own outer power law (the accurate choice for
     asymptotics work, since both fixed pins leave an O(1) boundary layer).
-    The re-pinning is ``_repin``, the loop the linear calibration solves use
-    too: it starts from a zero pin and spends ``pin_rounds - 1`` Newton
-    solves on choosing the pin; its 1e-9 stop test is not met in practice,
-    so with the default four rounds the answer is the solve at the third
-    extrapolated pin, not a self-consistent one.  The reported solve runs
-    the monotone drive from the upper barrier at that pin
+    For g == 1 the barrier value is the decaying solution's value Z(R)
+    (exact for a power-law tail), so "barrier" and "extrapolate" both pin
+    there and take one tridiagonal solve.  Otherwise the re-pinning is
+    ``_repin``: it starts from a zero pin and spends ``pin_rounds - 1``
+    Newton solves on choosing the pin; its 1e-9 stop test is not met in
+    practice, so with the default four rounds the answer is the solve at
+    the third extrapolated pin, not a self-consistent one.  The reported
+    solve runs the monotone drive from the upper barrier at that pin
     (``_solve_extrapolated``), so the stage records, barriers and
     certificates are those of a fixed-pin solve.  ``solves`` and
     ``pin_rounds`` of the result count every round.

@@ -388,6 +388,14 @@ def test_fit_window_warning(solved_dir):
     assert "boundary layer" in err
 
 
+def test_fit_refuses_window_before_warning(solved_dir):
+    # (10, inf) also reaches into the outer boundary layer; the refusal is
+    # the one line printed
+    code, out, err = run_cli(["fit", str(solved_dir / "run1.csv"), "--window", "10", "inf"])
+    assert code == 64 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("u: window error:")
+
+
 def test_fit_malformed_csv_exit_65(tmp_path):
     bad = tmp_path / "bad.csv"
     # u = r^-1 exactly on radii off the log-uniform grid: fitted against the
@@ -491,9 +499,14 @@ PROBE = ["probe", "--N", "3", "--p", "5", "--q", "1", "--m", "2", "--s", "1", "-
     ([*SWEEP, "--vary", "p=3:7:3", "--kind", "BAD"], None),
     ([*SWEEP, "--vary", "p=3:7:3", "--jobs", "two"], None),
     ([*PROBE, "--rho0", "inf"], None),
+    # the parser's own usage errors; the CSV is never opened
+    (["classify", *BASE[:2], "--p", "-1e-3", *BASE[4:]], None),
+    (["fit", "missing.csv", "--window", "10", "abc"], None),
+    (["classify", *BASE, "--bogus", "1"], None),
 ], ids=["sweep_no_N", "sweep_R", "sweep_p", "sweep_kind", "probe_R_list", "probe_R_nan",
         "probe_R_inf", "probe_R_repeated", "probe_rho0", "flag_p", "flag_N", "flag_n",
-        "flag_kind", "flag_jobs", "probe_rho0_inf"])
+        "flag_kind", "flag_jobs", "probe_rho0_inf", "usage_value_like_a_flag",
+        "usage_fit_window", "usage_unknown_flag"])
 def test_bad_settings_exit_64(tmp_path, argv, config):
     out = tmp_path / "atlas.csv"
     argv = [*argv, "--output", str(out)] if argv[0] == "sweep" else list(argv)

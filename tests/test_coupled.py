@@ -41,16 +41,26 @@ def test_calibration_reference_values():
     params = ExponentSet(**COUPLED_MIN_I["params"])
     op = cached_operator(1.0, 1e3, 1025, 3)
     C3, C4 = calibrate_barrier_constants(params, op)
-    assert C3 == pytest.approx(0.474972133947711, rel=1e-12, abs=0.0)
-    assert C4 == pytest.approx(2.079359676217518, rel=1e-12, abs=0.0)
+    assert C3 == pytest.approx(0.4749981951056938, rel=1e-12, abs=0.0)
+    assert C4 == pytest.approx(2.08945815671421, rel=1e-12, abs=0.0)
+
+
+def test_calibration_linear_reference_is_closed_form():
+    # MIN-i (N = 3, k = 4, r0 = 1): the linear reference w_k is the decaying
+    # Neumann solution 1/r - 1/(2 r^2), whose smallest ratio to 1/r is 1/2
+    # (at r0), so C3 = 0.95 * 1/2 up to the scheme's error
+    params = ExponentSet(**COUPLED_MIN_I["params"])
+    C3, _ = calibrate_barrier_constants(params, cached_operator(1.0, 1e4, 4097, 3))
+    assert abs(C3 - 0.475) <= 1e-6
 
 
 def test_calibration_solve_count_guard(solve_calls):
     # MIN-i at n = 4097: the w_a reference solve runs the monotone drive once
-    # (the drive in every pin round took 132 tridiagonal solves in all)
+    # (the drive in every pin round took 132 tridiagonal solves in all), and
+    # each linear reference is one solve at its barrier pin (40 in all)
     params = ExponentSet(**COUPLED_MIN_I["params"])
     calibrate_barrier_constants(params, cached_operator(1.0, 1e4, 4097, 3))
-    assert len(solve_calls) <= 56
+    assert len(solve_calls) <= 44
 
 
 def test_calibration_rejects_nonexistence():

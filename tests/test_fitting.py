@@ -111,8 +111,8 @@ def test_compare_pass_cases():
     def fr(p, lp):
         return FitResult(p, lp, 1.0, (10, 1e3), 0.0, 100)
 
-    assert compare_profile(fr(-1.01, 0.0), pure, 0.05, 0.1).passed
-    assert compare_profile(fr(-0.52, 0.0), half, 0.05, 0.1).passed
-    assert compare_profile(fr(-1.0, 0.48), logp, 0.05, 0.1).passed
-    assert not compare_profile(fr(-1.2, 0.0), pure, 0.05, 0.1).passed
-    assert not compare_profile(fr(-1.0, 0.3), logp, 0.05, 0.1).passed
+    assert compare_profile(fr(-1.01, 0.0), pure).passed
+    assert compare_profile(fr(-0.52, 0.0), half).passed
+    assert compare_profile(fr(-1.0, 0.48), logp).passed
+    assert not compare_profile(fr(-1.2, 0.0), pure).passed
+    assert not compare_profile(fr(-1.0, 0.3), logp).passed
