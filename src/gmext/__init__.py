@@ -21,6 +21,7 @@ from .params import (
     SourceEnvelope,
     SystemKind,
     classify,
+    classify_lattice,
     constant_schedule,
     predicted_v_profile,
 )
@@ -65,9 +66,9 @@ __all__ = [
     "ProfileMatch", "RadialGrid", "RadialOperator",
     "RegimeVerdict", "ScalarSolveResult", "SourceEnvelope", "SystemKind",
     "apply_H", "assemble_operator", "backward_error", "barrier_W", "barrier_Z",
-    "build_grid", "calibrate_barrier_constants", "classify", "compare_profile",
-    "constant_schedule", "criterion_2d", "degeneration_probe", "fit_power",
-    "fit_power_log", "grid_for_decades", "integral_criterion",
+    "build_grid", "calibrate_barrier_constants", "classify", "classify_lattice",
+    "compare_profile", "constant_schedule", "criterion_2d", "degeneration_probe",
+    "fit_power", "fit_power_log", "grid_for_decades", "integral_criterion",
     "predicted_v_profile", "solve_linear", "solve_monotone", "solve_system",
     "source_relative_residual", "suggest_lambda", "verify_box",
     "weighted_residual",

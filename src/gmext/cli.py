@@ -17,8 +17,10 @@ the same way.
 Every ``solve`` run writes a JSON manifest recording all effective settings,
 so ``solve --from-manifest run.json`` (which takes no other setting)
 reproduces the solution CSV byte for byte.
-``sweep --solve`` solves each existence cell at ``--lambda`` (or the config
-file's ``lam``) when given, else at half the cell's lambda threshold.
+``sweep`` classifies its whole lattice with one ``classify_lattice`` call and
+streams the rows to the CSV; ``sweep --solve`` solves each existence cell,
+in a pool of ``--jobs`` workers, at ``--lambda`` (or the config file's
+``lam``) when given, else at half the cell's lambda threshold.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .coupled import solve_system, suggest_lambda, verify_box
-from .errors import ConfigError, GmextError, WindowError
+from .errors import ConfigError, GmextError, NoInhibitorSolutionError, WindowError
 from .fitting import compare_profile, fit_design, fit_power, fit_power_log
 from .grid import GridFunction, assemble_operator, build_grid
 from .params import (
@@ -48,6 +49,8 @@ from .params import (
     SourceEnvelope,
     SystemKind,
     classify,
+    classify_lattice,
+    field_error,
 )
 from .probes import degeneration_probe
 
@@ -359,7 +362,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _parse_range(spec: str) -> tuple[str, list[float]]:
+def _parse_range(spec: str) -> tuple[str, np.ndarray]:
     # "p=3:7:5" -> 5 evenly spaced values; "p=4" -> single value
     if "=" not in spec:
         raise ConfigError(f"range spec must look like p=lo:hi:count, got {spec!r}")
@@ -372,75 +375,122 @@ def _parse_range(spec: str) -> tuple[str, list[float]]:
         raise ConfigError(f"range spec must be lo:hi:count, got {body!r}")
     try:
         if len(parts) == 1:
-            return key, [float(parts[0])]
+            return key, np.array([float(parts[0])])
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad range spec {spec!r}: {exc}") from exc
-    if count < 1:
-        return key, []
-    if count == 1:
-        return key, [lo]
-    return key, list(np.linspace(lo, hi, count))
+    # a single value may be anything (a bad one is a cell error), but
+    # linspace has no values between infinite or NaN ends
+    if not np.isfinite((lo, hi)).all():
+        raise ConfigError(f"range ends must be finite, got {spec!r}")
+    return key, np.linspace(lo, hi, max(count, 0))
 
 
+def _jobs(args: argparse.Namespace) -> int:
+    try:
+        jobs = int(args.jobs or os.environ.get("GM_EXT_JOBS", "1"))
+    except ValueError as exc:
+        raise ConfigError(f"--jobs or GM_EXT_JOBS must be an integer: {exc}") from exc
+    if jobs < 1:
+        raise ConfigError(f"--jobs or GM_EXT_JOBS must be at least 1, got {jobs}")
+    return jobs
+
+
+_CELL_KEYS = ("p", "q", "m", "s", "k")
 _SWEEP_FIELDS = [
-    "p", "q", "m", "s", "k", "outcome", "condition",
+    *_CELL_KEYS, "outcome", "condition",
     "u_power", "u_log_power", "v_power", "v_log_power",
     "fit_u_power", "fit_v_power", "error",
 ]
 
 
-def _sweep_cell(cfg: dict, solve: bool) -> dict:
-    exponents = {key: cfg[key] for key in ("p", "q", "m", "s", "k")}
-    row = dict({key: "" for key in _SWEEP_FIELDS}, **exponents)
+def _sweep_cell(cfg: dict) -> tuple[str, str, str]:
+    """CSV fields fit_u_power, fit_v_power and error of one existence cell
+    solved by ``run_solve``; a failure is recorded, never raised."""
     try:
-        verdict = classify(params_from(cfg))
-        row["outcome"] = verdict.outcome.value
-        row["condition"] = verdict.matched_condition
-        if verdict.exists:
-            row["u_power"] = verdict.u_profile.power
-            row["u_log_power"] = verdict.u_profile.log_power
-            row["v_power"] = verdict.v_profile.power
-            row["v_log_power"] = verdict.v_profile.log_power
-            if solve:
-                manifest, _, _ = run_solve(cfg)
-                row["fit_u_power"] = manifest["fits"]["u"]["power"]
-                row["fit_v_power"] = manifest["fits"]["v"]["power"]
+        manifest, _, _ = run_solve(cfg)
     except GmextError as exc:
-        row["error"] = getattr(exc, "tag", "ERROR")
+        return "", "", exc.tag
     except Exception as exc:  # one cell's failure must not abort the sweep
-        row["error"] = f"INTERNAL:{type(exc).__name__}"
+        exponents = {key: cfg[key] for key in _CELL_KEYS}
         print(f"sweep cell {exponents}: internal error: {_one_line(exc)}", file=sys.stderr)
-    return row
+        return "", "", f"INTERNAL:{type(exc).__name__}"
+    fits = manifest["fits"]
+    return _FLOAT_FMT % fits["u"]["power"], _FLOAT_FMT % fits["v"]["power"], ""
+
+
+def _power_texts(powers: np.ndarray) -> np.ndarray:
+    """``powers`` as CSV fields, each distinct value formatted once; NaN (no
+    profile) is an empty field."""
+    distinct, where = np.unique(powers, return_inverse=True)
+    texts = ["" if np.isnan(x) else _FLOAT_FMT % x for x in distinct.tolist()]
+    return np.array(texts, dtype=object)[where]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    axes = dict(_parse_range(spec) for spec in args.vary or [])
+    axes = {}
+    for spec in args.vary or []:
+        key, values = _parse_range(spec)
+        if key in axes:
+            raise ConfigError(f"--vary {key} given twice")
+        axes[key] = values
     # settings are coerced once; each cell overlays only its axis values
     base = _settings(args, optional=axes)
-    try:
-        jobs = int(args.jobs or os.environ.get("GM_EXT_JOBS", "1"))
-    except ValueError as exc:
-        raise ConfigError(f"--jobs or GM_EXT_JOBS must be an integer: {exc}") from exc
-    axis_keys = sorted(axes)
-    combos = list(itertools.product(*(axes[key] for key in axis_keys)))
-    cells = (dict(base, **dict(zip(axis_keys, combo))) for combo in combos)
-    solve = itertools.repeat(args.solve)
+    jobs = _jobs(args)
 
-    if jobs > 1 and len(combos) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells, solve))
-    else:
-        rows = list(map(_sweep_cell, cells, solve))
+    # cell i holds values[key][at[key][i]]; the cells run in itertools.product
+    # order over the sorted axis keys
+    keys = sorted(axes)
+    shape = tuple(axes[key].size for key in keys)
+    n_cells = int(np.prod(shape))
+    values = {key: axes[key] if key in axes else [base[key]] for key in _PARAM_KEYS}
+    at = dict.fromkeys(_PARAM_KEYS, np.zeros(n_cells, dtype=int))
+    at.update(zip(keys, np.indices(shape).reshape(len(keys), n_cells)))
 
+    # each value is checked once, by ExponentSet's own field check; a bad one
+    # makes every cell that holds it a BAD_CONFIG row
+    valid = np.ones(n_cells, dtype=bool)
+    for key in _PARAM_KEYS:
+        valid &= np.array([field_error(key, x) is None for x in values[key]], dtype=bool)[at[key]]
+    outcome, condition, *powers = classify_lattice(
+        base["N"], base["kind"],
+        *(np.asarray(values[key], dtype=float)[at[key]] for key in _CELL_KEYS))
+    exists = ~np.isnan(powers[0])
+    no_inhibitor = valid & exists & np.isnan(powers[2])
+    shown = valid & ~no_inhibitor
+    error = np.full(n_cells, "", dtype=object)
+    error[~valid] = ConfigError.tag
+    error[no_inhibitor] = NoInhibitorSolutionError.tag
+
+    fit_u, fit_v = np.full(n_cells, "", dtype=object), np.full(n_cells, "", dtype=object)
+    if args.solve:
+        todo = np.flatnonzero(shown & exists)
+        cfgs = [dict(base, **{key: float(axes[key][at[key][i]]) for key in keys})
+                for i in todo]
+        if jobs > 1 and len(cfgs) > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                fields = list(pool.map(_sweep_cell, cfgs))
+        else:
+            fields = list(map(_sweep_cell, cfgs))
+        for i, (u_text, v_text, solve_error) in zip(todo, fields):
+            fit_u[i], fit_v[i], error[i] = u_text, v_text, solve_error
+
+    outcome_text = np.full(n_cells, "", dtype=object)
+    for member in Outcome:
+        outcome_text[shown & (outcome == member)] = member.value
+    columns = [
+        *(np.array([_FLOAT_FMT % x for x in values[key]], dtype=object)[at[key]]
+          for key in _CELL_KEYS),
+        outcome_text, np.where(shown, condition, ""),
+        *(_power_texts(np.where(shown, power, np.nan)) for power in powers),
+        fit_u, fit_v, error,
+    ]
     out = Path(args.output or "atlas.csv")
     with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (_FLOAT_FMT % v if isinstance(v, float) else v)
-                             for k, v in row.items()})
-    print(f"wrote {out} ({len(rows)} cells)")
+        writer = csv.writer(fh)
+        writer.writerow(_SWEEP_FIELDS)
+        writer.writerows(zip(*columns))
+    print(f"wrote {out} ({n_cells} cells)")
     return 0
 
 

@@ -11,10 +11,13 @@ with zero Neumann data on the inner sphere and decay at infinity, where
 negative powers (``NEG_ACTIVATOR``, ``NEG_BOTH``) or swap the roles in the
 activator equation (``MIXED``: ``-Lap u = v^q/u^p + lam*rho``).
 
-``classify`` maps an exponent tuple to a deterministic verdict: nonexistence,
-one of the existence classes with predicted decay profiles, or INCONCLUSIVE
-where the known conditions have a genuine gap (boundary equalities in the
-strict inequalities, ``sigma >= 1``, or ``k`` in an uncovered range).
+``classify_lattice`` maps a lattice of exponent tuples, in one array pass,
+to deterministic verdicts: nonexistence, one of the existence classes with
+predicted decay powers, or INCONCLUSIVE where the known conditions have a
+genuine gap (boundary equalities in the strict inequalities, ``sigma >= 1``,
+or ``k`` in an uncovered range).  It holds the one copy of the verdict table;
+``classify`` is its one-cell view, with the profiles as objects, and
+``predicted_v_profile`` the one-cell view of the inhibitor rule.
 """
 
 from __future__ import annotations
@@ -35,17 +38,25 @@ from .errors import (
 _EQ_RTOL = 1e-12
 
 
-def _eq(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=_EQ_RTOL, abs_tol=1e-300)
+def _eq(a, b):
+    """``math.isclose(a, b, rel_tol=_EQ_RTOL, abs_tol=1e-300)``, elementwise:
+    isclose's own formula, so a boundary verdict does not depend on whether
+    one cell or a lattice is classified.  ``diff < inf`` is isclose's
+    refusal of an infinite argument."""
+    diff = abs(a - b)
+    return (a == b) | ((diff < math.inf) & ((diff <= abs(_EQ_RTOL * b))
+                                            | (diff <= abs(_EQ_RTOL * a))
+                                            | (diff <= 1e-300)))
 
 
-def _gt(a: float, b: float) -> bool:
-    """Strictly greater, treating near-equal floats as equal."""
-    return a > b and not _eq(a, b)
+def _gt(a, b):
+    """Strictly greater, treating near-equal floats as equal.  Takes numpy
+    values: ``~`` negates numpy booleans only."""
+    return (a > b) & ~_eq(a, b)
 
 
-def _ge(a: float, b: float) -> bool:
-    return a > b or _eq(a, b)
+def _ge(a, b):
+    return (a > b) | _eq(a, b)
 
 
 class SystemKind(Enum):
@@ -68,6 +79,29 @@ class ProfileKind(Enum):
     POWER_LOG = "POWER_LOG"
 
 
+def field_error(name: str, value) -> str | None:
+    """Why ``value`` is not admissible as the ExponentSet field ``name``, or
+    None when it is.  One chained comparison per field also refuses NaN and
+    +-inf."""
+    if name == "N":
+        if not (2 <= value < math.inf and int(value) == value):
+            return f"N must be an integer >= 2, got {value}"
+    elif name == "lam":
+        if not 0 <= value < math.inf:
+            return f"lam must be nonnegative and finite, got {value}"
+    elif name == "kind":
+        if not isinstance(value, SystemKind):
+            return f"unknown system kind {value!r}"
+    elif not 0 < value < math.inf:
+        return f"{name} must be positive and finite, got {value}"
+    return None
+
+
+def _sigma(p, q, m, s):
+    """Coupling index m*q / ((p-1)(1+s)), elementwise."""
+    return m * q / ((p - 1.0) * (1.0 + s))
+
+
 @dataclass(frozen=True)
 class ExponentSet:
     """The tuple (N, p, q, m, s, k, lam) identifying one problem instance.
@@ -87,23 +121,17 @@ class ExponentSet:
     kind: SystemKind = SystemKind.GM
 
     def __post_init__(self) -> None:
-        # one chained comparison per field also refuses NaN and +-inf
-        if not (2 <= self.N < math.inf and int(self.N) == self.N):
-            raise ConfigError(f"N must be an integer >= 2, got {self.N}")
-        for name in ("p", "q", "m", "s", "k"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0 <= self.lam < math.inf:
-            raise ConfigError(f"lam must be nonnegative and finite, got {self.lam}")
-        if not isinstance(self.kind, SystemKind):
-            raise ConfigError(f"unknown system kind {self.kind!r}")
+        for name in ("N", "p", "q", "m", "s", "k", "lam", "kind"):
+            error = field_error(name, getattr(self, name))
+            if error is not None:
+                raise ConfigError(error)
 
     @property
     def sigma(self) -> float | None:
         """Coupling index m*q / ((p-1)(1+s)); None when p <= 1."""
         if self.p <= 1:
             return None
-        return self.m * self.q / ((self.p - 1.0) * (1.0 + self.s))
+        return _sigma(self.p, self.q, self.m, self.s)
 
     def require_sigma(self) -> float:
         sig = self.sigma
@@ -246,123 +274,151 @@ def _nc(N: int) -> float:
     return N / (N - 2.0)
 
 
-def predicted_v_profile(params: ExponentSet, u_profile: AsymptoticProfile) -> AsymptoticProfile:
-    """Inhibitor profile forced by an activator decaying like r^-a.
+def _v_powers(N: int, a, m, s):
+    """(power, log_power) of the inhibitor profile forced by an activator
+    decaying like r^-a, elementwise; both NaN where a*m <= 2.
 
     The inhibitor equation sees a source ~ r^(-a*m); its solution decays like
     r^(-(am-2)/(1+s)) below the threshold a*m = N + s(N-2), picks up the
     log^(1/(1+s)) correction exactly at it, and saturates at the minimal rate
-    r^(2-N) above it.  Requires a*m > 2, otherwise no decaying inhibitor
-    exists at all.
+    r^(2-N) above it.  At a*m <= 2 no decaying inhibitor exists at all.
     """
-    if u_profile.kind is not ProfileKind.PURE_POWER:
-        raise ConfigError("activator profile must be a pure power law")
-    N, m, s = params.N, params.m, params.s
-    a = -u_profile.power
-    if a <= 0:
-        raise ConfigError("activator profile must decay")
+    import numpy as np
+
     am = a * m
-    if not _gt(am, 2.0):
+    threshold = N + s * (N - 2.0)
+    power = np.where(_ge(am, threshold), 2.0 - N, -(am - 2.0) / (1.0 + s))
+    log_power = np.where(_eq(am, threshold), 1.0 / (1.0 + s), 0.0)
+    decays = _gt(am, 2.0)
+    return np.where(decays, power, math.nan), np.where(decays, log_power, math.nan)
+
+
+def _inhibitor_profile(power, log_power, am: float, r0: float) -> AsymptoticProfile:
+    """One cell of ``_v_powers`` as a profile; NaN powers (a*m <= 2) raise."""
+    if math.isnan(power):
         raise NoInhibitorSolutionError(
             f"inhibitor source decay a*m = {am:g} <= 2: no decaying solution"
         )
-    threshold = N + s * (N - 2.0)
-    if _eq(am, threshold):
-        return AsymptoticProfile(ProfileKind.POWER_LOG, 2.0 - N, 1.0 / (1.0 + s), u_profile.r0)
-    if am > threshold:
-        return AsymptoticProfile(ProfileKind.PURE_POWER, 2.0 - N, 0.0, u_profile.r0)
-    return AsymptoticProfile(ProfileKind.PURE_POWER, -(am - 2.0) / (1.0 + s), 0.0, u_profile.r0)
+    kind = ProfileKind.POWER_LOG if log_power else ProfileKind.PURE_POWER
+    return AsymptoticProfile(kind, float(power), float(log_power), r0)
 
 
-def _classify_gm(params: ExponentSet, r0: float) -> RegimeVerdict:
-    N, p, q, m, s, k = params.N, params.p, params.q, params.m, params.s, params.k
-    if N == 2:
-        return RegimeVerdict(Outcome.NONEXISTENCE, "Thm2.1(i)")
-    if m <= 2.0 / (N - 2.0) or _eq(m, 2.0 / (N - 2.0)):
-        return RegimeVerdict(Outcome.NONEXISTENCE, "Thm2.1(ii)")
-    if p <= _nc(N) or _eq(p, _nc(N)):
-        return RegimeVerdict(Outcome.NONEXISTENCE, "Thm2.1(iii)")
+def predicted_v_profile(params: ExponentSet, u_profile: AsymptoticProfile) -> AsymptoticProfile:
+    """Inhibitor profile forced by an activator decaying like r^-a (the rule
+    is ``_v_powers``).  Requires a*m > 2, otherwise no decaying inhibitor
+    exists at all."""
+    import numpy as np
 
-    sigma = params.require_sigma()  # p > N/(N-2) > 1 here
-    if _ge(sigma, 1.0):
-        return RegimeVerdict(Outcome.INCONCLUSIVE, "sigma>=1")
-
-    c = _nc(N)
-    u_min = AsymptoticProfile(ProfileKind.PURE_POWER, 2.0 - N, 0.0, r0)
-    if _gt(k, N):
-        # minimal-growth trichotomy
-        matched = None
-        if _ge(m, s + c) and _gt(p, q + c):
-            matched = "Thm2.2(i)"
-        elif _eq(m, s + c) and _eq(p, q + c) and _gt(q, 1.0 + s):
-            matched = "Thm2.2(ii)"  # empty under sigma < 1; kept for fidelity
-        elif _gt(m, 2.0 / (N - 2.0)) and _gt(s + c, m) and _gt(
-            p, q / (1.0 + s) * (m - 2.0 / (N - 2.0)) + c
-        ):
-            matched = "Thm2.2(iii)"
-        if matched is None:
-            return RegimeVerdict(Outcome.INCONCLUSIVE, "Thm2.2(gap)")
-        return RegimeVerdict(
-            Outcome.EXISTS_MINIMAL_GROWTH,
-            matched,
-            u_profile=u_min,
-            v_profile=predicted_v_profile(params, u_min),
-        )
-    if _eq(k, N):
-        return RegimeVerdict(Outcome.INCONCLUSIVE, "k=N")
-    if _gt(k, 2.0):
-        # 2 < k < N: faster-than-minimal activator growth, a = k - 2
-        a = k - 2.0
-        u_fast = AsymptoticProfile(ProfileKind.PURE_POWER, -a, 0.0, r0)
-        thr = (N + s * (N - 2.0)) / a
-        matched = None
-        if _ge(m, thr) and _ge(p, q * (N - 2.0) / a + 1.0 + 2.0 / a):
-            matched = "Thm2.3(i)"
-        elif _gt(m, 2.0 / a) and _gt(thr, m) and _ge(
-            p, q / (1.0 + s) * (m - 2.0 / a) + 1.0 + 2.0 / a
-        ):
-            matched = "Thm2.3(ii)"
-        if matched is None:
-            return RegimeVerdict(Outcome.INCONCLUSIVE, "Thm2.3(gap)")
-        return RegimeVerdict(
-            Outcome.EXISTS_FAST_GROWTH,
-            matched,
-            u_profile=u_fast,
-            v_profile=predicted_v_profile(params, u_fast),
-        )
-    return RegimeVerdict(Outcome.INCONCLUSIVE, "k<=2")
+    if u_profile.kind is not ProfileKind.PURE_POWER:
+        raise ConfigError("activator profile must be a pure power law")
+    a = -u_profile.power
+    if a <= 0:
+        raise ConfigError("activator profile must decay")
+    power, log_power = _v_powers(params.N, np.float64(a), params.m, params.s)
+    return _inhibitor_profile(power, log_power, a * params.m, u_profile.r0)
 
 
-def _classify_mixed(params: ExponentSet, r0: float) -> RegimeVerdict:
-    N, p, q, m, s, k = params.N, params.p, params.q, params.m, params.s, params.k
-    if N == 2:
-        return RegimeVerdict(Outcome.NONEXISTENCE, "Thm7.1(ii1)")
-    if min(q, m) <= 2.0 / (N - 2.0) or _eq(min(q, m), 2.0 / (N - 2.0)):
-        return RegimeVerdict(Outcome.NONEXISTENCE, "Thm7.1(ii2)")
-    c = _nc(N)
-    conds = (_gt(k, N), _gt(q, p + c), _gt(m, s + c))
-    if all(conds):
-        prof = AsymptoticProfile(ProfileKind.PURE_POWER, 2.0 - N, 0.0, r0)
-        return RegimeVerdict(Outcome.EXISTS_MIXED_MINIMAL, "Thm7.2", prof, prof)
-    on_boundary = _eq(k, N) or _eq(q, p + c) or _eq(m, s + c)
-    tag = "Thm7.2(boundary)" if on_boundary else "Thm7.2(gap)"
-    return RegimeVerdict(Outcome.INCONCLUSIVE, tag)
+def classify_lattice(N: int, kind: SystemKind, p, q, m, s, k):
+    """Regime verdicts of a lattice of exponent tuples, in one array pass.
+
+    ``N`` and ``kind`` are scalars; ``p, q, m, s, k`` are broadcastable
+    arrays (or floats) of valid ``ExponentSet`` fields.  Returns
+    ``(outcome, condition, u_power, u_log_power, v_power, v_log_power)``:
+    ``Outcome`` members and matched-condition tags (object arrays), and the
+    powers of the predicted profiles (float arrays), NaN where the verdict
+    carries no profile.  v's powers are also NaN where a GM existence cell's
+    activator leaves the inhibitor no decaying solution (a*m <= 2), which
+    ``classify`` raises as NoInhibitorSolutionError.
+
+    Each cell takes the first rule it meets.  Nonexistence conditions come
+    first, then the minimal-growth conditions (k > N, sigma < 1), then the
+    faster-growth conditions (2 < k < N, sigma < 1).  Boundary equalities in
+    strict inequalities, k = N, k <= 2 and sigma >= 1 are INCONCLUSIVE: the
+    verdict reports only what the known conditions settle.  Rules that a
+    cell never reaches may divide by zero on it, silently.
+    """
+    import numpy as np
+
+    p, q, m, s, k = (np.asarray(x, dtype=float)[()] for x in (p, q, m, s, k))
+    nan = math.nan
+    NONEX, INCONCLUSIVE = Outcome.NONEXISTENCE, Outcome.INCONCLUSIVE
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # (mask, outcome, condition); the last rule takes the rest
+        if kind in (SystemKind.NEG_ACTIVATOR, SystemKind.NEG_BOTH):
+            rules = [(None, NONEX, "Thm7.1(i)")]
+        elif N == 2:
+            rules = [(None, NONEX, "Thm7.1(ii1)" if kind is SystemKind.MIXED
+                      else "Thm2.1(i)")]
+        elif kind is SystemKind.MIXED:
+            c, low = _nc(N), 2.0 / (N - 2.0)
+            rules = [
+                (_ge(low, np.minimum(q, m)), NONEX, "Thm7.1(ii2)"),
+                (_gt(k, N) & _gt(q, p + c) & _gt(m, s + c),
+                 Outcome.EXISTS_MIXED_MINIMAL, "Thm7.2"),
+                (_eq(k, N) | _eq(q, p + c) | _eq(m, s + c),
+                 INCONCLUSIVE, "Thm7.2(boundary)"),
+                (None, INCONCLUSIVE, "Thm7.2(gap)"),
+            ]
+        else:
+            c, low = _nc(N), 2.0 / (N - 2.0)
+            minimal, fast = Outcome.EXISTS_MINIMAL_GROWTH, Outcome.EXISTS_FAST_GROWTH
+            # 2 < k < N: faster-than-minimal activator growth, r^-a with a = k - 2
+            a = k - 2.0
+            thr = (N + s * (N - 2.0)) / a
+            above_N, above_2 = _gt(k, N), _gt(k, 2.0)
+            rules = [
+                (_ge(low, m), NONEX, "Thm2.1(ii)"),
+                (_ge(c, p), NONEX, "Thm2.1(iii)"),
+                (_ge(_sigma(p, q, m, s), 1.0), INCONCLUSIVE, "sigma>=1"),
+                # the minimal-growth trichotomy
+                (above_N & _ge(m, s + c) & _gt(p, q + c), minimal, "Thm2.2(i)"),
+                # empty under sigma < 1; kept for fidelity
+                (above_N & _eq(m, s + c) & _eq(p, q + c) & _gt(q, 1.0 + s),
+                 minimal, "Thm2.2(ii)"),
+                (above_N & _gt(m, low) & _gt(s + c, m)
+                 & _gt(p, q / (1.0 + s) * (m - low) + c), minimal, "Thm2.2(iii)"),
+                (above_N, INCONCLUSIVE, "Thm2.2(gap)"),
+                (_eq(k, N), INCONCLUSIVE, "k=N"),
+                (above_2 & _ge(m, thr) & _ge(p, q * (N - 2.0) / a + 1.0 + 2.0 / a),
+                 fast, "Thm2.3(i)"),
+                (above_2 & _gt(m, 2.0 / a) & _gt(thr, m)
+                 & _ge(p, q / (1.0 + s) * (m - 2.0 / a) + 1.0 + 2.0 / a),
+                 fast, "Thm2.3(ii)"),
+                (above_2, INCONCLUSIVE, "Thm2.3(gap)"),
+                (None, INCONCLUSIVE, "k<=2"),
+            ]
+        # each cell's first matching rule: one past every rule it and all
+        # rules before it fail
+        rule = np.zeros(np.broadcast(p, q, m, s, k).shape, dtype=int)
+        unmatched = True
+        for mask, _, _ in rules[:-1]:
+            unmatched = unmatched & ~mask
+            rule = rule + unmatched
+        outcome = np.array([verdict for _, verdict, _ in rules], dtype=object)[rule]
+        condition = np.array([tag for _, _, tag in rules], dtype=object)[rule]
+        # the activator decays like r^-(k-2) with fast growth and like
+        # r^(2-N) in the other existence classes
+        exists = (outcome != NONEX) & (outcome != INCONCLUSIVE)
+        u_power = np.where(outcome == Outcome.EXISTS_FAST_GROWTH, -(k - 2.0),
+                           np.where(exists, 2.0 - N, nan))
+        u_log_power = np.where(exists, 0.0, nan)
+        if kind is SystemKind.GM:
+            v_power, v_log_power = _v_powers(N, -u_power, m, s)
+        else:
+            v_power, v_log_power = u_power, u_log_power
+    return outcome, condition, u_power, u_log_power, v_power, v_log_power
 
 
 def classify(params: ExponentSet, r0: float = 1.0) -> RegimeVerdict:
-    """Deterministic regime verdict for one exponent tuple.
-
-    Nonexistence conditions are tested first, then the minimal-growth
-    conditions (which need k > N and sigma < 1), then the faster-growth
-    conditions (2 < k < N, sigma < 1).  Boundary equalities in strict
-    inequalities, k = N, k <= 2, and sigma >= 1 return INCONCLUSIVE: the
-    verdict reports only what the known conditions settle.
-    """
-    if params.kind in (SystemKind.NEG_ACTIVATOR, SystemKind.NEG_BOTH):
-        return RegimeVerdict(Outcome.NONEXISTENCE, "Thm7.1(i)")
-    if params.kind is SystemKind.MIXED:
-        return _classify_mixed(params, r0)
-    return _classify_gm(params, r0)
+    """Deterministic regime verdict for one exponent tuple: the one-cell view
+    of ``classify_lattice``, with profiles anchored at ``r0``."""
+    outcome, condition, u_power, _, v_power, v_log_power = classify_lattice(
+        params.N, params.kind, params.p, params.q, params.m, params.s, params.k)
+    if math.isnan(u_power):
+        return RegimeVerdict(outcome, condition)
+    u = AsymptoticProfile(ProfileKind.PURE_POWER, float(u_power), 0.0, r0)
+    v = _inhibitor_profile(v_power, v_log_power, -u.power * params.m, r0)
+    return RegimeVerdict(outcome, condition, u, v)
 
 
 # ---------------------------------------------------------------------------

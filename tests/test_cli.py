@@ -464,7 +464,8 @@ def test_sweep_empty_range(tmp_path):
     ("p=3:7:2.5", None),
     ("p=abc", None),
     ("p=3:7:3", "abc"),
-], ids=["fractional_count", "not_a_number", "bad_jobs_env"])
+    ("p=3:7:3", "0"),
+], ids=["fractional_count", "not_a_number", "bad_jobs_env", "jobs_env_below_one"])
 def test_sweep_malformed_input_exit_64(tmp_path, monkeypatch, vary, jobs_env):
     if jobs_env is not None:
         monkeypatch.setenv("GM_EXT_JOBS", jobs_env)
@@ -503,10 +504,17 @@ PROBE = ["probe", "--N", "3", "--p", "5", "--q", "1", "--m", "2", "--s", "1", "-
     (["classify", *BASE[:2], "--p", "-1e-3", *BASE[4:]], None),
     (["fit", "missing.csv", "--window", "10", "abc"], None),
     (["classify", *BASE, "--bogus", "1"], None),
+    # an axis given twice, a range with a non-finite end, a pool below one
+    ([*SWEEP, "--vary", "p=3:7:3", "--vary", "p=4:5:2"], None),
+    ([*SWEEP, "--vary", "p=3:inf:3"], None),
+    ([*SWEEP, "--vary", "p=nan:7:3"], None),
+    ([*SWEEP, "--vary", "p=-inf:7:3"], None),
+    ([*SWEEP, "--vary", "p=3:7:3", "--jobs", "-2"], None),
 ], ids=["sweep_no_N", "sweep_R", "sweep_p", "sweep_kind", "probe_R_list", "probe_R_nan",
         "probe_R_inf", "probe_R_repeated", "probe_rho0", "flag_p", "flag_N", "flag_n",
         "flag_kind", "flag_jobs", "probe_rho0_inf", "usage_value_like_a_flag",
-        "usage_fit_window", "usage_unknown_flag"])
+        "usage_fit_window", "usage_unknown_flag", "sweep_repeated_axis", "sweep_range_inf",
+        "sweep_range_nan", "sweep_range_minus_inf", "flag_jobs_below_one"])
 def test_bad_settings_exit_64(tmp_path, argv, config):
     out = tmp_path / "atlas.csv"
     argv = [*argv, "--output", str(out)] if argv[0] == "sweep" else list(argv)
@@ -578,6 +586,32 @@ def test_sweep_records_cell_errors_inline(tmp_path):
     assert rows[1]["error"] == ""
 
 
+def test_sweep_records_no_inhibitor_cell(tmp_path):
+    # an existence verdict whose inhibitor has no decaying solution (a*m
+    # within 1e-12 of 2) is a cell error, as classify's error is
+    out = tmp_path / "edge.csv"
+    code, _, err = run_cli([
+        "sweep", "--N", "4", "--q", "0.1", "--m", "1.0011393632041066", "--s", "1",
+        "--k", "3.9977238669360475", "--vary", "p=2.5:3.5:3", "--output", str(out),
+    ])
+    assert code == 0, err
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(row["outcome"], row["v_power"], row["error"]) for row in rows] == [
+        ("", "", "NO_INHIBITOR_SOLUTION")] * 3
+
+
+def test_sweep_single_nan_value_is_a_cell_error(tmp_path):
+    # a single value is taken as given: NaN makes its cells BAD_CONFIG rows
+    out = tmp_path / "nan.csv"
+    code, _, err = run_cli(["sweep", "--N", "3", "--m", "6", "--s", "1", "--k", "4",
+                            "--vary", "p=3:7:3", "--vary", "q=nan", "--output", str(out)])
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(row["p"], row["q"], row["outcome"], row["error"]) for row in rows] == [
+        ("3", "nan", "", "BAD_CONFIG"), ("5", "nan", "", "BAD_CONFIG"),
+        ("7", "nan", "", "BAD_CONFIG")]
+
+
 def test_sweep_solve_path_records_fits(tmp_path):
     out = tmp_path / "solved.csv"
     code, _, err = run_cli([
@@ -615,6 +649,35 @@ def test_sweep_contains_unexpected_cell_failure(tmp_path, monkeypatch):
     assert rows[0]["error"] == "INTERNAL:ValueError" and rows[0]["fit_u_power"] == ""
     assert rows[1]["error"] == "" and rows[1]["fit_u_power"] != ""
     assert "internal error: ValueError" in err
+
+
+def test_classify_only_sweep_starts_no_pool(tmp_path, monkeypatch):
+    import gmext.cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a classify-only sweep built a worker pool")
+
+    monkeypatch.setattr(gmext.cli, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "atlas.csv"
+    code, _, err = run_cli(["sweep", "--N", "3", "--m", "6", "--s", "1", "--k", "4",
+                            "--vary", "p=3:7:5", "--vary", "q=0.5:2:4", "--jobs", "2",
+                            "--output", str(out)])
+    assert code == 0, err
+    assert len(list(csv.DictReader(out.read_text().splitlines()))) == 20
+
+
+def test_sweep_solve_parallel_matches_serial(tmp_path):
+    # p = 3 is nonexistence (p <= N/(N-2)); the four other cells are
+    # existence cells, and (p, q) = (4.5, 1) fails to solve
+    argv = ["sweep", "--N", "3", "--m", "6", "--s", "1", "--k", "4", "--vary", "p=3:6:3",
+            "--vary", "q=0.5:1:2", "--R", "1e3", "--n", "1025", "--solve"]
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert run_cli([*argv, "--jobs", "1", "--output", str(serial)])[0] == 0
+    assert run_cli([*argv, "--jobs", "2", "--output", str(parallel)])[0] == 0
+    rows = list(csv.DictReader(serial.read_text().splitlines()))
+    assert {row["outcome"] for row in rows} >= {"NONEXISTENCE", "EXISTS_MINIMAL_GROWTH"}
+    assert sum(row["fit_u_power"] != "" for row in rows) == 3
+    assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_sweep_jobs_env_fallback(tmp_path, monkeypatch):

@@ -1,8 +1,11 @@
-"""Property tests: the classifier's verdict contract and the sign and order
-properties of the radial solves, over generated inputs.
+"""Property tests: the classifier's verdict contract, its agreement with a
+scalar reference table, and the sign and order properties of the radial
+solves, over generated inputs.
 
 The draws are derandomized, so every run checks the same examples.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -11,14 +14,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gmext import (
+    AsymptoticProfile,
     ExponentSet,
     NonlinearitySpec,
     Outcome,
+    ProfileKind,
+    RegimeVerdict,
     SystemKind,
     barrier_Z,
     classify,
+    classify_lattice,
     solve_monotone,
 )
+from gmext.errors import NoInhibitorSolutionError
+from gmext.params import _eq as _params_eq
 
 from conftest import cached_operator
 
@@ -70,6 +79,278 @@ def test_gm_at_k_equal_N_is_inconclusive(N, p_over, m_over, s, sigma):
     q = sigma * (p - 1.0) * (1.0 + s) / m
     verdict = classify(ExponentSet(N=N, p=p, q=q, m=m, s=s, k=N))
     assert (verdict.outcome, verdict.matched_condition) == (Outcome.INCONCLUSIVE, "k=N")
+
+
+# ---------------------------------------------------------------------------
+# the verdict table against a scalar reference
+#
+# ``reference_classify`` is the one-tuple classifier written with
+# math.isclose and if/elif chains, kept here as the oracle of the array
+# classifier.  It must not be edited to follow the code under test.
+
+def _eq(a, b):
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-300)
+
+
+def _gt(a, b):
+    return a > b and not _eq(a, b)
+
+
+def _ge(a, b):
+    return a > b or _eq(a, b)
+
+
+def _reference_v(params, u):
+    N, m, s = params.N, params.m, params.s
+    am = -u.power * m
+    if not _gt(am, 2.0):
+        raise NoInhibitorSolutionError(
+            f"inhibitor source decay a*m = {am:g} <= 2: no decaying solution")
+    threshold = N + s * (N - 2.0)
+    if _eq(am, threshold):
+        return AsymptoticProfile(ProfileKind.POWER_LOG, 2.0 - N, 1.0 / (1.0 + s), u.r0)
+    if am > threshold:
+        return AsymptoticProfile(ProfileKind.PURE_POWER, 2.0 - N, 0.0, u.r0)
+    return AsymptoticProfile(ProfileKind.PURE_POWER, -(am - 2.0) / (1.0 + s), 0.0, u.r0)
+
+
+def _reference_gm(params, r0):
+    N, p, q, m, s, k = params.N, params.p, params.q, params.m, params.s, params.k
+    if N == 2:
+        return RegimeVerdict(Outcome.NONEXISTENCE, "Thm2.1(i)")
+    if m <= 2.0 / (N - 2.0) or _eq(m, 2.0 / (N - 2.0)):
+        return RegimeVerdict(Outcome.NONEXISTENCE, "Thm2.1(ii)")
+    c = N / (N - 2.0)
+    if p <= c or _eq(p, c):
+        return RegimeVerdict(Outcome.NONEXISTENCE, "Thm2.1(iii)")
+    if _ge(m * q / ((p - 1.0) * (1.0 + s)), 1.0):
+        return RegimeVerdict(Outcome.INCONCLUSIVE, "sigma>=1")
+    u_min = AsymptoticProfile(ProfileKind.PURE_POWER, 2.0 - N, 0.0, r0)
+    if _gt(k, N):
+        matched = None
+        if _ge(m, s + c) and _gt(p, q + c):
+            matched = "Thm2.2(i)"
+        elif _eq(m, s + c) and _eq(p, q + c) and _gt(q, 1.0 + s):
+            matched = "Thm2.2(ii)"
+        elif _gt(m, 2.0 / (N - 2.0)) and _gt(s + c, m) and _gt(
+                p, q / (1.0 + s) * (m - 2.0 / (N - 2.0)) + c):
+            matched = "Thm2.2(iii)"
+        if matched is None:
+            return RegimeVerdict(Outcome.INCONCLUSIVE, "Thm2.2(gap)")
+        return RegimeVerdict(Outcome.EXISTS_MINIMAL_GROWTH, matched, u_min,
+                             _reference_v(params, u_min))
+    if _eq(k, N):
+        return RegimeVerdict(Outcome.INCONCLUSIVE, "k=N")
+    if _gt(k, 2.0):
+        a = k - 2.0
+        u_fast = AsymptoticProfile(ProfileKind.PURE_POWER, -a, 0.0, r0)
+        thr = (N + s * (N - 2.0)) / a
+        matched = None
+        if _ge(m, thr) and _ge(p, q * (N - 2.0) / a + 1.0 + 2.0 / a):
+            matched = "Thm2.3(i)"
+        elif _gt(m, 2.0 / a) and _gt(thr, m) and _ge(
+                p, q / (1.0 + s) * (m - 2.0 / a) + 1.0 + 2.0 / a):
+            matched = "Thm2.3(ii)"
+        if matched is None:
+            return RegimeVerdict(Outcome.INCONCLUSIVE, "Thm2.3(gap)")
+        return RegimeVerdict(Outcome.EXISTS_FAST_GROWTH, matched, u_fast,
+                             _reference_v(params, u_fast))
+    return RegimeVerdict(Outcome.INCONCLUSIVE, "k<=2")
+
+
+def _reference_mixed(params, r0):
+    N, p, q, m, s, k = params.N, params.p, params.q, params.m, params.s, params.k
+    if N == 2:
+        return RegimeVerdict(Outcome.NONEXISTENCE, "Thm7.1(ii1)")
+    if min(q, m) <= 2.0 / (N - 2.0) or _eq(min(q, m), 2.0 / (N - 2.0)):
+        return RegimeVerdict(Outcome.NONEXISTENCE, "Thm7.1(ii2)")
+    c = N / (N - 2.0)
+    if _gt(k, N) and _gt(q, p + c) and _gt(m, s + c):
+        prof = AsymptoticProfile(ProfileKind.PURE_POWER, 2.0 - N, 0.0, r0)
+        return RegimeVerdict(Outcome.EXISTS_MIXED_MINIMAL, "Thm7.2", prof, prof)
+    on_boundary = _eq(k, N) or _eq(q, p + c) or _eq(m, s + c)
+    return RegimeVerdict(Outcome.INCONCLUSIVE,
+                         "Thm7.2(boundary)" if on_boundary else "Thm7.2(gap)")
+
+
+def reference_classify(params, r0=1.0):
+    if params.kind in (SystemKind.NEG_ACTIVATOR, SystemKind.NEG_BOTH):
+        return RegimeVerdict(Outcome.NONEXISTENCE, "Thm7.1(i)")
+    if params.kind is SystemKind.MIXED:
+        return _reference_mixed(params, r0)
+    return _reference_gm(params, r0)
+
+
+def _verdict_or_error(classifier, params):
+    try:
+        return classifier(params)
+    except NoInhibitorSolutionError as exc:
+        return str(exc)
+
+
+# where a tuple is placed: the boundaries of the verdict table
+BOUNDARIES = ("k=N", "p=q+c", "m=s+c", "sigma=1", "k=2", "m=2/(N-2)", "p=c",
+              "m=thr_fast", "p=fast(i)", "am=thr_min")
+# exactly on a boundary, at the classifier's tolerance, and just past it
+OFFSETS = (0.0, 1e-12, -1e-12, 2e-12, -2e-12, 1e-9, -1e-9)
+# mostly moderate exponents, some far out, where derived bounds overflow
+field = st.one_of(exponent, exponent, exponent, st.floats(1e-8, 1e300))
+dimensions = st.integers(2, 6)
+kinds = st.sampled_from(list(SystemKind))
+bases = st.tuples(field, field, field, field, field)
+
+
+def place(N, base, moves):
+    """``base`` = (p, q, m, s, k) moved onto each boundary of ``moves`` in
+    turn, times 1 + its offset; an out-of-range result becomes 1."""
+    p, q, m, s, k = base
+    c = N / (N - 2.0) if N > 2 else 2.0
+    for where, offset in moves:
+        off = 1.0 + offset
+        a = k - 2.0 if k > 2.0 else 1.0
+        if where == "k=N":
+            k = N * off
+        elif where == "p=q+c":
+            p = (q + c) * off
+        elif where == "m=s+c":
+            m = (s + c) * off
+        elif where == "sigma=1" and p != 1.0:
+            q = abs((p - 1.0) * (1.0 + s) / m * off)
+        elif where == "k=2":
+            k = 2.0 * off
+        elif where == "m=2/(N-2)":
+            m = (c - 1.0) * off
+        elif where == "p=c":
+            p = c * off
+        elif where == "m=thr_fast":
+            m = (N + s * (N - 2.0)) / a * off
+        elif where == "p=fast(i)":
+            p = (q * (N - 2.0) / a + 1.0 + 2.0 / a) * off
+        elif where == "am=thr_min":
+            m = (N + s * (N - 2.0)) / max(N - 2.0, 1.0) * off
+    return tuple(x if 0 < x < math.inf else 1.0 for x in (p, q, m, s, k))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(dimensions, kinds, bases, st.lists(
+    st.tuples(st.sampled_from(BOUNDARIES), st.sampled_from(OFFSETS)), max_size=3))
+def test_classify_agrees_with_the_reference_table(N, kind, base, moves):
+    params = ExponentSet(N, *place(N, base, moves), kind=kind)
+    assert _verdict_or_error(classify, params) == _verdict_or_error(reference_classify, params)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(dimensions, kinds, bases)
+def test_classify_lattice_agrees_with_the_reference_table(N, kind, base):
+    # one lattice: the base tuple moved onto every boundary at every
+    # offset, and onto every ordered pair of boundaries at the tolerance
+    near = OFFSETS[:3]
+    moves = [[]] + [[(b, o)] for b in BOUNDARIES for o in OFFSETS] + [
+        [(b1, o1), (b2, o2)] for b1 in BOUNDARIES for b2 in BOUNDARIES if b1 != b2
+        for o1 in near for o2 in near]
+    cells = [ExponentSet(N, *place(N, base, m), kind=kind) for m in moves]
+    outcome, condition, u_power, u_log, v_power, v_log = classify_lattice(
+        N, kind, *(np.array([getattr(x, key) for x in cells]) for key in "pqmsk"))
+    for i, params in enumerate(cells):
+        expected = _verdict_or_error(reference_classify, params)
+        if isinstance(expected, str):  # a*m <= 2: v's powers are NaN
+            assert outcome[i].value.startswith("EXISTS") and math.isnan(v_power[i])
+            continue
+        assert (outcome[i], condition[i]) == (expected.outcome, expected.matched_condition)
+        for profile, power, log in ((expected.u_profile, u_power, u_log),
+                                    (expected.v_profile, v_power, v_log)):
+            if profile is None:
+                assert math.isnan(power[i]) and math.isnan(log[i])
+            else:
+                assert (power[i], log[i]) == (profile.power, profile.log_power)
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(any_float, any_float, st.sampled_from((None, *OFFSETS)))
+def test_eq_is_isclose_elementwise(a, b, offset):
+    if offset is not None:  # b next to a
+        b = a * (1.0 + offset)
+    expected = math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-300)
+    assert _params_eq(a, b) is expected
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _params_eq(np.array([a, b]), np.array([b, a])).tolist() == [expected] * 2
+
+
+# Thm2.3(ii) passes with m just over 2/a by the 1e-12 tolerance, while a*m
+# rounds to within it of 2: the inhibitor has no decaying solution
+NO_INHIBITOR_EDGE = dict(N=4, p=3.0, q=0.1, m=1.0011393632041066, s=1.0, k=3.9977238669360475)
+
+
+def test_no_decaying_inhibitor_edge():
+    params = ExponentSet(**NO_INHIBITOR_EDGE)
+    assert "a*m = 2 <= 2" in _verdict_or_error(reference_classify, params)
+    assert _verdict_or_error(classify, params) == _verdict_or_error(reference_classify, params)
+    outcome, condition, u_power, _, v_power, v_log = classify_lattice(
+        4, SystemKind.GM, *([NO_INHIBITOR_EDGE[key]] for key in "pqmsk"))
+    assert (outcome[0], condition[0]) == (Outcome.EXISTS_FAST_GROWTH, "Thm2.3(ii)")
+    assert u_power[0] == -(NO_INHIBITOR_EDGE["k"] - 2.0)
+    assert math.isnan(v_power[0]) and math.isnan(v_log[0])
+
+
+def test_classify_lattice_broadcasts():
+    p = np.linspace(2.5, 9.5, 8)[:, None]
+    q = np.linspace(0.25, 3.25, 5)[None, :]
+    outcome, condition, *powers = classify_lattice(3, SystemKind.GM, p, q, 6.0, 1.0, 4.0)
+    assert outcome.shape == condition.shape == (8, 5)
+    assert all(power.shape == (8, 5) for power in powers)
+    for i, j in np.ndindex(8, 5):
+        verdict = classify(ExponentSet(3, float(p[i, 0]), float(q[0, j]), 6.0, 1.0, 4.0))
+        assert (outcome[i, j], condition[i, j]) == (verdict.outcome, verdict.matched_condition)
+
+
+@PROPERTY
+@given(N=st.integers(3, 6), p_over=st.floats(0.01, 5.0), m_over=st.floats(0.01, 5.0),
+       s=st.floats(0.1, 5.0), sigma=st.floats(0.01, 0.99),
+       where=st.sampled_from(["sigma=1", "k=2", "p=q+c"]))
+def test_gm_open_boundaries_are_inconclusive(N, p_over, m_over, s, sigma, where):
+    # past every nonexistence test (m > 2/(N-2), p > N/(N-2)), the boundary
+    # equalities that no theorem settles: sigma = 1, k = 2 and, with k > N
+    # and m > s + N/(N-2), p = q + N/(N-2)
+    c, low = N / (N - 2.0), 2.0 / (N - 2.0)
+    p, m, k = c + p_over, low + m_over, N + 1.0
+    q = sigma * (p - 1.0) * (1.0 + s) / m
+    if where == "sigma=1":
+        q = (p - 1.0) * (1.0 + s) / m
+    elif where == "k=2":
+        k = 2.0
+    else:
+        # sigma = m q / ((q + low)(1 + s)) < 1 holds for q below
+        # low (1+s) / (m - 1 - s)
+        m = s + c + m_over
+        q = sigma * low * (1.0 + s) / (m - 1.0 - s)
+        p = q + c
+    verdict = classify(ExponentSet(N=N, p=p, q=q, m=m, s=s, k=k))
+    assert (verdict.outcome, verdict.matched_condition) == (Outcome.INCONCLUSIVE, {
+        "sigma=1": "sigma>=1", "k=2": "k<=2", "p=q+c": "Thm2.2(gap)"}[where])
+
+
+@PROPERTY
+@given(N=st.integers(3, 6), p=exponent, q_over=st.floats(0.01, 5.0),
+       m_over=st.floats(0.01, 5.0), s=exponent,
+       where=st.sampled_from(["k=N", "q=p+c", "m=s+c"]))
+def test_mixed_boundaries_are_inconclusive(N, p, q_over, m_over, s, where):
+    # MIXED with q > p + N/(N-2), m > s + N/(N-2) and k > N exists (Thm 7.2);
+    # moving one of them onto its boundary leaves the theorem open
+    c = N / (N - 2.0)
+    q, m, k = p + c + q_over, s + c + m_over, N + 1.0
+    if where == "k=N":
+        k = float(N)
+    elif where == "q=p+c":
+        q = p + c
+    else:
+        m = s + c
+    # q and m stay above N/(N-2) > 2/(N-2): past the nonexistence test
+    verdict = classify(ExponentSet(N=N, p=p, q=q, m=m, s=s, k=k, kind=SystemKind.MIXED))
+    assert (verdict.outcome, verdict.matched_condition) == (
+        Outcome.INCONCLUSIVE, "Thm7.2(boundary)")
 
 
 @PROPERTY
