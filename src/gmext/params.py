@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import (
     ConfigError,
     DegenerateExponentError,
@@ -193,8 +195,6 @@ class AsymptoticProfile:
 
     def values(self, r):
         """Sample the profile; the log factor is clamped at zero below r0."""
-        import numpy as np
-
         r = np.asarray(r, dtype=float)
         out = r ** self.power
         if self.kind is ProfileKind.POWER_LOG:
@@ -283,8 +283,6 @@ def _v_powers(N: int, a, m, s):
     log^(1/(1+s)) correction exactly at it, and saturates at the minimal rate
     r^(2-N) above it.  At a*m <= 2 no decaying inhibitor exists at all.
     """
-    import numpy as np
-
     am = a * m
     threshold = N + s * (N - 2.0)
     power = np.where(_ge(am, threshold), 2.0 - N, -(am - 2.0) / (1.0 + s))
@@ -307,8 +305,6 @@ def predicted_v_profile(params: ExponentSet, u_profile: AsymptoticProfile) -> As
     """Inhibitor profile forced by an activator decaying like r^-a (the rule
     is ``_v_powers``).  Requires a*m > 2, otherwise no decaying inhibitor
     exists at all."""
-    import numpy as np
-
     if u_profile.kind is not ProfileKind.PURE_POWER:
         raise ConfigError("activator profile must be a pure power law")
     a = -u_profile.power
@@ -337,8 +333,6 @@ def classify_lattice(N: int, kind: SystemKind, p, q, m, s, k):
     verdict reports only what the known conditions settle.  Rules that a
     cell never reaches may divide by zero on it, silently.
     """
-    import numpy as np
-
     p, q, m, s, k = (np.asarray(x, dtype=float)[()] for x in (p, q, m, s, k))
     nan = math.nan
     NONEX, INCONCLUSIVE = Outcome.NONEXISTENCE, Outcome.INCONCLUSIVE
