@@ -160,7 +160,7 @@ def _settings(args: argparse.Namespace, optional=()) -> dict:
             elif float(value) != _RETIRED[key]:
                 raise ConfigError(f"{key} = {value!r} is no longer supported "
                                   f"(fixed at {_RETIRED[key]})")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad value {value!r} for {key}: {exc}") from exc
     return typed
 

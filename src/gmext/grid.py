@@ -16,15 +16,25 @@ weakly diagonally dominant with a strictly dominant Dirichlet row: an
 irreducible M-matrix, so the inverse is nonnegative and the scheme obeys a
 discrete comparison principle.
 
-``RadialOperator.solve`` is LAPACK ``gtsv`` on copies of the three
-diagonals and the right-hand side; ``solve_block`` is LAPACK ``gbsv``.  Each
+Scaling row i of the n-1 non-Dirichlet rows by a weight w_i, with w_0 = 1
+and w_{i+1} = w_i sup_i / sub_{i+1}, makes them symmetric: nodes i and i+1
+couple through e_i = w_i sup_i in both rows, and the last e couples to the
+Dirichlet node, whose value moves to the right-hand side.  The scaled
+diagonal is built as -(e_{i-1} + e_i), so the scaled rows sum to zero as
+exactly as the unscaled ones.  For any shift >= 0 the result is a symmetric
+positive definite M-matrix, so ``RadialOperator.solve`` factors it as
+LDL^T (LAPACK ``pttrf``, no pivoting needed) and solves with the factors
+(``pttrs``).  The factors of the unshifted operator are kept once computed,
+and so are those of the last shift, so a run of solves with one shift
+factors once.  The weights grow like (R/r0)^N; an operator whose weights
+leave double range is refused.  ``solve_block`` is LAPACK ``gbsv``.  Each
 imports its scipy routine when it is first called, so building grids and
 operators, and everything that only classifies or fits, needs numpy alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,7 +103,10 @@ class RadialOperator:
 
     Row 0 is the Neumann (ghost-reflected) row, rows 1..n-2 the interior
     stencil, row n-1 an identity Dirichlet row.  ``sub[i]``, ``diag[i]``,
-    ``sup[i]`` hold the coefficients of row i.
+    ``sup[i]`` hold the coefficients of row i.  ``weight``, ``off`` and
+    ``sym_diag`` (n-1 entries each) are the symmetric form of rows 0..n-2
+    described in the module docstring: the row weights w, the couplings e
+    (``off[-1]`` to the Dirichlet node) and the diagonal -(e_{i-1} + e_i).
     """
 
     grid: RadialGrid
@@ -101,6 +114,11 @@ class RadialOperator:
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
+    weight: np.ndarray
+    off: np.ndarray
+    sym_diag: np.ndarray
+    # LDL^T factors: "unshifted" -> (d, e), "shifted" -> (shift[:-1], d, e)
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """L w in difference form: rows 0..n-2 have zero row sum by
@@ -123,23 +141,50 @@ class RadialOperator:
         """Solve (L + diag(shift)) w = rhs with the outer row forced to
         ``outer_value``.  ``shift`` never touches the Dirichlet row.
 
-        ``gtsv`` overwrites all four arrays it is given with its LU factors,
-        so it only ever sees fresh copies, never the operator's own arrays.
-        Non-finite data or a singular matrix raises DivergedError.
+        The symmetric form of the non-Dirichlet rows is factored as LDL^T
+        and solved with the factors.  The unshifted factors are computed on
+        the first unshifted solve and kept; the factors of the last shift
+        are kept too, and reused while ``shift[:-1]`` is equal in value, so
+        the answer is the same bit for bit whether the factors are fresh or
+        kept.  The contract is ``shift >= 0``, which keeps an M-matrix; a
+        shift that leaves the matrix indefinite, non-finite data or a
+        singular matrix raises DivergedError.  The operator's arrays and
+        the caller's are never written.
         """
-        from scipy.linalg.lapack import dgtsv
+        from scipy.linalg.lapack import dpttrs
 
-        d = self.diag.copy()
-        if shift is not None:
-            d[:-1] += shift[:-1]
-        b = np.array(rhs, dtype=float)
-        b[-1] = outer_value
-        if not (np.isfinite(d).all() and np.isfinite(b).all()):
-            raise DivergedError("tridiagonal solve got a non-finite diagonal, rhs or outer value")
-        *_, x, info = dgtsv(self.sub[1:].copy(), d, self.sup[:-1].copy(), b, 1, 1, 1, 1)
+        d, e = self._factor(shift)
+        w = np.empty(self.grid.n)
+        b = w[:-1]
+        np.multiply(self.weight, np.asarray(rhs, dtype=float)[:-1], out=b)
+        b[-1] -= self.off[-1] * outer_value
+        if not np.isfinite(b).all():
+            raise DivergedError("tridiagonal solve got a non-finite rhs or outer value")
+        # b is a contiguous view of w, so pttrs writes the solution into w
+        dpttrs(d, e, b, overwrite_b=1)
+        w[-1] = outer_value
+        return w
+
+    def _factor(self, shift: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """LDL^T factors (d, e) of the symmetric form of L + diag(shift),
+        from the cache when they are there."""
+        from scipy.linalg.lapack import dpttrf
+
+        key = None if shift is None else np.asarray(shift, dtype=float)[:-1]
+        slot = "unshifted" if key is None else "shifted"
+        kept = self._factors.get(slot)
+        if kept is not None and (key is None or np.array_equal(kept[0], key)):
+            return kept[1], kept[2]
+        d = self.sym_diag if key is None else self.sym_diag + self.weight * key
+        if not np.isfinite(d).all():
+            raise DivergedError("tridiagonal solve got a non-finite shift")
+        # the wrapper wants one entry of e even for a 1x1 block, which
+        # LAPACK never reads
+        d, e, info = dpttrf(d, self.off[:max(d.size - 1, 1)])
         if info != 0:
-            raise DivergedError(f"tridiagonal matrix is singular (dgtsv info {info})")
-        return x
+            raise DivergedError(f"shifted operator is not positive definite (dpttrf info {info})")
+        self._factors[slot] = (None if key is None else key.copy(), d, e)
+        return d, e
 
 
 def solve_block(
@@ -183,14 +228,16 @@ def solve_block(
 
 
 def assemble_operator(grid: RadialGrid, N: int) -> RadialOperator:
-    """Second-order operator; requires h <= 2/(N-2) so the off-diagonals keep
-    the sign pattern that the comparison principle rests on."""
+    """Second-order operator; requires h < 2/(N-2) so the off-diagonals keep
+    the strict sign pattern that the comparison principle and the
+    symmetrizing weights rest on (at equality sub = 0 and the weights are
+    undefined), and weights inside double range."""
     if N < 3:
         raise ConfigError("operator assembly needs N >= 3 (N = 2 is classification-only)")
     h = grid.h
-    if h > 2.0 / (N - 2.0):
+    if not h < 2.0 / (N - 2.0):
         raise ConfigError(
-            f"xi-spacing h={h:g} too coarse for N={N}; need h <= {2.0/(N-2.0):g} "
+            f"xi-spacing h={h:g} too coarse for N={N}; need h < {2.0/(N-2.0):g} "
             "(refine the grid)"
         )
     n = grid.n
@@ -207,7 +254,20 @@ def assemble_operator(grid: RadialGrid, N: int) -> RadialOperator:
     diag[0] = inv_r2[0] * 2.0 / h ** 2
     sup[0] = -inv_r2[0] * 2.0 / h ** 2
     diag[-1] = 1.0
-    return RadialOperator(grid=grid, N=int(N), sub=sub, diag=diag, sup=sup)
+    # symmetric form of rows 0..n-2 (module docstring); the weights grow
+    # like (R/r0)^N, and a sub rounded to zero makes them infinite
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weight = np.concatenate([[1.0], np.cumprod(sup[:-2] / sub[1:-1])])
+        off = weight * sup[:-1]
+        sym_diag = -off
+        sym_diag[1:] -= off[:-1]
+    if not (np.all((0.0 < weight) & (weight < np.inf)) and np.isfinite(sym_diag).all()):
+        raise ConfigError(
+            f"the symmetrizing weights of N={N} on r0={grid.r0:g}..R={grid.R:g} "
+            "leave double range (they grow like (R/r0)^N); use a smaller R/r0"
+        )
+    return RadialOperator(grid=grid, N=int(N), sub=sub, diag=diag, sup=sup,
+                          weight=weight, off=off, sym_diag=sym_diag)
 
 
 def solve_linear(op: RadialOperator, rhs: np.ndarray, outer_value: float) -> GridFunction:

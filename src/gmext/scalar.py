@@ -414,22 +414,25 @@ def _newton(
     would freeze the residual at that level.  Returns the iterate, its
     backward error and the number of steps, one tridiagonal solve each."""
 
-    def be_of(wvals: np.ndarray) -> float:
-        return backward_error(op, wvals, psi * g.g(np.maximum(wvals, gfloor)))
+    def at(wvals: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        # the floored iterate, the source Psi g there and its backward error
+        wf = np.maximum(wvals, gfloor)
+        f = psi * g.g(wf)
+        return wf, f, backward_error(op, wvals, f)
 
-    be = be_of(w)
+    wf, f, be = at(w)
     steps = 0
     while be > tol and steps < 40:
-        wf = np.maximum(w, gfloor)
-        J = psi * g.dg_magnitude(wf)
-        wn = op.solve(psi * g.g(wf) + J * w, outer_value, shift=J)
+        # |g'(t)| = s g(t) / t, so the Jacobian reuses the iterate's source
+        J = g.s * f / wf
+        wn = op.solve(f + J * w, outer_value, shift=J)
         steps += 1
         wn = np.clip(wn, gfloor, cap_hi)
         wn[-1] = outer_value
-        ben = be_of(wn)
+        wfn, fn, ben = at(wn)
         if ben >= be and steps > 3:
             break
-        w, be = wn, ben
+        w, wf, f, be = wn, wfn, fn, ben
     return w, be, steps
 
 
@@ -450,7 +453,7 @@ def _solve_pinned(
         nonlocal solves
         out = op.solve(psi * geval(wvals + delta), outer_value)
         solves += 1
-        return np.clip(out, 0.0, None)
+        return np.clip(out, 0.0, None, out=out)
 
     V = lower_step(W, 0.0)
     # the barriers are certified in the continuum; on coarse grids their
@@ -483,15 +486,18 @@ def _solve_pinned(
         if record_history:
             record.iterates.append(w.copy())
         for j in range(cap):
-            rhs = psi * geval(w + delta) + M * w
+            rhs = psi * geval(w + delta)
+            rhs += M * w
             wn = op.solve(rhs, outer_value, shift=M)
             solves += 1
             raw_excess = float(np.max((wn - w) / np.maximum(w, _TINY)))
             if raw_excess > 1e-10:
                 record.monotone_ok = False
                 record.max_violation = max(record.max_violation, raw_excess)
-            wn = np.maximum(np.minimum(wn, w), V)
-            change = float(np.max(np.abs(wn - w) / np.maximum(np.abs(wn), _TINY)))
+            np.minimum(wn, w, out=wn)
+            np.maximum(wn, V, out=wn)
+            # wn >= V >= 0 needs no abs
+            change = float(np.max(np.abs(wn - w) / np.maximum(wn, _TINY)))
             w = wn
             record.sweeps += 1
             if record_history:

@@ -158,7 +158,7 @@ def _replay(manifest_text, tmp_path):
 
 
 @pytest.mark.parametrize("edit", ["drop_r0", "bad_n", "fractional_n", "infinite_R", "no_config",
-                                  "not_json"])
+                                  "not_json", "huge_N", "infinite_N"])
 def test_bad_replay_manifest_exit_64(solved_dir, tmp_path, edit):
     manifest = json.loads((solved_dir / "run1.manifest.json").read_text())
     if edit == "drop_r0":
@@ -169,6 +169,10 @@ def test_bad_replay_manifest_exit_64(solved_dir, tmp_path, edit):
         manifest["config"]["n"] = 2049.5
     elif edit == "infinite_R":
         manifest["config"]["R"] = float("inf")  # written as Infinity
+    elif edit == "huge_N":
+        manifest["config"]["N"] = 10 ** 400  # a whole number past float range
+    elif edit == "infinite_N":
+        manifest["config"]["N"] = float("inf")
     elif edit == "no_config":
         del manifest["config"]
     text = "{not json" if edit == "not_json" else json.dumps(manifest)

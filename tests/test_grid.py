@@ -69,6 +69,38 @@ def test_operator_needs_fine_enough_mesh():
         assemble_operator(grid, 2)
 
 
+@pytest.mark.parametrize("N, R", [(3, np.exp(2.0)), (4, np.e)])
+def test_operator_refuses_spacing_at_the_bound(N, R):
+    # at h = 2/(N-2) sub vanishes and the symmetrizing weights are undefined
+    grid = build_grid(1.0, R, 2)
+    assert grid.h == 2.0 / (N - 2)
+    with pytest.raises(ConfigError, match="too coarse"):
+        assemble_operator(grid, N)
+    assemble_operator(build_grid(1.0, R, 3), N)
+
+
+def test_operator_refuses_weights_past_double_range():
+    # the weights grow like (R/r0)^N: (1e10)^40 overflows, (1e10)^3 does not
+    grid = build_grid(1.0, 1e10, 1025)
+    with pytest.raises(ConfigError, match="double range"):
+        assemble_operator(grid, 40)
+    op = assemble_operator(grid, 3)
+    assert np.all(np.isfinite(op.weight)) and op.weight[-1] > 1e29
+
+
+def test_symmetric_form():
+    # weight * (rows 0..n-2) is symmetric with off-diagonal off and
+    # zero row sums, diagonal built as -(off[i-1] + off[i])
+    op = make_op(R=10.0, n=17)
+    A = np.diag(op.diag) + np.diag(op.sup[:-1], 1) + np.diag(op.sub[1:], -1)
+    S = op.weight[:, None] * A[:-1, :]
+    assert np.allclose(S[:, :-1], S[:, :-1].T, rtol=1e-14, atol=0.0)
+    assert np.array_equal(np.diag(S[:, :-1], 1), op.off[:-1])
+    assert S[-1, -1] == pytest.approx(op.off[-1], rel=1e-15)
+    assert np.array_equal(op.sym_diag, -(op.off + np.append(0.0, op.off[:-1])))
+    assert np.all(op.off < 0) and np.all(op.sym_diag > 0)
+
+
 def test_constants_are_discretely_harmonic():
     op = make_op(n=129)
     res = op.apply(np.ones(129))
@@ -170,8 +202,8 @@ def test_backward_error_of_direct_solve():
 
 
 def test_tridiagonal_solve_matches_dense():
-    # gtsv against the dense L + diag(shift); the Dirichlet row ignores the
-    # shift, and the operator's own diagonals survive the in-place LU
+    # LDL^T against the dense L + diag(shift); the Dirichlet row ignores the
+    # shift, and the operator's own diagonals survive the factorization
     rng = np.random.default_rng(11)
     n = 17
     op = make_op(R=10.0, n=n)
@@ -203,6 +235,105 @@ def test_tridiagonal_solve_bad_data_raises_diverged():
     # shift = -diag zeroes the first column exactly
     with pytest.raises(DivergedError):
         op.solve(np.ones(2), 1.0, -op.diag)
+
+
+def test_two_point_grid_solves():
+    # n = 2 leaves a 1x1 block: row 0 is diag[0] w0 + sup[0] w1 = rhs[0]
+    op = make_op(R=2.0, n=2)
+    w = op.solve(np.array([3.0, 0.0]), 0.5)
+    assert w[1] == 0.5
+    assert w[0] == pytest.approx((3.0 - op.sup[0] * 0.5) / op.diag[0], rel=1e-15)
+    shifted = op.solve(np.array([3.0, 0.0]), 0.5, np.array([1.0, 7.0]))
+    assert shifted[0] == pytest.approx((3.0 - op.sup[0] * 0.5) / (op.diag[0] + 1.0), rel=1e-15)
+
+
+def test_kept_factors_give_identical_solves():
+    rng = np.random.default_rng(5)
+    n = 513
+    shifts = rng.uniform(0.0, 1.0, (2, n))
+    rhs = rng.uniform(0.0, 1.0, n)
+    calls = [(None, 0.3), (shifts[0], 0.3), (shifts[0], 0.8), (shifts[1], 0.3),
+             (None, 0.8), (shifts[0].copy(), 0.3)]
+    warm = make_op(n=n)
+    kept = [a.copy() for a in (warm.weight, warm.off, warm.sym_diag)]
+    for shift, outer in calls:
+        cold = make_op(n=n).solve(rhs, outer, shift)
+        assert np.array_equal(warm.solve(rhs, outer, shift), cold)
+    # a shift changed in place after its solve is not taken for the old one
+    shift = shifts[1].copy()
+    warm.solve(rhs, 0.3, shift)
+    shift[5] += 1.0
+    assert np.array_equal(warm.solve(rhs, 0.3, shift), make_op(n=n).solve(rhs, 0.3, shift))
+    for before, now in zip(kept, (warm.weight, warm.off, warm.sym_diag)):
+        assert np.array_equal(before, now)
+
+
+def test_indefinite_shift_raises_diverged():
+    # a uniform shift below -lambda_min of L (whose eigenvalues are real and
+    # positive, L being similar to a symmetric positive definite matrix)
+    # leaves every diagonal entry positive but the matrix indefinite
+    op = make_op(R=10.0, n=33)
+    A = np.diag(op.diag) + np.diag(op.sup[:-1], 1) + np.diag(op.sub[1:], -1)
+    lam_min = float(np.min(np.linalg.eigvals(A[:-1, :-1]).real))
+    assert 0.0 < 2.0 * lam_min < np.min(op.diag[:-1])
+    rhs = np.ones(33)
+    op.solve(rhs, 1.0, np.full(33, -0.5 * lam_min))
+    with pytest.raises(DivergedError, match="not positive definite"):
+        op.solve(rhs, 1.0, np.full(33, -2.0 * lam_min))
+    with pytest.raises(DivergedError):
+        op.solve(rhs, 1.0, np.full(33, np.nan))
+
+
+def _thomas_longdouble(op, rhs, outer_value, shift):
+    """Thomas elimination of (L + diag(shift)) w = rhs, w[-1] = outer_value,
+    in long double on the operator's own (unscaled) coefficients."""
+    ld = np.longdouble
+    a, b, c = (x.astype(ld) for x in (op.sub, op.diag, op.sup))
+    d = rhs.astype(ld)
+    if shift is not None:
+        b[:-1] += shift[:-1].astype(ld)
+    d[-1] = ld(outer_value)
+    n = len(d)
+    cp, dp = np.zeros(n, dtype=ld), np.zeros(n, dtype=ld)
+    cp[0], dp[0] = c[0] / b[0], d[0] / b[0]
+    for i in range(1, n):
+        piv = b[i] - a[i] * cp[i - 1]
+        cp[i] = c[i] / piv
+        dp[i] = (d[i] - a[i] * dp[i - 1]) / piv
+    x = dp.copy()
+    for i in range(n - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return x
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("shifted", [False, True])
+def test_forward_error_matches_pivoted_lu(shifted):
+    # the symmetric LDL^T solve is as accurate as LAPACK's pivoted gtsv on
+    # the unscaled rows, measured against a long-double reference
+    from scipy.linalg.lapack import dgtsv
+
+    op = make_op(n=4097)
+    r = op.grid.r
+    rhs, outer_value, shift = r ** -4.0, 1e-4, None
+    if shifted:
+        # a Newton step of -Lap w = r^-4 w^-2 at w = 1/r
+        w = 1.0 / r
+        shift = 2.0 * r ** -4.0 * w ** -3.0
+        rhs = r ** -4.0 * w ** -2.0 + shift * w
+    exact = _thomas_longdouble(op, rhs, outer_value, shift)
+
+    def rel_err(x):
+        return float(np.max(np.abs(x - exact) / np.abs(exact)))
+
+    d = op.diag.copy()
+    if shift is not None:
+        d[:-1] += shift[:-1]
+    b = rhs.copy()
+    b[-1] = outer_value
+    lu = dgtsv(op.sub[1:].copy(), d, op.sup[:-1].copy(), b)[3]
+    assert rel_err(op.solve(rhs, outer_value, shift)) <= 10.0 * rel_err(lu)
 
 
 def test_block_solve_matches_dense():
