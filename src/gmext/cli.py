@@ -17,10 +17,12 @@ the same way.
 Every ``solve`` run writes a JSON manifest recording all effective settings,
 so ``solve --from-manifest run.json`` (which takes no other setting)
 reproduces the solution CSV byte for byte.
-``sweep`` classifies its whole lattice with one ``classify_lattice`` call and
-streams the rows to the CSV; ``sweep --solve`` solves each existence cell,
-in a pool of ``--jobs`` workers, at ``--lambda`` (or the config file's
-``lam``) when given, else at half the cell's lambda threshold.
+``sweep`` classifies its whole lattice with one ``classify_lattice`` call;
+``sweep --solve`` solves each existence cell, in a pool of ``--jobs``
+workers, at ``--lambda`` (or the config file's ``lam``) when given, else at
+half the cell's lambda threshold.  Both CSVs are written by ``_write_csv``,
+a chunk of rows at a time.  ``solve`` and ``sweep`` check that their outputs
+can be written before any work, so an unusable ``--output`` exits 64.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ EXIT_BAD_CSV = 65
 EXIT_SOLVER = 70
 
 _FLOAT_FMT = "%.17g"
+# rows per write of _write_csv: the text of one chunk, not of the whole file,
+# is held in memory at a time
+_CSV_CHUNK_ROWS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +314,54 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
     return manifest, rows, EXIT_EXISTS
 
 
+def _check_output(path: Path) -> None:
+    """ConfigError unless ``path`` can be opened for writing once its missing
+    parent directories are made; it makes nothing, so a command checks its
+    outputs before any classifying or solving."""
+    if path.is_dir():
+        raise ConfigError(f"output {path} is a directory")
+    parent = path.parent
+    while not parent.exists():
+        parent = parent.parent
+    if not parent.is_dir():
+        raise ConfigError(f"output {path}: {parent} is not a directory")
+    if not os.access(path if path.exists() else parent, os.W_OK):
+        raise ConfigError(f"output {path} is not writable")
+
+
+def _open_output(path: Path):
+    """``path`` opened for writing, its parent directories made; a failure is
+    a ConfigError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
+def _write_csv(path: Path, header: list[str], n_rows: int, lines) -> None:
+    """``header`` and ``n_rows`` rows to ``path``, in chunks of
+    ``_CSV_CHUNK_ROWS`` rows with one write each; ``lines(lo, hi)`` is the
+    text of rows lo..hi-1, each ended by CRLF.
+
+    The text is RFC 4180 CSV as ``csv.writer`` writes it in its ``excel``
+    dialect (comma, CRLF, minimal quoting), joined without it: minimal
+    quoting never fires, because no field text gmext writes (``%.17g``
+    floats, ``Outcome`` values, condition and error tags, empty strings)
+    contains ``,``, ``"``, ``\r`` or ``\n``."""
+    with _open_output(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
+            fh.write(lines(lo, min(lo + _CSV_CHUNK_ROWS, n_rows)))
+
+
+_SOLUTION_FIELDS = ["r", "u", "v", "residual_u", "residual_v"]
+_SOLUTION_LINE = ",".join([_FLOAT_FMT] * len(_SOLUTION_FIELDS)) + "\r\n"
+
+
 def write_solution_csv(path: Path, rows: list[tuple]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "u", "v", "residual_u", "residual_v"])
-        for row in rows:
-            writer.writerow([_FLOAT_FMT % x for x in row])
+    _write_csv(path, _SOLUTION_FIELDS, len(rows),
+               lambda lo, hi: "".join([_SOLUTION_LINE % row for row in rows[lo:hi]]))
 
 
 def _fitted_powers(manifest: dict) -> dict[str, float]:
@@ -324,6 +371,12 @@ def _fitted_powers(manifest: dict) -> dict[str, float]:
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _solve_config(args)
     ref_powers = _load_manifest(args.reference, _fitted_powers) if args.reference else None
+    outdir = Path(args.output or ".")
+    stem = args.name or "solution"
+    csv_path = outdir / f"{stem}.csv"
+    man_path = outdir / f"{stem}.manifest.json"
+    _check_output(csv_path)
+    _check_output(man_path)
     verdict = classify(params_from(cfg), cfg["r0"])
     if not verdict.exists:
         print(f"{_verdict_line(verdict)}: refusing to solve; "
@@ -338,14 +391,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "delta_v_power": abs(manifest["fits"]["v"]["power"] - ref_powers["v"]),
         }
 
-    outdir = Path(args.output or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    stem = args.name or "solution"
-    csv_path = outdir / f"{stem}.csv"
-    man_path = outdir / f"{stem}.manifest.json"
     write_solution_csv(csv_path, rows)
-    man_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    with _open_output(man_path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     fits = manifest["fits"]
     print(f"wrote {csv_path} and {man_path}")
     print(f"fitted exponents: u {fits['u']['power']:+.4f} "
@@ -437,6 +485,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # settings are coerced once; each cell overlays only its axis values
     base = _settings(args, optional=axes)
     jobs = _jobs(args)
+    out = Path(args.output or "atlas.csv")
+    _check_output(out)
 
     # cell i holds values[key][at[key][i]]; the cells run in itertools.product
     # order over the sorted axis keys
@@ -485,11 +535,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         *(_power_texts(np.where(shown, power, np.nan)) for power in powers),
         fit_u, fit_v, error,
     ]
-    out = Path(args.output or "atlas.csv")
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_FIELDS)
-        writer.writerows(zip(*columns))
+    _write_csv(out, _SWEEP_FIELDS, n_cells, lambda lo, hi: "".join(
+        [",".join(row) + "\r\n" for row in zip(*(c[lo:hi].tolist() for c in columns))]))
     print(f"wrote {out} ({n_cells} cells)")
     return 0
 

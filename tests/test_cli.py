@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,6 @@ BASE = ["--N", "3", "--p", "5", "--q", "1", "--m", "6", "--s", "1", "--k", "4"]
 
 def run_cli(args):
     """In-process invocation; returns (exit_code, stdout, stderr)."""
-    import io
     from contextlib import redirect_stderr, redirect_stdout
 
     out, err = io.StringIO(), io.StringIO()
@@ -681,7 +682,9 @@ def test_sweep_solve_parallel_matches_serial(tmp_path):
     rows = list(csv.DictReader(serial.read_text().splitlines()))
     assert {row["outcome"] for row in rows} >= {"NONEXISTENCE", "EXISTS_MINIMAL_GROWTH"}
     assert sum(row["fit_u_power"] != "" for row in rows) == 3
+    assert [row["error"] for row in rows].count("DIVERGED") == 1
     assert serial.read_bytes() == parallel.read_bytes()
+    _assert_csv_writer_bytes(serial)
 
 
 def test_sweep_jobs_env_fallback(tmp_path, monkeypatch):
@@ -703,6 +706,143 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert run_cli(["sweep", *argv_tail, "--output", str(serial)])[0] == 0
     assert run_cli(["sweep", *argv_tail, "--output", str(parallel), "--jobs", "4"])[0] == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def _assert_csv_writer_bytes(path):
+    """The file holds what csv.writer, in its default excel dialect, writes
+    for the rows csv.reader reads back from it."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    assert path.read_bytes() == text.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("argv, reaches", [
+    (["--N", "3", "--s", "1", "--vary", "p=1:7:4", "--vary", "q=0.5:2:2",
+      "--vary", "m=1:6:3", "--vary", "k=2.5:4.5:3"],
+     {"NONEXISTENCE", "EXISTS_MINIMAL_GROWTH", "EXISTS_FAST_GROWTH", "INCONCLUSIVE"}),
+    (["--kind", "MIXED", "--N", "3", "--p", "1", "--m", "5", "--s", "1",
+      "--vary", "q=3:6:4", "--vary", "k=3.5:4.5:3"],
+     {"EXISTS_MIXED_MINIMAL", "INCONCLUSIVE"}),
+    # q <= 0 makes BAD_CONFIG cells, a*m within 1e-12 of 2 NO_INHIBITOR ones
+    (["--N", "4", "--m", "1.0011393632041066", "--s", "1", "--k", "3.9977238669360475",
+      "--vary", "p=2.5:3.5:3", "--vary", "q=-1:3:5"],
+     {"", "INCONCLUSIVE", "BAD_CONFIG", "NO_INHIBITOR_SOLUTION"}),
+], ids=["gm", "mixed", "cell_errors"])
+def test_sweep_csv_is_csv_writer_text(tmp_path, argv, reaches):
+    out = tmp_path / "atlas.csv"
+    code, _, err = run_cli(["sweep", *argv, "--output", str(out)])
+    assert code == 0, err
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert {row["outcome"] for row in rows} | {row["error"] for row in rows} >= reaches
+    _assert_csv_writer_bytes(out)
+
+
+class _CountingFile:
+    """A writable file that records the text of each write."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.writes = fh, writes
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+@pytest.mark.parametrize("n_cells", [0, 7, 8, 15])
+def test_sweep_writes_header_then_one_write_per_chunk(tmp_path, monkeypatch, n_cells):
+    import gmext.cli
+
+    writes = []
+    real_open = gmext.cli._open_output
+    monkeypatch.setattr(gmext.cli, "_CSV_CHUNK_ROWS", 7)
+    monkeypatch.setattr(gmext.cli, "_open_output",
+                        lambda path: _CountingFile(real_open(path), writes))
+    out = tmp_path / "atlas.csv"
+    code, _, err = run_cli([*SWEEP, "--vary", f"p=3:7:{n_cells}", "--output", str(out)])
+    assert code == 0, err
+    data = out.read_bytes()
+    assert data.endswith(b"\r\n") and data.count(b"\r\n") == 1 + n_cells
+    assert len(writes) == 1 + math.ceil(n_cells / 7)
+    assert [text.count("\r\n") for text in writes[1:]] == [
+        min(7, n_cells - lo) for lo in range(0, n_cells, 7)]
+    _assert_csv_writer_bytes(out)
+
+
+def test_solution_csv_is_csv_writer_text(tmp_path, monkeypatch):
+    import gmext.cli
+
+    monkeypatch.setattr(gmext.cli, "_CSV_CHUNK_ROWS", 7)
+    values = np.array([0.0, -0.0, 1.0, -2.5e-300, 1e300, 1 / 3, np.pi, np.inf, -np.inf,
+                       np.nan, 5e-324, 123456789.125, -1e-7, 2.0 ** 60, 0.1])
+    rows = list(zip(*(np.roll(values, shift) for shift in range(5))))
+    path = tmp_path / "solution.csv"
+    gmext.cli.write_solution_csv(path, rows)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["r", "u", "v", "residual_u", "residual_v"])
+    writer.writerows([["%.17g" % x for x in row] for row in rows])
+    assert path.read_bytes() == text.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# output locations
+
+
+def test_sweep_makes_its_output_directory(tmp_path):
+    out = tmp_path / "new_dir" / "deeper" / "atlas.csv"
+    code, _, err = run_cli([*SWEEP, "--vary", "p=3:7:3", "--output", str(out)])
+    assert code == 0, err
+    assert len(list(csv.DictReader(out.read_text().splitlines()))) == 3
+
+
+@pytest.mark.parametrize("command, target", [
+    ("sweep", "directory"), ("sweep", "under_a_file"), ("sweep", "read_only"),
+    ("solve", "regular_file"), ("solve", "csv_is_a_directory"),
+])
+def test_unusable_output_exit_64_before_solving(tmp_path, monkeypatch, command, target):
+    import gmext.cli
+
+    def no_solve(cfg):
+        raise AssertionError("solved before checking the output")
+
+    monkeypatch.setattr(gmext.cli, "run_solve", no_solve)
+    existing = tmp_path / "existing"
+    if target in ("directory", "csv_is_a_directory", "read_only"):
+        existing.mkdir()
+        (existing / "solution.csv").mkdir()
+    else:
+        existing.write_text("keep me\n")
+    if target == "read_only":
+        # as os.access answers for a directory the user may not write to
+        monkeypatch.setattr(gmext.cli.os, "access", lambda path, mode: False)
+    if command == "sweep":
+        out = (existing / "atlas.csv" if target in ("under_a_file", "read_only")
+               else existing)
+        argv = [*SWEEP, "--vary", "p=5:6:2", "--solve", "--jobs", "1", "--output", str(out)]
+    else:
+        argv = ["solve", *BASE, "--output", str(existing)]
+    code, stdout, err = run_cli(argv)
+    assert code == 64
+    assert len(err.splitlines()) == 1 and err.startswith("configuration error: output")
+    assert stdout == ""
+    if target == "regular_file":
+        assert existing.read_text() == "keep me\n"
+
+
+def test_output_that_cannot_be_opened_is_a_config_error(tmp_path):
+    from gmext.cli import _open_output
+    from gmext.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="cannot write output"):
+        _open_output(tmp_path)
 
 
 # ---------------------------------------------------------------------------
