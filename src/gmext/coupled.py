@@ -11,6 +11,9 @@ profiles.  The steady state is a fixed point of H, i.e. a solution of the
 discrete system L u = f(u, v) + lam rho, L v = u^m v^-s; Newton on that
 system (u and v interleaved, so the Jacobian is a (2,2)-banded matrix)
 finds it, and one final application of H certifies it as a fixed point.
+That application starts its monotone scalar solve from the Newton state's
+v, which already solves the inner problem at the same pin, so the drive
+runs only its last stage (the image does not depend on v otherwise).
 The state is certified against the invariant box
 
     D r^-a <= u <= E r^-a,      F psi <= v <= G psi,
@@ -202,9 +205,13 @@ def apply_H(
 
     Outer pins default to the outer node of ``initial_state``'s box
     midpoint (geometric means of the schedule's bounds on the verdict's
-    profiles).  The image keeps the state's schedule and verdict; its
-    ``diagnostics`` hold only this application's inner-solve flags,
-    ``inner_monotone_ok`` and ``inner_sandwiched``.
+    profiles).  The inner solve is warm-started from the state's v
+    (``solve_monotone(start=v)``); its problem does not involve v, so the
+    image Tv moves only by solver tolerance with the start, and a v that is
+    no supersolution of it falls back to the drive from the barrier.  The
+    image keeps the state's schedule and verdict; its ``diagnostics`` hold
+    only this application's inner-solve flags, ``inner_monotone_ok`` and
+    ``inner_sandwiched``.
     """
     state.check_positive()
     grid = op.grid
@@ -216,7 +223,7 @@ def apply_H(
     _, rhs_u, _ = _equations(params, env.rho(grid.r), u, v)
     Tu = solve_linear(op, rhs_u, pins[0])
     inner = solve_monotone(
-        op, u ** params.m, NonlinearitySpec.power(params.s), outer=pins[1],
+        op, u ** params.m, NonlinearitySpec.power(params.s), outer=pins[1], start=v,
     )
     new = CoupledState(
         u=Tu, v=inner.w, schedule=state.schedule, verdict=state.verdict,

@@ -123,18 +123,25 @@ class RadialOperator:
     def apply(self, w: np.ndarray) -> np.ndarray:
         """L w in difference form: rows 0..n-2 have zero row sum by
         construction, so constants are annihilated exactly."""
-        out = np.zeros_like(w)
-        out[:-1] += self.sup[:-1] * (w[1:] - w[:-1])
-        out[1:-1] += self.sub[1:-1] * (w[:-2] - w[1:-1])
+        # one forward difference serves both couplings: w[i-1] - w[i] is
+        # -dp[i-1] exactly, so subtracting sub * dp matches the second
+        # difference bit for bit
+        dp = w[1:] - w[:-1]
+        out = np.empty_like(w)
+        np.multiply(self.sup[:-1], dp, out=out[:-1])
+        out[1:-1] -= self.sub[1:-1] * dp[:-1]
         out[-1] = w[-1]
         return out
 
     def abs_row_action(self, w: np.ndarray) -> np.ndarray:
-        """Row-wise |L| |w|, the natural scale for backward-error tests."""
+        """Row-wise |L| |w|, the natural scale for backward-error tests.
+
+        ``assemble_operator`` gives diag > 0 and sub, sup <= 0, so |L| is
+        diag on the diagonal and -sub, -sup off it, exactly."""
         aw = np.abs(w)
-        out = np.abs(self.diag) * aw
-        out[:-1] += np.abs(self.sup[:-1]) * aw[1:]
-        out[1:] += np.abs(self.sub[1:]) * aw[:-1]
+        out = self.diag * aw
+        out[:-1] -= self.sup[:-1] * aw[1:]
+        out[1:] -= self.sub[1:] * aw[:-1]
         return out
 
     def solve(self, rhs: np.ndarray, outer_value: float, shift: np.ndarray | None = None) -> np.ndarray:
@@ -293,10 +300,14 @@ def backward_error(op: RadialOperator, w: np.ndarray, rhs: np.ndarray) -> float:
     computed solution can meaningfully reach in floating point; machine-size
     values certify that w solves a negligibly perturbed discrete system.
     """
-    res = op.apply(w) - rhs
-    den = op.abs_row_action(w) + np.abs(rhs)
-    den = np.maximum(den, 1e-300)
-    return float(np.max(np.abs(res[:-1]) / den[:-1]))
+    res = op.apply(w)
+    res -= rhs
+    np.abs(res, out=res)
+    den = op.abs_row_action(w)
+    den += np.abs(rhs)
+    np.maximum(den, 1e-300, out=den)
+    res /= den
+    return float(np.max(res[:-1]))
 
 
 def _windowed_residual(op: RadialOperator, w: np.ndarray, rhs: np.ndarray,

@@ -25,7 +25,12 @@ mirrors the constructive existence argument:
     w <- min(w + (delta_old - delta_new), W), which preserves the
     supersolution property exactly, so monotonicity restarts cleanly per
     stage.  (A globally monotone sequence across decreasing shifts cannot
-    exist: the shifted solutions increase as delta decreases.)
+    exist: the shifted solutions increase as delta decreases.)  Monotone
+    iteration converges from any supersolution, not only the barrier
+    (Sattinger 1972), so a caller holding a solution of the same problem may
+    pass it as a warm start: the drive then runs only the unshifted stage
+    from it, and falls back to the drive from W when a sweep rises above
+    its iterate (the start was no supersolution).
 
 4.  A safeguarded Newton finish drives the componentwise backward error to
     the requested level, guarded by positivity and a gross-divergence cap
@@ -38,7 +43,7 @@ each from the previous round's solution (the first from W).  On a concave,
 inverse-positive problem like this one Newton converges from there
 (Ortega-Rheinboldt), and it lands within 1e-8 relative of the drive's answer
 at the same pin.  The reported solve then runs steps 1-4 once, at the chosen
-pin.
+pin, with the last round's solution as the warm start of step 3.
 
 Schedule entries are interpreted relative to max(W) so the drive is invariant
 under the amplitude scaling w -> c w, Psi -> c^(1+s) Psi.
@@ -223,6 +228,8 @@ class ScalarSolveResult:
     backward_error: float
     solves: int
     pin_rounds: int = 1
+    # True when the drive kept its warm start, False when it ran from W
+    warm_start: bool = False
 
     @property
     def monotone_ok(self) -> bool:
@@ -292,6 +299,7 @@ def solve_monotone(
     truncate_tail: bool = False,
     record_history: bool = False,
     pin_rounds: int = _PIN_ROUNDS,
+    start: np.ndarray | None = None,
 ) -> ScalarSolveResult:
     """Solve -Lap w = Psi g(w) with Neumann inner row and Dirichlet outer row.
 
@@ -307,10 +315,20 @@ def solve_monotone(
     Newton solves on choosing the pin; its 1e-9 stop test is not met in
     practice, so with the default four rounds the answer is the solve at
     the third extrapolated pin, not a self-consistent one.  The reported
-    solve runs the monotone drive from the upper barrier at that pin
-    (``_solve_extrapolated``), so the stage records, barriers and
+    solve runs the monotone drive at that pin (``_solve_extrapolated``),
+    from the last round's solution, so the stage records, barriers and
     certificates are those of a fixed-pin solve.  ``solves`` and
     ``pin_rounds`` of the result count every round.
+
+    ``start`` warm-starts the drive of a fixed pin ("barrier", "zero" or a
+    number) from a solution already in hand: the drive runs only its
+    unshifted stage from ``start``, and the result's ``warm_start`` is True.
+    A start that turns out to be no supersolution (a sweep rises above its
+    iterate by more than 1e-10 relative) falls back to the drive from the
+    upper barrier, and ``solves`` counts both attempts.  A start of the wrong shape, with a
+    non-finite value or a nonpositive value off the outer node is a
+    ConfigError, and so is a start with "extrapolate", whose pin rounds
+    supply their own.  For g == 1 the single exact solve does not use it.
 
     The Newton finish stops at a backward error of ``_RES_TOL``; the
     monotone drive's shift schedule, sweep tolerance and sweep caps are
@@ -326,6 +344,15 @@ def solve_monotone(
         raise ConfigError("Psi must provide one value per grid node")
     if not np.all((0.0 <= psi) & (psi < np.inf)):
         raise ConfigError("Psi must be finite and nonnegative")
+    if start is not None:
+        if outer == "extrapolate":
+            raise ConfigError("start needs a fixed pin; the pin rounds of 'extrapolate' "
+                              "supply their own start")
+        start = np.asarray(start, dtype=float)
+        if start.shape != (grid.n,):
+            raise ConfigError("start must provide one value per grid node")
+        if not (np.isfinite(start).all() and np.all(start[:-1] > 0.0)):
+            raise ConfigError("start must be finite and positive off the outer node")
 
     if not np.any(psi > 0):
         # w == 0 is its own barrier and its own extrapolation, so only a
@@ -347,20 +374,21 @@ def solve_monotone(
         # potential already is the decaying solution, the exact
         # self-consistent pin
         pin = float(W[-1])
-    return _solve_pinned(op, psi, g, W, pin, record_history)
+    return _solve_pinned(op, psi, g, W, pin, record_history, start)
 
 
 def _solve_extrapolated(
     op: RadialOperator, psi: np.ndarray, g: NonlinearitySpec, W: np.ndarray,
     rounds: int, record_history: bool,
 ) -> ScalarSolveResult:
-    """The monotone drive ``_solve_pinned`` from the upper barrier ``W`` at
-    the pin ``_repin`` chooses.
+    """The monotone drive ``_solve_pinned`` at the pin ``_repin`` chooses.
 
     Each round that chooses the pin runs ``_newton`` to ``_WARM_TOL`` (the
     first from ``W``, each later one from the previous round's solution); a
-    round whose Newton ends above ``_ACCEPT_BE`` runs the drive instead.  The
-    result's ``solves`` and ``pin_rounds`` count every round.
+    round whose Newton ends above ``_ACCEPT_BE`` runs the drive from ``W``
+    instead.  The reported drive starts from the last round's solution when
+    a round ran, and from ``W`` otherwise.  The result's ``solves`` and
+    ``pin_rounds`` count every round.
     """
     solves = 0
     warm = W
@@ -379,7 +407,8 @@ def _solve_extrapolated(
         return warm
 
     pin, pin_rounds = _repin(op.grid, solve_at, rounds)
-    result = _solve_pinned(op, psi, g, W, pin, record_history)
+    result = _solve_pinned(op, psi, g, W, pin, record_history,
+                           None if warm is W else warm)
     result.pin_rounds = pin_rounds
     result.solves += solves
     return result
@@ -438,10 +467,20 @@ def _newton(
 
 def _solve_pinned(
     op: RadialOperator, psi: np.ndarray, g: NonlinearitySpec, W: np.ndarray,
-    outer_value: float, record_history: bool,
+    outer_value: float, record_history: bool, start: np.ndarray | None = None,
 ) -> ScalarSolveResult:
-    """The monotone drive and Newton finish from the upper barrier ``W``
-    with the outer value fixed."""
+    """The monotone drive and Newton finish with the outer value fixed.
+
+    Without ``start`` the drive runs the delta-continuation from the upper
+    barrier ``W``.  With one it first runs only the unshifted stage from S,
+    ``start`` lifted by a constant to cover the pin (rows sum to zero and g
+    is nonincreasing, so the lift keeps a supersolution), pinned and capped
+    by the lifted ``W``.  A warm sweep that rises above its iterate by more
+    than 1e-10 relative shows that S is no supersolution: it ends the warm
+    attempt, and the result is the drive from ``W``, with ``solves``
+    counting both attempts.  ``warm_start`` of the result records which
+    drive it holds.  The barrier pair is ``(V, W)`` either way, with V the
+    first lower barrier."""
     grid = op.grid
     W, scale, gfloor = _pin_frame(g, W, outer_value)
     solves = 0
@@ -455,31 +494,26 @@ def _solve_pinned(
         solves += 1
         return np.clip(out, 0.0, None, out=out)
 
-    V = lower_step(W, 0.0)
     # the barriers are certified in the continuum; on coarse grids their
     # discrete ordering can be off by the truncation error, so the clamp
     # floor is kept nodewise consistent with the ceiling
-    V = np.minimum(V, W)
-    V_initial = V.copy()
+    V_initial = np.minimum(lower_step(W, 0.0), W)
 
     if g.is_linear:
         # one solve is exact; barriers coincide with the solution up to the pin
-        w = V.copy()
+        w = V_initial.copy()
         be = backward_error(op, w, psi)
-        pair = BarrierPair(GridFunction(grid, np.minimum(V, W)), GridFunction(grid, W))
+        pair = BarrierPair(GridFunction(grid, V_initial), GridFunction(grid, W))
         return ScalarSolveResult(GridFunction(grid, w), pair, outer_value, [], 0, be, solves)
 
-    w = W.copy()
-    stages: list[StageRecord] = []
-    prev_delta: float | None = None
-    for rel_delta in _DELTA_SCHEDULE + (0.0,):
-        delta = rel_delta * scale
+    def stage(w: np.ndarray, V: np.ndarray, delta: float,
+              warm: bool) -> tuple[np.ndarray, np.ndarray, StageRecord]:
+        """Lagged sweeps at shift ``delta`` from the supersolution ``w``
+        inside [V, W]; a warm stage stops at its first rising sweep, and
+        refreshes V after its first sweep too, which then was monotone."""
+        nonlocal solves
+        M = psi * g.dg_magnitude(np.maximum(V, gfloor) + delta)
         final = delta == 0.0
-        if prev_delta is not None:
-            w = np.minimum(w + (prev_delta - delta), W)
-        prev_delta = delta
-        Vf = np.maximum(V, gfloor)
-        M = psi * g.dg_magnitude(Vf + delta)
         cap = _MAX_SWEEPS if final else _STAGE_CAP
         stage_tol = _SWEEP_TOL if final else 1e-4
         record = StageRecord(delta=delta, sweeps=0, monotone_ok=True, max_violation=0.0)
@@ -494,6 +528,8 @@ def _solve_pinned(
             if raw_excess > 1e-10:
                 record.monotone_ok = False
                 record.max_violation = max(record.max_violation, raw_excess)
+                if warm:
+                    break
             np.minimum(wn, w, out=wn)
             np.maximum(wn, V, out=wn)
             # wn >= V >= 0 needs no abs
@@ -504,30 +540,52 @@ def _solve_pinned(
                 record.iterates.append(w.copy())
             if change < stage_tol:
                 break
-            if (j + 1) % 4 == 0:
+            if (j + 1) % 4 == 0 or (warm and j == 0):
                 # tighten the lower barrier from the current supersolution;
                 # w + delta dominates the unshifted solution, so this stays
                 # a certified subsolution
                 Vn = lower_step(w, delta)
                 V = np.minimum(np.maximum(V, Vn), W)
-                Vf = np.maximum(V, gfloor)
-                M = psi * g.dg_magnitude(Vf + delta)
-        stages.append(record)
+                M = psi * g.dg_magnitude(np.maximum(V, gfloor) + delta)
+        return w, V, record
 
-    w, be, newton_sweeps = _newton(op, psi, g, w, outer_value, _RES_TOL, gfloor, 2.0 * scale)
-    solves += newton_sweeps
-    if float(np.max(w)) <= _COLLAPSE_FLOOR:
-        raise DegenerateSolveError("iterates collapsed below the positivity floor")
-    if be > _ACCEPT_BE:
-        raise ConvergenceError(
-            f"monotone iteration stalled: backward error {be:.2e} after "
-            f"{sum(st.sweeps for st in stages)} sweeps + {newton_sweeps} Newton steps"
+    def finish(w: np.ndarray, stages: list[StageRecord], warm: bool) -> ScalarSolveResult:
+        nonlocal solves
+        w, be, newton_sweeps = _newton(op, psi, g, w, outer_value, _RES_TOL, gfloor, 2.0 * scale)
+        solves += newton_sweeps
+        if float(np.max(w)) <= _COLLAPSE_FLOOR:
+            raise DegenerateSolveError("iterates collapsed below the positivity floor")
+        if be > _ACCEPT_BE:
+            raise ConvergenceError(
+                f"monotone iteration stalled: backward error {be:.2e} after "
+                f"{sum(st.sweeps for st in stages)} sweeps + {newton_sweeps} Newton steps"
+            )
+        # the returned pair is the one constructed up front: every recorded
+        # iterate respects it (internal lower-barrier refreshes only tighten
+        # the contraction shift)
+        pair = BarrierPair(GridFunction(grid, V_initial), GridFunction(grid, W))
+        return ScalarSolveResult(
+            GridFunction(grid, w), pair, outer_value, stages, newton_sweeps, be, solves,
+            warm_start=warm,
         )
 
-    # the returned pair is the one constructed up front: every recorded
-    # iterate respects it (internal lower-barrier refreshes only tighten the
-    # contraction shift)
-    pair = BarrierPair(GridFunction(grid, V_initial), GridFunction(grid, W))
-    return ScalarSolveResult(
-        GridFunction(grid, w), pair, outer_value, stages, newton_sweeps, be, solves,
-    )
+    if start is not None:
+        S = np.array(start, dtype=float)
+        if outer_value > S[-1]:
+            S += outer_value - S[-1]
+        S[-1] = outer_value
+        w, _, record = stage(np.minimum(S, W), V_initial, 0.0, True)
+        if record.monotone_ok:
+            return finish(w, [record], True)
+
+    w, V = W.copy(), V_initial
+    stages: list[StageRecord] = []
+    prev_delta: float | None = None
+    for rel_delta in _DELTA_SCHEDULE + (0.0,):
+        delta = rel_delta * scale
+        if prev_delta is not None:
+            w = np.minimum(w + (prev_delta - delta), W)
+        prev_delta = delta
+        w, V, record = stage(w, V, delta, False)
+        stages.append(record)
+    return finish(w, stages, False)

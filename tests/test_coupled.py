@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,12 +57,13 @@ def test_calibration_linear_reference_is_closed_form():
 
 
 def test_calibration_solve_count_guard(solve_calls):
-    # MIN-i at n = 4097: the w_a reference solve runs the monotone drive once
-    # (the drive in every pin round took 132 tridiagonal solves in all), and
-    # each linear reference is one solve at its barrier pin (40 in all)
+    # MIN-i at n = 4097: the w_a reference solve runs the monotone drive once,
+    # from its last pin round's solution, and each linear reference is one
+    # solve at its barrier pin (14 in all; the drive from W took 40, the
+    # drive in every pin round 132)
     params = ExponentSet(**COUPLED_MIN_I["params"])
     calibrate_barrier_constants(params, cached_operator(1.0, 1e4, 4097, 3))
-    assert len(solve_calls) <= 44
+    assert len(solve_calls) <= 16
 
 
 def test_calibration_rejects_nonexistence():
@@ -148,6 +151,20 @@ def test_apply_H_fixed_point(case):
     assert rel_u < 1e-8 and rel_v < 1e-8
     # the image reports its own inner solve, not the solved state's diagnostics
     assert set(mapped.diagnostics) == {"inner_monotone_ok", "inner_sandwiched"}
+
+
+def test_apply_H_inhibitor_image_does_not_depend_on_the_start():
+    # the inner problem -Lap T = u^m T^-s does not involve v; v only starts
+    # its drive, so doubling it moves Tv by solver tolerance (Tu does see v,
+    # through u^p / v^q)
+    params, env, op, state = solve_case(COUPLED_MIN_I)
+    pins = (float(state.u.values[-1]), float(state.v.values[-1]))
+    doubled = replace(state, v=GridFunction(op.grid, 2.0 * state.v.values))
+    a = apply_H(state, params, env, op, pins=pins)
+    b = apply_H(doubled, params, env, op, pins=pins)
+    assert np.max(np.abs(b.v.values - a.v.values) / a.v.values) <= 1e-9
+    assert a.diagnostics == b.diagnostics == {"inner_monotone_ok": True,
+                                              "inner_sandwiched": True}
 
 
 def test_newton_solve_applies_H_once(monkeypatch):

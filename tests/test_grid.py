@@ -201,6 +201,41 @@ def test_backward_error_of_direct_solve():
     assert backward_error(op, w.values, r ** -4.0) < 1e-13
 
 
+def _reference_kernels(op, w, rhs):
+    """L w, |L| |w| and the backward error by the plain formulas: a second
+    difference per coupling and |.| of every coefficient."""
+    Lw = np.zeros_like(w)
+    Lw[:-1] += op.sup[:-1] * (w[1:] - w[:-1])
+    Lw[1:-1] += op.sub[1:-1] * (w[:-2] - w[1:-1])
+    Lw[-1] = w[-1]
+    aw = np.abs(w)
+    absL = np.abs(op.diag) * aw
+    absL[:-1] += np.abs(op.sup[:-1]) * aw[1:]
+    absL[1:] += np.abs(op.sub[1:]) * aw[:-1]
+    den = np.maximum(absL + np.abs(rhs), 1e-300)
+    be = float(np.max(np.abs((Lw - rhs)[:-1]) / den[:-1]))
+    return Lw, absL, be
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_kernels_match_the_plain_formulas_bit_for_bit(N):
+    op = make_op(n=513, N=N)
+    r = op.grid.r
+    rng = np.random.default_rng(N)
+    cases = [
+        r ** -1.0,
+        np.ones(513),
+        rng.standard_normal(513) * 10.0 ** rng.uniform(-30, 30, 513),
+        solve_linear(op, r ** -4.0, 1e-4).values,
+    ]
+    for w in cases:
+        rhs = np.abs(rng.standard_normal(513)) * r ** -3.0
+        Lw, absL, be = _reference_kernels(op, w, rhs)
+        assert np.array_equal(op.apply(w), Lw)
+        assert np.array_equal(op.abs_row_action(w), absL)
+        assert backward_error(op, w, rhs) == be
+
+
 def test_tridiagonal_solve_matches_dense():
     # LDL^T against the dense L + diag(shift); the Dirichlet row ignores the
     # shift, and the operator's own diagonals survive the factorization

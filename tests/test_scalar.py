@@ -251,13 +251,21 @@ def test_newton_pin_rounds_match_drive_in_every_round(alpha, s):
     assert res.stages and res.monotone_ok and res.sandwiched
 
 
+def _rel(a, b):
+    return float(np.max(np.abs(a - b) / b))
+
+
 def test_unconverged_newton_pin_round_runs_the_drive(monkeypatch, solve_calls):
     # a pin-choosing round whose Newton ends above the acceptance level falls
-    # back to the drive, so every round then matches the reference loop
+    # back to the drive, so every round then matches the reference loop, and
+    # the reported drive starts from the last round's drive solution
     op = make_op(n=2049)
     psi = op.grid.r ** -6.0
     g = NonlinearitySpec.power(1.0)
+    W = barrier_W(barrier_Z(op.grid, op.N, psi), g).values
     ref = _drive_every_round(op, psi, g)
+    warm_ref = scalar._solve_pinned(op, psi, g, W, ref[-1].outer_value, False,
+                                    start=ref[-2].w.values)
     real = scalar._newton
 
     def unconverged(op, psi, g, w, outer_value, tol, gfloor, cap_hi):
@@ -269,34 +277,144 @@ def test_unconverged_newton_pin_round_runs_the_drive(monkeypatch, solve_calls):
     monkeypatch.setattr(scalar, "_newton", unconverged)
     solve_calls.clear()
     res = solve_monotone(op, psi, g, outer="extrapolate")
-    assert np.array_equal(res.w.values, ref[-1].w.values)
-    assert res.backward_error == ref[-1].backward_error
+    assert res.warm_start and warm_ref.warm_start
+    assert np.array_equal(res.w.values, warm_ref.w.values)
+    assert res.backward_error == warm_ref.backward_error
     assert res.outer_value == ref[-1].outer_value
+    assert _rel(res.w.values, ref[-1].w.values) <= 1e-9
     assert res.pin_rounds == len(ref)
     # the discarded Newton steps are counted too
-    assert res.solves == len(solve_calls) > sum(r.solves for r in ref)
+    assert res.solves == len(solve_calls) > sum(r.solves for r in ref[:-1]) + warm_ref.solves
 
 
-def test_pin_stop_test_on_newton_round_reports_the_drive(solve_calls):
+def test_pin_stop_test_on_newton_round_reports_the_drive(monkeypatch, solve_calls):
     # with a round cap the loop never reaches, its 1e-9 stop test ends it on
-    # a Newton round, and the drive then solves that round's pin for the report
+    # a Newton round, and the drive then solves that round's pin for the
+    # report, from that round's Newton solution
     op = make_op(R=1e3, n=513)
     psi = op.grid.r ** -6.0
     g = NonlinearitySpec.power(1.0)
     W = barrier_W(barrier_Z(op.grid, op.N, psi), g).values
+    real = scalar._solve_pinned
+    starts = []
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs.get("start", args[6] if len(args) > 6 else None))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scalar, "_solve_pinned", spy)
     res = solve_monotone(op, psi, g, outer="extrapolate", pin_rounds=200)
     assert 4 < res.pin_rounds < 200
     assert res.solves == len(solve_calls)
-    ref = scalar._solve_pinned(op, psi, g, W, res.outer_value, False)
+    assert len(starts) == 1 and starts[0] is not None
+    ref = real(op, psi, g, W, res.outer_value, False, start=starts[0].copy())
     assert np.array_equal(res.w.values, ref.w.values)
+    cold = real(op, psi, g, W, res.outer_value, False)
+    assert _rel(res.w.values, cold.w.values) <= 1e-9
+    assert res.warm_start and not cold.warm_start
     assert res.stages and res.monotone_ok and res.sandwiched
 
 
 def test_extrapolated_solve_count_guard(solve_calls):
-    # one drive plus three Newton pin rounds; the drive in every round took 124
+    # three Newton pin rounds and one drive from the last round's solution
+    # took 13; the drive from W in the reported round took 39 in all, the
+    # drive in every round 124
     op = make_op(n=2049)
     solve_monotone(op, op.grid.r ** -6.0, NonlinearitySpec.power(1.0), outer="extrapolate")
-    assert len(solve_calls) <= 48
+    assert len(solve_calls) <= 15
+
+
+def test_warm_start_that_is_no_supersolution_falls_back(solve_calls):
+    # half the solution is below it, so the first warm sweep rises: the
+    # warm attempt is discarded and the answer is the drive from W
+    op = make_op(n=1025)
+    psi = op.grid.r ** -3.5
+    g = NonlinearitySpec.power(1.0)
+    pin = 0.01
+    cold = solve_monotone(op, psi, g, outer=pin)
+    solve_calls.clear()
+    res = solve_monotone(op, psi, g, outer=pin, start=0.5 * cold.w.values)
+    assert not res.warm_start and not cold.warm_start
+    assert np.array_equal(res.w.values, cold.w.values)
+    assert res.backward_error == cold.backward_error
+    assert [st.sweeps for st in res.stages] == [st.sweeps for st in cold.stages]
+    assert res.solves == len(solve_calls) > cold.solves
+
+
+def test_warm_start_from_the_solution_keeps_the_certificates():
+    op = make_op(n=1025)
+    psi = op.grid.r ** -3.5
+    g = NonlinearitySpec.power(1.0)
+    cold = solve_monotone(op, psi, g, outer="barrier")
+    res = solve_monotone(op, psi, g, outer="barrier", start=cold.w.values)
+    assert res.warm_start and len(res.stages) == 1 and res.stages[0].delta == 0.0
+    assert res.solves < cold.solves
+    assert _rel(res.w.values, cold.w.values) <= 1e-9
+    assert res.monotone_ok and res.sandwiched and res.backward_error < 1e-10
+    assert np.array_equal(res.barriers.lower.values, cold.barriers.lower.values)
+    assert np.array_equal(res.barriers.upper.values, cold.barriers.upper.values)
+
+
+@pytest.mark.parametrize("start,outer", [
+    ("short", 0.01), ("nan", 0.01), ("inf", 0.01), ("zero", 0.01),
+    ("negative", 0.01), ("good", "extrapolate"),
+])
+def test_bad_start_is_config_error(start, outer):
+    op = make_op(n=257)
+    vals = op.grid.r ** -1.0
+    if start == "short":
+        vals = vals[:-1]
+    elif start == "nan":
+        vals[10] = np.nan
+    elif start == "inf":
+        vals[10] = np.inf
+    elif start == "zero":
+        vals[10] = 0.0
+    elif start == "negative":
+        vals[10] = -1.0
+    with pytest.raises(ConfigError):
+        solve_monotone(op, op.grid.r ** -4.0, NonlinearitySpec.power(1.0),
+                       outer=outer, start=vals)
+
+
+def test_start_may_be_zero_at_the_outer_node():
+    op = make_op(n=257)
+    vals = op.grid.r ** -1.0
+    vals[-1] = 0.0
+    res = solve_monotone(op, op.grid.r ** -4.0, NonlinearitySpec.power(1.0),
+                         outer="zero", start=vals)
+    assert res.outer_value == 0.0 and res.w.values[-1] == 0.0
+
+
+# tuples on which the drive from W reports monotone_ok False at n = 257;
+# on the last the warm stage needs its 500-sweep cap where the drive from W
+# at the same pin takes 94 solves
+_HARD = [(5, 3.0, 2.0), (5, 3.5, 2.0), (5, 3.5, 4.0), (5, 4.0, 2.0), (5, 4.0, 4.0),
+         (3, 6.0, 4.0), (3, 8.0, 4.0), (3, 10.0, 4.0),
+         pytest.param(3, 3.5, 8.0, marks=pytest.mark.xfail(
+             strict=True, reason="the warm stage converges slowly at s = 8"))]
+
+
+@pytest.mark.parametrize("N,alpha,s", _HARD)
+def test_warm_reported_drive_matches_the_cold_drive(monkeypatch, N, alpha, s):
+    op = make_op(n=257, N=N)
+    psi = op.grid.r ** -alpha
+    g = NonlinearitySpec.power(s)
+    W = barrier_W(barrier_Z(op.grid, N, psi), g).values
+    real = scalar._solve_pinned
+    reported = []
+
+    def spy(*args, **kwargs):
+        reported.append(real(*args, **kwargs))
+        return reported[-1]
+
+    monkeypatch.setattr(scalar, "_solve_pinned", spy)
+    res = solve_monotone(op, psi, g, outer="extrapolate")
+    cold = real(op, psi, g, W, res.outer_value, False)
+    assert reported[-1].warm_start
+    assert _rel(res.w.values, cold.w.values) <= 1e-8
+    assert reported[-1].solves <= cold.solves
+    assert res.monotone_ok and res.sandwiched
 
 
 @pytest.mark.parametrize("outer", ["extrapolated", -0.5, float("nan")],
