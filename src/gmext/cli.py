@@ -284,7 +284,9 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
 
     box = verify_box(state, window)
 
-    rows = list(zip(grid.r, state.u.values, state.v.values, *state.node_residuals))
+    # the columns as Python floats, converted once per column
+    rows = list(zip(*(c.tolist() for c in (grid.r, state.u.values, state.v.values,
+                                           *state.node_residuals))))
 
     manifest = {
         "tool": "gmext",
@@ -305,6 +307,8 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
         },
         "newton": {
             "steps": state.diagnostics["newton_steps"],
+            "coarse_steps": state.diagnostics["newton_coarse_steps"],
+            "factorizations": state.diagnostics["newton_factorizations"],
             "converged": state.diagnostics["newton_converged"],
             "last_step": state.diagnostics["newton_last_step"],
             "fixed_point_gap": state.diagnostics["fixed_point_gap"],

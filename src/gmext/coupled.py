@@ -14,6 +14,10 @@ finds it, and one final application of H certifies it as a fixed point.
 That application starts its monotone scalar solve from the Newton state's
 v, which already solves the inner problem at the same pin, so the drive
 runs only its last stage (the image does not depend on v otherwise).
+Newton's step count does not depend on the mesh, so its first phase starts
+from the same Newton on a coarse grid, and a step reuses the last LU
+factors of the Jacobian while the state has moved little since they were
+computed.
 The state is certified against the invariant box
 
     D r^-a <= u <= E r^-a,      F psi <= v <= G psi,
@@ -34,10 +38,13 @@ import numpy as np
 
 from .errors import ConfigError, DivergedError
 from .grid import (
+    BlockFactors,
     GridFunction,
     RadialOperator,
+    assemble_operator,
     backward_error,
-    solve_block,
+    build_grid,
+    factor_block,
     solve_linear,
     source_relative_residual,
     weighted_residual,
@@ -65,6 +72,13 @@ _NEWTON_CAP = 200
 _CALIBRATION_MARGIN = 0.05
 # step halvings a Newton step may take to keep the state positive
 _HALVINGS = 30
+# Newton keeps its Jacobian's factors until the relative steps taken with
+# them sum past _REFACTOR_DRIFT
+_REFACTOR_DRIFT = 1e-4
+# the first Newton phase starts on a grid of (n - 1) // _COARSE_RATIO + 1
+# nodes, and at least _COARSE_MIN_NODES
+_COARSE_RATIO = 16
+_COARSE_MIN_NODES = 129
 
 
 @dataclass
@@ -277,17 +291,31 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.abs(new - old) / np.maximum(old, _TINY)))
 
 
+@dataclass
+class _Jacobian:
+    """The factored Newton Jacobian of one grid, kept across the steps and
+    phases of one ``solve_system`` call: ``drift`` sums the relative steps
+    taken since ``factors`` were computed, and ``count`` counts the
+    factorizations."""
+
+    factors: BlockFactors | None = None
+    drift: float = np.inf
+    count: int = 0
+
+
 def _newton(
     params: ExponentSet, env: SourceEnvelope, op: RadialOperator,
-    u: np.ndarray, v: np.ndarray, pins: tuple[float, float],
+    u: np.ndarray, v: np.ndarray, pins: tuple[float, float], jac: _Jacobian,
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Newton on L u = f(u, v) + lam rho, L v = u^m v^-s from (u, v) with the
     outer values pinned at ``pins``, until the largest nodewise relative step
     drops below ``_NEWTON_TOL`` or ``_NEWTON_CAP`` steps are spent; returns
-    the final (u, v), the number of steps and the last step.  A step is
-    halved until u > 0 and v > 0 off the Dirichlet node; a start or iterate
-    outside ``_check_range``, a non-finite residual, a singular Jacobian or
-    exhausted halving raise DivergedError."""
+    the final (u, v), the number of steps and the last step.  The Jacobian
+    is factored afresh only when ``jac.drift`` exceeds ``_REFACTOR_DRIFT``;
+    otherwise the step solves with the kept factors (a simplified Newton
+    step).  A step is halved until u > 0 and v > 0 off the Dirichlet node; a
+    start or iterate outside ``_check_range``, a non-finite residual or
+    Jacobian, a singular Jacobian or exhausted halving raise DivergedError."""
     _check_range(u, v)
     rho = env.rho(op.grid.r)
     sign = -1.0 if params.kind is SystemKind.MIXED else 1.0
@@ -298,16 +326,22 @@ def _newton(
             f, rhs_u, g = _equations(params, rho, u, v)
             rhs[0::2] = rhs_u - op.apply(u)
             rhs[1::2] = g - op.apply(v)
-            # Jacobian diagonals: -df/du, -df/dv, -dg/du, -dg/dv
-            duu = -sign * params.p * f / u
-            duv = sign * params.q * f / v
-            dvu = -params.m * g / u
-            dvv = params.s * g / v
         rhs[-2] = pins[0] - u[-1]
         rhs[-1] = pins[1] - v[-1]
-        if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(duu + duv + dvu + dvv))):
+        if not np.all(np.isfinite(rhs)):
             raise DivergedError("non-finite Newton residual")
-        dx = solve_block(op, duu, duv, dvu, dvv, rhs)
+        if jac.drift > _REFACTOR_DRIFT:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                # Jacobian diagonals: -df/du, -df/dv, -dg/du, -dg/dv
+                duu = -sign * params.p * f / u
+                duv = sign * params.q * f / v
+                dvu = -params.m * g / u
+                dvv = params.s * g / v
+            if not np.all(np.isfinite(duu + duv + dvu + dvv)):
+                raise DivergedError("non-finite Newton Jacobian")
+            jac.factors = factor_block(op, duu, duv, dvu, dvv)
+            jac.drift, jac.count = 0.0, jac.count + 1
+        dx = jac.factors.solve(rhs)
         du, dv = dx[0::2], dx[1::2]
         t = 1.0
         for _ in range(_HALVINGS):
@@ -318,11 +352,40 @@ def _newton(
         else:
             raise DivergedError("step halving could not keep the Newton state positive")
         step = max(_relative_change(u_new, u), _relative_change(v_new, v))
+        jac.drift += step
         u, v = u_new, v_new
         _check_range(u, v)
         if step < _NEWTON_TOL:
             break
     return u, v, steps, step
+
+
+def _coarse_start(
+    params: ExponentSet, env: SourceEnvelope, op: RadialOperator,
+    start: CoupledState, pins: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The first phase's start on ``op``'s grid and the coarse steps taken
+    for it: Newton from the box midpoint with ``pins`` on a coarse grid over
+    the same [r0, R], interpolated linearly in xi in log u and log v, with
+    the outer nodes set to the pins.  It is ``start`` itself, after no
+    steps, when the coarse grid would not have fewer nodes or
+    ``assemble_operator`` refuses it (its spacing or its weights)."""
+    grid = op.grid
+    n_c = max((grid.n - 1) // _COARSE_RATIO + 1, _COARSE_MIN_NODES)
+    if n_c >= grid.n:
+        return start.u.values, start.v.values, 0
+    try:
+        coarse = assemble_operator(build_grid(grid.r0, grid.R, n_c), op.N)
+    except ConfigError:
+        return start.u.values, start.v.values, 0
+    mid = initial_state(coarse, start.verdict, start.schedule)
+    u, v, steps, _ = _newton(params, env, coarse, mid.u.values, mid.v.values, pins,
+                             _Jacobian())
+    xi, xi_c = grid.xi, coarse.grid.xi
+    u = np.exp(np.interp(xi, xi_c, np.log(u)))
+    v = np.exp(np.interp(xi, xi_c, np.log(v)))
+    u[-1], v[-1] = pins
+    return u, v, steps
 
 
 def solve_system(
@@ -338,12 +401,20 @@ def solve_system(
     ``schedule`` is the constant schedule at ``params.lam`` (as returned by
     ``suggest_lambda``); without one, C3/C4 are calibrated on ``op`` and the
     schedule is built here.  Newton starts from ``initial_state``'s box
-    midpoint, pinned at its outer node; the polish then twice re-pins both
-    outer values from the solution's own outer power law, removing the O(1)
-    amplitude mismatch the fixed pins leave at the truncation radius.  Each
-    of the three Newton phases works on the (u, v) arrays and stops when the
-    largest relative step drops below 1e-11 or after 200 steps
-    (``_NEWTON_TOL``, ``_NEWTON_CAP``).  The stored state is the image of
+    midpoint, pinned at its outer node: on a coarse grid over the same
+    [r0, R] first (``_coarse_start``; none when the grid has at most
+    ``_COARSE_MIN_NODES`` nodes or the coarse one is refused), then on
+    ``op``'s grid from the interpolated coarse solution.  The polish then
+    twice re-pins both outer values from the solution's own outer power law,
+    removing the O(1) amplitude mismatch the fixed pins leave at the
+    truncation radius.  Each of the three Newton phases works on the (u, v)
+    arrays and stops when the largest relative step drops below 1e-11 or
+    after 200 steps (``_NEWTON_TOL``, ``_NEWTON_CAP``); the factors of the
+    Jacobian are shared by all three and kept while the relative steps
+    taken with them sum to at most ``_REFACTOR_DRIFT``.  ``diagnostics``
+    count the Newton steps on ``op``'s grid (``newton_steps``), on the
+    coarse grid (``newton_coarse_steps``) and the factorizations on ``op``'s
+    grid (``newton_factorizations``).  The stored state is the image of
     the Newton state under H at the final pins, so it satisfies the discrete
     equations to solver accuracy; the relative gap between the two is
     recorded as ``fixed_point_gap``.  The state carries the node residuals
@@ -374,12 +445,13 @@ def solve_system(
     if window is None:
         window = grid.default_window()
 
-    u, v, steps, converged = state.u.values, state.v.values, 0, True
-    pins = (float(u[-1]), float(v[-1]))
+    pins = (float(state.u.values[-1]), float(state.v.values[-1]))
+    u, v, coarse_steps = _coarse_start(params, env, op, state, pins)
+    jac, steps, converged = _Jacobian(), 0, True
     for phase in range(1 + _POLISH_ROUNDS):
         if phase:
             pins = (_extrapolated_pin(grid, u), _extrapolated_pin(grid, v))
-        u, v, taken, step = _newton(params, env, op, u, v, pins)
+        u, v, taken, step = _newton(params, env, op, u, v, pins, jac)
         steps += taken
         converged = converged and step < _NEWTON_TOL
     state = replace(state, u=GridFunction(grid, u), v=GridFunction(grid, v), iteration=steps)
@@ -389,6 +461,8 @@ def solve_system(
 
     _certify(image, params, env, op, window)
     image.diagnostics["newton_steps"] = state.iteration
+    image.diagnostics["newton_coarse_steps"] = coarse_steps
+    image.diagnostics["newton_factorizations"] = jac.count
     image.diagnostics["newton_converged"] = bool(converged)
     image.diagnostics["newton_last_step"] = float(step)
     image.diagnostics["fixed_point_gap"] = gap

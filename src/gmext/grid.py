@@ -27,9 +27,12 @@ LDL^T (LAPACK ``pttrf``, no pivoting needed) and solves with the factors
 (``pttrs``).  The factors of the unshifted operator are kept once computed,
 and so are those of the last shift, so a run of solves with one shift
 factors once.  The weights grow like (R/r0)^N; an operator whose weights
-leave double range is refused.  ``solve_block`` is LAPACK ``gbsv``.  Each
-imports its scipy routine when it is first called, so building grids and
-operators, and everything that only classifies or fits, needs numpy alone.
+leave double range is refused.  ``factor_block`` factors the coupled
+Newton Jacobian with LAPACK ``gbtrf``, and ``BlockFactors.solve`` solves
+with the factors (``gbtrs``) for as many right-hand sides as the caller
+has.  Each imports its scipy routine when it is first called, so building
+grids and operators, and everything that only classifies or fits, needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -194,23 +197,39 @@ class RadialOperator:
         return d, e
 
 
-def solve_block(
+@dataclass(frozen=True)
+class BlockFactors:
+    """Banded LU factors (LAPACK ``gbtrf``) of the coupled Jacobian built by
+    ``factor_block``: ``lu`` in LAPACK band storage and the pivots ``piv``.
+    ``solve`` may be called any number of times; it writes neither array."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution of the factored system for ``rhs`` (LAPACK
+        ``gbtrs``); ``rhs`` is overwritten and the solution is returned in
+        its storage."""
+        from scipy.linalg.lapack import dgbtrs
+
+        return dgbtrs(self.lu, 2, 2, rhs, self.piv, overwrite_b=1)[0]
+
+
+def factor_block(
     op: RadialOperator,
     duu: np.ndarray, duv: np.ndarray, dvu: np.ndarray, dvv: np.ndarray,
-    rhs: np.ndarray,
-) -> np.ndarray:
-    """Solve the coupled pair
+) -> BlockFactors:
+    """Factor the matrix of the coupled pair
 
         (L + diag(duu)) x_u + diag(duv) x_v = rhs_u
         diag(dvu) x_u + (L + diag(dvv)) x_v = rhs_v
 
     with both Dirichlet rows kept as identity rows (the four diagonals never
-    touch them).  Unknowns and ``rhs`` are interleaved, x = (u0, v0, u1, v1,
-    ...), which makes the matrix (2,2)-banded.  The band is built afresh on
-    every call; ``rhs`` is overwritten and the solution is returned in its
-    storage.  A singular matrix raises DivergedError.
+    touch them).  Unknowns and right-hand sides are interleaved, x = (u0,
+    v0, u1, v1, ...), which makes the matrix (2,2)-banded.  A singular
+    matrix raises DivergedError.
     """
-    from scipy.linalg.lapack import dgbsv
+    from scipy.linalg.lapack import dgbtrf
 
     # LAPACK band storage ab[4 + i - j, j] = A[i, j] of the 2n x 2n matrix;
     # rows 0-1 are LU fill-in and need no values, and every entry outside
@@ -228,10 +247,10 @@ def solve_block(
     ab[4, -2:] = 1.0
     ab[3, -1] = 0.0
     ab[5, -2] = 0.0
-    _, _, x, info = dgbsv(2, 2, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
     if info != 0:
-        raise DivergedError(f"coupled Jacobian is singular (dgbsv info {info})")
-    return x
+        raise DivergedError(f"coupled Jacobian is singular (dgbtrf info {info})")
+    return BlockFactors(lu, piv)
 
 
 def assemble_operator(grid: RadialGrid, N: int) -> RadialOperator:

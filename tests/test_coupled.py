@@ -200,6 +200,68 @@ def test_sentinel_cell_diverges():
         run_solve(cfg)
 
 
+def test_coarse_level_divergence_propagates(monkeypatch):
+    # the sentinel's start leaves the admissible range on the coarse grid
+    # already; that DivergedError ends the solve, with no Newton on the
+    # solve grid after it
+    from gmext import coupled
+    from gmext.cli import _SOLVE_DEFAULTS, run_solve
+
+    sizes = []
+    real = coupled._newton
+
+    def recording(params, env, op, *args):
+        sizes.append(op.grid.n)
+        return real(params, env, op, *args)
+
+    monkeypatch.setattr(coupled, "_newton", recording)
+    cfg = dict(_SOLVE_DEFAULTS, N=3, p=6.0, q=1.5, m=6.0, s=1.0, k=4.0)
+    with pytest.raises(DivergedError):
+        run_solve(cfg)
+    assert sizes == [257]
+
+
+def test_newton_count_guard():
+    # MIN-i at n = 4097: the coarse start leaves a few solve-grid steps, and
+    # the kept factors serve most of them (was 14 steps, 14 factorizations)
+    _, _, _, state = solve_case(COUPLED_MIN_I)
+    d = state.diagnostics
+    assert d["newton_coarse_steps"] > 0
+    assert d["newton_steps"] <= 10
+    assert d["newton_factorizations"] <= 5
+    assert state.iteration == d["newton_steps"] + 1
+
+
+def test_small_grid_has_no_coarse_level():
+    # n <= 129 leaves no coarser grid to start from
+    params = ExponentSet(**COUPLED_MIN_I["params"])
+    op = cached_operator(1.0, 1e3, 129, params.N)
+    env = SourceEnvelope.radial(1.0, params.k)
+    lam, sched = suggest_lambda(params, env, op)
+    state = solve_system(params.with_lam(lam), env, op, schedule=sched)
+    assert state.diagnostics["newton_coarse_steps"] == 0
+    assert 0 < state.diagnostics["newton_factorizations"] <= state.diagnostics["newton_steps"]
+    assert state.diagnostics["newton_converged"]
+
+
+def test_coarse_level_skipped_where_its_spacing_is_refused():
+    # N = 8, R = 1e28: the 257-node solve grid has h = 0.252 < 2/(N-2), the
+    # 129-node coarse grid h = 0.504, which assemble_operator refuses; the
+    # solve runs on the solve grid alone
+    from gmext import assemble_operator, build_grid
+
+    params = ExponentSet(N=8, p=8.0, q=0.5, m=8.0, s=1.0, k=2.4)
+    op = assemble_operator(build_grid(1.0, 1e28, 257), params.N)
+    with pytest.raises(ConfigError):
+        assemble_operator(build_grid(1.0, 1e28, 129), params.N)
+    env = SourceEnvelope.radial(1.0, params.k)
+    lam, sched = suggest_lambda(params, env, op)
+    state = solve_system(params.with_lam(lam), env, op, schedule=sched)
+    assert state.diagnostics["newton_coarse_steps"] == 0
+    assert state.diagnostics["newton_converged"]
+    assert max(state.diagnostics["certificate_u"], state.diagnostics["certificate_v"]) < 1e-8
+
+
 @pytest.mark.xfail(strict=True, raises=DivergedError,
                    reason="the POWER_LOG inhibitor profile vanishes at r0, so the "
                           "box-midpoint start state is floored at 1e-300 there")

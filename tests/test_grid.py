@@ -8,7 +8,7 @@ from gmext import (
     solve_linear,
 )
 from gmext.errors import ConfigError, DivergedError
-from gmext.grid import solve_block
+from gmext.grid import factor_block
 
 
 def make_op(r0=1.0, R=1e4, n=4097, N=3):
@@ -371,14 +371,10 @@ def test_forward_error_matches_pivoted_lu(shifted):
     assert rel_err(op.solve(rhs, outer_value, shift)) <= 10.0 * rel_err(lu)
 
 
-def test_block_solve_matches_dense():
-    # interleaved (u0, v0, u1, v1, ...) band solve against the dense block
-    # matrix; the four diagonals must leave both Dirichlet rows untouched
-    rng = np.random.default_rng(7)
-    n = 17
-    op = make_op(R=10.0, n=n)
-    duu, duv, dvu, dvv = rng.uniform(0.0, 2.0, (4, n))
-    rhs = rng.uniform(-1.0, 1.0, 2 * n)
+def _dense_block(op, duu, duv, dvu, dvv):
+    """The interleaved (u0, v0, u1, v1, ...) 2n x 2n block matrix; the four
+    diagonals must leave both Dirichlet rows untouched."""
+    n = op.grid.n
     L = np.diag(op.diag) + np.diag(op.sup[:-1], 1) + np.diag(op.sub[1:], -1)
 
     def off_dirichlet(d):
@@ -390,15 +386,46 @@ def test_block_solve_matches_dense():
     A[1::2, 0::2] = off_dirichlet(dvu)
     A[1::2, 1::2] = L + off_dirichlet(dvv)
     assert A[-2, -2] == 1.0 and np.count_nonzero(A[-2:]) == 2
-    expected = np.linalg.solve(A, rhs)
-    x = solve_block(op, duu, duv, dvu, dvv, rhs.copy())
-    assert np.allclose(x, expected, rtol=1e-12, atol=1e-14)
-    assert x[-2] == rhs[-2] and x[-1] == rhs[-1]
+    return A
+
+
+def test_block_solve_matches_dense():
+    # the kept-factor band solve against a dense solve of the block matrix
+    rng = np.random.default_rng(7)
+    n = 17
+    for N in (3, 4, 5):
+        op = make_op(R=10.0, n=n, N=N)
+        diagonals = rng.uniform(0.0, 2.0, (4, n))
+        rhs = rng.uniform(-1.0, 1.0, 2 * n)
+        expected = np.linalg.solve(_dense_block(op, *diagonals), rhs)
+        x = factor_block(op, *diagonals).solve(rhs.copy())
+        assert np.allclose(x, expected, rtol=1e-12, atol=1e-14)
+        assert x[-2] == rhs[-2] and x[-1] == rhs[-1]
+
+
+def test_block_factors_serve_several_right_hand_sides():
+    # one factorization, three solves: each matches the dense solve, and
+    # neither the factors nor the operator's arrays are written
+    rng = np.random.default_rng(11)
+    n = 17
+    op = make_op(R=10.0, n=n)
+    op_arrays = {name: getattr(op, name).copy() for name in ("sub", "diag", "sup")}
+    diagonals = rng.uniform(0.0, 2.0, (4, n))
+    A = _dense_block(op, *diagonals)
+    factors = factor_block(op, *diagonals)
+    lu, piv = factors.lu.copy(), factors.piv.copy()
+    for rhs in rng.uniform(-1.0, 1.0, (3, 2 * n)):
+        x = factors.solve(rhs.copy())
+        assert np.allclose(x, np.linalg.solve(A, rhs), rtol=1e-12, atol=1e-14)
+        assert np.array_equal(factors.lu, lu) and np.array_equal(factors.piv, piv)
+    for name, kept in op_arrays.items():
+        assert np.array_equal(getattr(op, name), kept)
 
 
 def test_block_solve_singular_raises_diverged():
-    # duu = -diag and no coupling zero the first column exactly
+    # duu = -diag and no coupling zero the first column exactly; the
+    # factorization refuses it
     op = make_op(R=2.0, n=2)
     zero = np.zeros(2)
     with pytest.raises(DivergedError):
-        solve_block(op, -op.diag, zero, zero, zero, np.ones(4))
+        factor_block(op, -op.diag, zero, zero, zero)

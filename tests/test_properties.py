@@ -1,15 +1,17 @@
 """Property tests: the classifier's verdict contract, its agreement with a
-scalar reference table, and the sign and order properties of the radial
-solves, over generated inputs.
+scalar reference table, the sign and order properties of the radial solves,
+and the coupled solve's fixed point against a plain Newton reference, over
+generated inputs.
 
 The draws are derandomized, so every run checks the same examples.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,13 +22,17 @@ from gmext import (
     Outcome,
     ProfileKind,
     RegimeVerdict,
+    SourceEnvelope,
     SystemKind,
     barrier_Z,
     classify,
     classify_lattice,
+    coupled,
     solve_monotone,
+    solve_system,
+    suggest_lambda,
 )
-from gmext.errors import NoInhibitorSolutionError
+from gmext.errors import GmextError, NoInhibitorSolutionError
 from gmext.params import _eq as _params_eq
 
 from conftest import cached_operator
@@ -379,3 +385,55 @@ def test_linear_reference_keeps_sign_at_its_barrier_pin(data, k):
     assert np.all(result.w.values >= 0.0)
     assert result.solves == 1
     assert result.outer_value == barrier_Z(OP.grid, 3, psi).values[-1]
+
+
+# GM cells around Thm 2.2(i) and MIXED cells around Thm 7.2 at N = 3
+# (c = N/(N-2) = 3); the draws that leave the existence verdicts are skipped
+coupled_cells = st.one_of(
+    st.builds(lambda q, p_over, s, m_over, k: ExponentSet(
+        N=3, p=q + 3.0 + p_over, q=q, m=s + 3.0 + m_over, s=s, k=k),
+        st.floats(0.3, 1.5), st.floats(0.2, 4.0), st.floats(0.5, 2.0),
+        st.floats(0.0, 3.0), st.floats(3.5, 6.0)),
+    st.builds(lambda p, q_over, s, m_over, k: ExponentSet(
+        N=3, p=p, q=p + 3.0 + q_over, m=s + 3.0 + m_over, s=s, k=k, kind=SystemKind.MIXED),
+        st.floats(0.5, 2.0), st.floats(0.2, 3.0), st.floats(0.5, 2.0),
+        st.floats(0.2, 3.0), st.floats(3.5, 6.0)),
+)
+COUPLED_OP = cached_operator(1.0, 1e4, 513, 3)
+
+
+def _solve_outcome(params, env, schedule):
+    """The solved state, or the tag of the error the solve ended in."""
+    try:
+        return solve_system(params, env, COUPLED_OP, schedule=schedule)
+    except GmextError as exc:
+        return exc.tag
+
+
+@settings(PROPERTY, max_examples=12)
+@given(coupled_cells)
+def test_coupled_solve_matches_fresh_newton_from_the_midpoint(params):
+    # the reference is the same three Newton phases from the box midpoint on
+    # the solve grid, with no coarse start and a fresh factorization every
+    # step; both must reach the same fixed point of H, or fail the same way
+    assume(classify(params).exists)
+    env = SourceEnvelope.radial(1.0, params.k)
+    try:
+        lam, schedule = suggest_lambda(params, env, COUPLED_OP)
+    except GmextError:
+        reject()
+    params = params.with_lam(lam)
+    got = _solve_outcome(params, env, schedule)
+    with mock.patch.multiple(coupled, _COARSE_MIN_NODES=COUPLED_OP.grid.n,
+                             _REFACTOR_DRIFT=-1.0):
+        ref = _solve_outcome(params, env, schedule)
+    if isinstance(got, str) or isinstance(ref, str):
+        assert got == ref
+        return
+    assert got.diagnostics["newton_coarse_steps"] > 0
+    assert ref.diagnostics["newton_factorizations"] == ref.diagnostics["newton_steps"]
+    for state in (got, ref):
+        assert state.diagnostics["fixed_point_gap"] <= 1e-9
+    for c in "uv":
+        a, b = getattr(got, c).values, getattr(ref, c).values
+        assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)) <= 1e-10
