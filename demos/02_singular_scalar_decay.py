@@ -12,10 +12,13 @@ alpha = N + s(N-2) = 4):
   alpha > 4:  w ~ r^-1                 (minimal decay of the fundamental kind)
 
 The solver builds an explicit barrier pair (a quadrature potential and its
-g-transform), runs the shift-stabilized monotone iteration downward from the
-upper barrier, and finishes with a safeguarded Newton polish.  Exponents are
-read off by log-log least squares over a window clear of both boundary
-layers.
+g-transform).  With the extrapolated outer pin, three Newton rounds choose
+the pin, each from the previous round's solution (the first from the upper
+barrier).  At the chosen pin the monotone iteration then runs downward from
+the last round's solution, falling back to the shift-stabilized drive from
+the upper barrier should that start not be a supersolution, and a
+safeguarded Newton finish ends it.  Exponents are read off by log-log least
+squares over a window clear of both boundary layers.
 """
 
 from gmext import NonlinearitySpec, assemble_operator, build_grid, solve_monotone

@@ -120,8 +120,6 @@ class BoxReport:
     violations_v: int
     margin_u: float
     margin_v: float
-    violation_radii_u: tuple[float, ...] = ()
-    violation_radii_v: tuple[float, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -490,7 +488,6 @@ def verify_box(
     v = state.v.values[mask]
     lo_u, hi_u = state.schedule.D * pu, state.schedule.E * pu
     lo_v, hi_v = state.schedule.F * pv, state.schedule.G * pv
-    r_win = grid.r[mask]
     bad_u = (u < lo_u) | (u > hi_u)
     bad_v = (v < lo_v) | (v > hi_v)
     margin_u = float(min(np.min(u / lo_u - 1.0), np.min(hi_u / u - 1.0)))
@@ -502,6 +499,4 @@ def verify_box(
         violations_u=int(np.count_nonzero(bad_u)),
         violations_v=int(np.count_nonzero(bad_v)),
         margin_u=margin_u, margin_v=margin_v,
-        violation_radii_u=tuple(float(x) for x in r_win[bad_u][:32]),
-        violation_radii_v=tuple(float(x) for x in r_win[bad_v][:32]),
     )

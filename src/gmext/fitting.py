@@ -30,7 +30,6 @@ class FitResult:
     amplitude: float
     window: tuple[float, float]
     rms_residual: float
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ def _least_squares(w: GridFunction, window: tuple[float, float], mask: np.ndarra
         amplitude=float(np.exp(coef[0])),
         window=(float(window[0]), float(window[1])),
         rms_residual=float(np.sqrt(np.mean(resid ** 2))),
-        n_points=y.size,
     )
 
 

@@ -163,8 +163,10 @@ class SourceEnvelope:
             raise ConfigError(f"need finite C2 >= C1 > 0, got C1={self.C1}, C2={self.C2}")
         if not 0 < self.k < math.inf:
             raise ConfigError(f"k must be positive and finite, got {self.k}")
-        if not 0 < self.rho_amplitude < math.inf:
-            raise ConfigError(f"rho_amplitude must be positive and finite, "
+        # the schedule's box and lambda* are built from C1 and C2, so they
+        # bound only a source inside the envelope
+        if not self.C1 <= self.rho_amplitude <= self.C2:
+            raise ConfigError(f"rho_amplitude must lie in [C1, C2] = [{self.C1}, {self.C2}], "
                               f"got {self.rho_amplitude}")
 
     @classmethod

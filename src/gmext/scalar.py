@@ -33,13 +33,16 @@ mirrors the constructive existence argument:
     its iterate (the start was no supersolution).
 
 4.  A safeguarded Newton finish drives the componentwise backward error to
-    the requested level, guarded by positivity and a gross-divergence cap
-    (the barrier bracket itself carries O(h^2) slack, so it is not used as a
-    hard clip here).
+    1e-14, guarded by positivity and a gross-divergence cap (the barrier
+    bracket itself carries O(h^2) slack, so it is not used as a hard clip
+    here).  The operator's conditioning grows with n: at n = 8193 a stop at
+    1e-11 can leave the answer 6e-6 off, while 1e-14 keeps it near 1e-11.
+    Every Newton run of this module stops at this one target, and every
+    drive, warm or cold, ends in this one finish.
 
 With the extrapolated outer pin, the rounds of the pin loop only choose the
-pin, so they run the Newton of step 4 alone, to a backward error of 1e-14,
-each from the previous round's solution (the first from W).  On a concave,
+pin, so they run the Newton of step 4 alone, to the same target, each from
+the previous round's solution (the first from W).  On a concave,
 inverse-positive problem like this one Newton converges from there
 (Ortega-Rheinboldt), and it lands within 1e-8 relative of the drive's answer
 at the same pin.  The reported solve then runs steps 1-4 once, at the chosen
@@ -71,17 +74,14 @@ _DELTA_SCHEDULE: tuple[float, ...] = tuple(10.0 ** -j for j in range(9))
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 500
 _STAGE_CAP = 12
-# backward-error target of the drive's Newton finish, and the largest
-# backward error a pinned solve may end at
-_RES_TOL = 1e-11
+# backward-error target of every Newton run, the pin rounds' and the drive's
+# finish (module docstring, step 4)
+_NEWTON_BE = 1e-14
+# the largest backward error a pinned solve may end at
 _ACCEPT_BE = 1e-8
 # cap on the rounds of an extrapolated-pin solve (``_repin``), the reported
 # solve included
 _PIN_ROUNDS = 4
-# backward-error stop of the Newton rounds that only choose the next pin;
-# the operator's conditioning turns 1e-11 into a forward error near 1e-6,
-# while 1e-14 keeps them within 1e-8 of the drive
-_WARM_TOL = 1e-14
 
 _TINY = 1e-300
 _COLLAPSE_FLOOR = 1e-250
@@ -96,10 +96,6 @@ class NonlinearitySpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.s < np.inf:
             raise ConfigError("s must be finite and nonnegative (g must be nonincreasing)")
-
-    @classmethod
-    def constant(cls) -> "NonlinearitySpec":
-        return cls(0.0)
 
     @classmethod
     def power(cls, s: float) -> "NonlinearitySpec":
@@ -136,9 +132,9 @@ class BarrierPair:
         if np.any(self.lower.values > self.upper.values * (1 + 1e-12) + 1e-300):
             raise ConfigError("lower barrier must not exceed upper barrier")
 
-    def contains(self, w: np.ndarray, rtol: float = 1e-9) -> bool:
+    def contains(self, w: np.ndarray) -> bool:
         lo, hi = self.lower.values, self.upper.values
-        slack = rtol * np.maximum(hi, 1e-300)
+        slack = 1e-9 * np.maximum(hi, 1e-300)
         return bool(np.all(w >= lo - slack) and np.all(w <= hi + slack))
 
 
@@ -214,7 +210,6 @@ class StageRecord:
     delta: float
     sweeps: int
     monotone_ok: bool
-    max_violation: float
     iterates: list[np.ndarray] = field(default_factory=list)
 
 
@@ -224,7 +219,6 @@ class ScalarSolveResult:
     barriers: BarrierPair
     outer_value: float
     stages: list[StageRecord]
-    newton_sweeps: int
     backward_error: float
     solves: int
     pin_rounds: int = 1
@@ -330,9 +324,8 @@ def solve_monotone(
     ConfigError, and so is a start with "extrapolate", whose pin rounds
     supply their own.  For g == 1 the single exact solve does not use it.
 
-    The Newton finish stops at a backward error of ``_RES_TOL``; the
-    monotone drive's shift schedule, sweep tolerance and sweep caps are
-    module constants too.
+    The monotone drive's shift schedule, sweep tolerance and sweep caps are
+    module constants.
 
     Raises DEGENERATE when the data force w == 0, NO_CONVERGENCE when the
     sweep budget ends far from the residual target.
@@ -362,7 +355,7 @@ def solve_monotone(
         w = op.solve(np.zeros(grid.n), pin)
         wf = GridFunction(grid, w)
         pair = BarrierPair(wf, wf)
-        return ScalarSolveResult(wf, pair, pin, [], 0, 0.0, 1)
+        return ScalarSolveResult(wf, pair, pin, [], 0.0, 1)
 
     Z = barrier_Z(grid, op.N, psi, truncate_tail=truncate_tail)
     W = barrier_W(Z, g).values
@@ -383,10 +376,9 @@ def _solve_extrapolated(
 ) -> ScalarSolveResult:
     """The monotone drive ``_solve_pinned`` at the pin ``_repin`` chooses.
 
-    Each round that chooses the pin runs ``_newton`` to ``_WARM_TOL`` (the
-    first from ``W``, each later one from the previous round's solution); a
-    round whose Newton ends above ``_ACCEPT_BE`` runs the drive from ``W``
-    instead.  The reported drive starts from the last round's solution when
+    Each round that chooses the pin runs ``_newton`` (the first from ``W``,
+    each later one from the previous round's solution); a round whose
+    Newton ends above ``_ACCEPT_BE`` runs the drive from ``W`` instead.  The reported drive starts from the last round's solution when
     a round ran, and from ``W`` otherwise.  The result's ``solves`` and
     ``pin_rounds`` count every round.
     """
@@ -398,7 +390,7 @@ def _solve_extrapolated(
         _, scale, gfloor = _pin_frame(g, W, pin)
         w = warm.copy()
         w[-1] = pin
-        warm, be, steps = _newton(op, psi, g, w, pin, _WARM_TOL, gfloor, 2.0 * scale)
+        warm, be, steps = _newton(op, psi, g, w, pin, gfloor, 2.0 * scale)
         solves += steps
         if be > _ACCEPT_BE:
             drive = _solve_pinned(op, psi, g, W, pin, record_history)
@@ -433,15 +425,16 @@ def _pin_frame(
 
 def _newton(
     op: RadialOperator, psi: np.ndarray, g: NonlinearitySpec, w: np.ndarray,
-    outer_value: float, tol: float, gfloor: float, cap_hi: float,
+    outer_value: float, gfloor: float, cap_hi: float,
 ) -> tuple[np.ndarray, float, int]:
     """Safeguarded Newton on the pinned problem from ``w`` until the backward
-    error is at most ``tol``, for at most 40 steps; after the third step, a
-    step that does not lower the backward error ends the loop (and is not
-    taken).  Iterates are clipped to [gfloor, cap_hi] only: the barrier
-    bracket carries O(h^2) slack of its own, and pinning the iterate to it
-    would freeze the residual at that level.  Returns the iterate, its
-    backward error and the number of steps, one tridiagonal solve each."""
+    error is at most ``_NEWTON_BE`` (the one target of every scalar Newton
+    run), for at most 40 steps; after the third step, a step that does not
+    lower the backward error ends the loop (and is not taken).  Iterates are
+    clipped to [gfloor, cap_hi] only: the barrier bracket carries O(h^2)
+    slack of its own, and pinning the iterate to it would freeze the
+    residual at that level.  Returns the iterate, its backward error and the
+    number of steps, one tridiagonal solve each."""
 
     def at(wvals: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         # the floored iterate, the source Psi g there and its backward error
@@ -451,7 +444,7 @@ def _newton(
 
     wf, f, be = at(w)
     steps = 0
-    while be > tol and steps < 40:
+    while be > _NEWTON_BE and steps < 40:
         # |g'(t)| = s g(t) / t, so the Jacobian reuses the iterate's source
         J = g.s * f / wf
         wn = op.solve(f + J * w, outer_value, shift=J)
@@ -504,7 +497,7 @@ def _solve_pinned(
         w = V_initial.copy()
         be = backward_error(op, w, psi)
         pair = BarrierPair(GridFunction(grid, V_initial), GridFunction(grid, W))
-        return ScalarSolveResult(GridFunction(grid, w), pair, outer_value, [], 0, be, solves)
+        return ScalarSolveResult(GridFunction(grid, w), pair, outer_value, [], be, solves)
 
     def stage(w: np.ndarray, V: np.ndarray, delta: float,
               warm: bool) -> tuple[np.ndarray, np.ndarray, StageRecord]:
@@ -516,7 +509,7 @@ def _solve_pinned(
         final = delta == 0.0
         cap = _MAX_SWEEPS if final else _STAGE_CAP
         stage_tol = _SWEEP_TOL if final else 1e-4
-        record = StageRecord(delta=delta, sweeps=0, monotone_ok=True, max_violation=0.0)
+        record = StageRecord(delta=delta, sweeps=0, monotone_ok=True)
         if record_history:
             record.iterates.append(w.copy())
         for j in range(cap):
@@ -524,10 +517,8 @@ def _solve_pinned(
             rhs += M * w
             wn = op.solve(rhs, outer_value, shift=M)
             solves += 1
-            raw_excess = float(np.max((wn - w) / np.maximum(w, _TINY)))
-            if raw_excess > 1e-10:
+            if float(np.max((wn - w) / np.maximum(w, _TINY))) > 1e-10:
                 record.monotone_ok = False
-                record.max_violation = max(record.max_violation, raw_excess)
                 if warm:
                     break
             np.minimum(wn, w, out=wn)
@@ -549,43 +540,38 @@ def _solve_pinned(
                 M = psi * g.dg_magnitude(np.maximum(V, gfloor) + delta)
         return w, V, record
 
-    def finish(w: np.ndarray, stages: list[StageRecord], warm: bool) -> ScalarSolveResult:
-        nonlocal solves
-        w, be, newton_sweeps = _newton(op, psi, g, w, outer_value, _RES_TOL, gfloor, 2.0 * scale)
-        solves += newton_sweeps
-        if float(np.max(w)) <= _COLLAPSE_FLOOR:
-            raise DegenerateSolveError("iterates collapsed below the positivity floor")
-        if be > _ACCEPT_BE:
-            raise ConvergenceError(
-                f"monotone iteration stalled: backward error {be:.2e} after "
-                f"{sum(st.sweeps for st in stages)} sweeps + {newton_sweeps} Newton steps"
-            )
-        # the returned pair is the one constructed up front: every recorded
-        # iterate respects it (internal lower-barrier refreshes only tighten
-        # the contraction shift)
-        pair = BarrierPair(GridFunction(grid, V_initial), GridFunction(grid, W))
-        return ScalarSolveResult(
-            GridFunction(grid, w), pair, outer_value, stages, newton_sweeps, be, solves,
-            warm_start=warm,
-        )
-
+    warm = False
     if start is not None:
         S = np.array(start, dtype=float)
         if outer_value > S[-1]:
             S += outer_value - S[-1]
         S[-1] = outer_value
         w, _, record = stage(np.minimum(S, W), V_initial, 0.0, True)
-        if record.monotone_ok:
-            return finish(w, [record], True)
+        stages, warm = [record], record.monotone_ok
+    if not warm:
+        w, V, stages = W.copy(), V_initial, []
+        prev_delta: float | None = None
+        for rel_delta in _DELTA_SCHEDULE + (0.0,):
+            delta = rel_delta * scale
+            if prev_delta is not None:
+                w = np.minimum(w + (prev_delta - delta), W)
+            prev_delta = delta
+            w, V, record = stage(w, V, delta, False)
+            stages.append(record)
 
-    w, V = W.copy(), V_initial
-    stages: list[StageRecord] = []
-    prev_delta: float | None = None
-    for rel_delta in _DELTA_SCHEDULE + (0.0,):
-        delta = rel_delta * scale
-        if prev_delta is not None:
-            w = np.minimum(w + (prev_delta - delta), W)
-        prev_delta = delta
-        w, V, record = stage(w, V, delta, False)
-        stages.append(record)
-    return finish(w, stages, False)
+    w, be, newton_steps = _newton(op, psi, g, w, outer_value, gfloor, 2.0 * scale)
+    solves += newton_steps
+    if float(np.max(w)) <= _COLLAPSE_FLOOR:
+        raise DegenerateSolveError("iterates collapsed below the positivity floor")
+    if be > _ACCEPT_BE:
+        raise ConvergenceError(
+            f"monotone iteration stalled: backward error {be:.2e} after "
+            f"{sum(st.sweeps for st in stages)} sweeps + {newton_steps} Newton steps"
+        )
+    # the returned pair is the one constructed up front: every recorded
+    # iterate respects it (internal lower-barrier refreshes only tighten
+    # the contraction shift)
+    pair = BarrierPair(GridFunction(grid, V_initial), GridFunction(grid, W))
+    return ScalarSolveResult(
+        GridFunction(grid, w), pair, outer_value, stages, be, solves, warm_start=warm,
+    )

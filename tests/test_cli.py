@@ -368,6 +368,23 @@ def test_fit_on_solution(solved_dir):
     assert out.count("PASS") == 2
 
 
+def test_fit_failing_prediction_exits_1(solved_dir, tmp_path):
+    # MIN-i decays like r^-1 in both components; criterion 5's literal
+    # (u ~ r^-1.5, v ~ r^-1) fails on u
+    manifest = json.loads((solved_dir / "run1.manifest.json").read_text())
+    manifest["verdict"]["u_profile"].update(power=-1.5, log_power=0.0)
+    manifest["verdict"]["v_profile"].update(power=-1.0, log_power=0.0)
+    path = tmp_path / "literal.manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, out, err = run_cli(["fit", str(solved_dir / "run1.csv"), "--manifest", str(path),
+                              "--window", "10", "1000"])
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("u:") and lines[0].endswith("FAIL")
+    assert lines[1].startswith("v:") and lines[1].endswith("PASS")
+
+
 def test_fit_synthetic_power_law(tmp_path):
     grid_r = np.geomspace(1.0, 1e4, 1025)
     path = tmp_path / "synth.csv"
@@ -410,7 +427,9 @@ def test_fit_malformed_csv_exit_65(tmp_path):
     off_grid = ["r,u,v\n" + "".join("%.17g,%.17g,%.17g\n" % (x, 1 / x, 1 / x) for x in r)
                 for r in (np.linspace(1.0, 1e4, 1025), perturbed)]
     # a non-number, rows shorter than the header, a single row, off-grid radii
-    for text in ["r,u\n1.0,nope\n", "r,u,v\n1,2\n3,4\n", "r,u,v\n1,1,1\n", *off_grid]:
+    # a header with no data rows
+    for text in ["r,u\n1.0,nope\n", "r,u,v\n1,2\n3,4\n", "r,u,v\n1,1,1\n", *off_grid,
+                 "r,u,v\n"]:
         bad.write_text(text)
         code, out, err = run_cli(["fit", str(bad), "--window", "10", "1000"])
         assert code == 65
@@ -515,11 +534,16 @@ PROBE = ["probe", "--N", "3", "--p", "5", "--q", "1", "--m", "2", "--s", "1", "-
     ([*SWEEP, "--vary", "p=nan:7:3"], None),
     ([*SWEEP, "--vary", "p=-inf:7:3"], None),
     ([*SWEEP, "--vary", "p=3:7:3", "--jobs", "-2"], None),
+    # a range with no "=", over an integer setting, with two parts
+    ([*SWEEP, "--vary", "p"], None),
+    ([*SWEEP, "--vary", "N=3:5:3"], None),
+    ([*SWEEP, "--vary", "p=1:2"], None),
 ], ids=["sweep_no_N", "sweep_R", "sweep_p", "sweep_kind", "probe_R_list", "probe_R_nan",
         "probe_R_inf", "probe_R_repeated", "probe_rho0", "flag_p", "flag_N", "flag_n",
         "flag_kind", "flag_jobs", "probe_rho0_inf", "usage_value_like_a_flag",
         "usage_fit_window", "usage_unknown_flag", "sweep_repeated_axis", "sweep_range_inf",
-        "sweep_range_nan", "sweep_range_minus_inf", "flag_jobs_below_one"])
+        "sweep_range_nan", "sweep_range_minus_inf", "flag_jobs_below_one",
+        "sweep_range_no_equals", "sweep_range_integer_key", "sweep_range_two_parts"])
 def test_bad_settings_exit_64(tmp_path, argv, config):
     out = tmp_path / "atlas.csv"
     argv = [*argv, "--output", str(out)] if argv[0] == "sweep" else list(argv)

@@ -80,6 +80,14 @@ def test_solve_refuses_nonexistence():
         solve_system(params, SourceEnvelope.radial(1.0, 4.0), op)
 
 
+def test_solve_refuses_zero_lambda():
+    # an existence cell, but no source: the schedule needs lam > 0
+    params = ExponentSet(**COUPLED_MIN_I["params"])
+    assert params.lam == 0.0
+    with pytest.raises(ConfigError, match="lam > 0"):
+        solve_system(params, SourceEnvelope.radial(1.0, params.k), cached_operator(1.0, 1e3, 1025, 3))
+
+
 def test_default_lambda_solve_calibrates_once(monkeypatch):
     from gmext import coupled
     from gmext.cli import _SOLVE_DEFAULTS, run_solve

@@ -109,7 +109,7 @@ def test_compare_pass_cases():
     from gmext.fitting import FitResult
 
     def fr(p, lp):
-        return FitResult(p, lp, 1.0, (10, 1e3), 0.0, 100)
+        return FitResult(p, lp, 1.0, (10, 1e3), 0.0)
 
     assert compare_profile(fr(-1.01, 0.0), pure).passed
     assert compare_profile(fr(-0.52, 0.0), half).passed

@@ -8,7 +8,7 @@ from gmext import (
     solve_linear,
 )
 from gmext.errors import ConfigError, DivergedError
-from gmext.grid import factor_block
+from gmext.grid import factor_block, source_relative_residual, weighted_residual
 
 
 def make_op(r0=1.0, R=1e4, n=4097, N=3):
@@ -429,3 +429,28 @@ def test_block_solve_singular_raises_diverged():
     zero = np.zeros(2)
     with pytest.raises(DivergedError):
         factor_block(op, -op.diag, zero, zero, zero)
+
+
+def test_windowed_residual_refuses_an_empty_window():
+    op = make_op(n=257)
+    w = op.grid.r ** -1.0
+    # the first window falls between two nodes, the second holds only the
+    # Dirichlet node
+    r = op.grid.r
+    for window in [(1.01 * r[0], 0.99 * r[1]), (1.01 * r[-2], r[-1])]:
+        for certificate in (weighted_residual, source_relative_residual):
+            with pytest.raises(ConfigError, match="no grid nodes"):
+                certificate(op, w, np.zeros(op.grid.n), 0.0, window)
+
+
+def test_source_relative_residual_of_a_zero_source_is_unscaled():
+    # with nothing to scale by, the source-relative residual is the weighted
+    # residual itself
+    op = make_op(n=257)
+    w = op.grid.r ** -3.0
+    window = (10.0, 1e3)
+    mask = op.grid.window_mask(*window)
+    mask[-1] = False
+    expected = np.max(np.abs(op.apply(w))[mask] * op.grid.r[mask] ** 2.0)
+    assert source_relative_residual(op, w, np.zeros(op.grid.n), 2.0, window) == expected
+    assert expected > 0.0

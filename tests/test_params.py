@@ -71,6 +71,11 @@ def test_envelope_invariants():
             SourceEnvelope.radial(rho0, k)
     with pytest.raises(ConfigError):
         SourceEnvelope(C1=1.0, C2=float("inf"), k=4.0, rho_amplitude=1.0)
+    # a source outside the envelope is bounded by neither the box nor lambda*
+    for rho in (0.5, 5.0, float("nan")):
+        with pytest.raises(ConfigError, match="rho_amplitude"):
+            SourceEnvelope(C1=1.0, C2=2.0, k=4.0, rho_amplitude=rho)
+    assert SourceEnvelope(C1=1.0, C2=2.0, k=4.0, rho_amplitude=1.5).rho_amplitude == 1.5
 
 
 # ---------------------------------------------------------------------------

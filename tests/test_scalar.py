@@ -66,7 +66,7 @@ def test_barrier_W_pointwise_inversion():
 def test_barrier_W_linear_identity():
     op = make_op(n=16)
     Z = GridFunction(op.grid, np.linspace(0.0, 3.0, 16))
-    W = barrier_W(Z, NonlinearitySpec.constant())
+    W = barrier_W(Z, NonlinearitySpec())
     assert np.array_equal(W.values, Z.values)
 
 
@@ -98,7 +98,7 @@ def test_zero_source_propagates_outer_value():
 def test_linear_nonlinearity_single_solve():
     op = make_op(n=2049)
     r = op.grid.r
-    res = solve_monotone(op, r ** -4.0, NonlinearitySpec.constant(), outer="extrapolate")
+    res = solve_monotone(op, r ** -4.0, NonlinearitySpec(), outer="extrapolate")
     exact = 1 / r - 0.5 / r ** 2
     assert np.max(np.abs(res.w.values[:-1] - exact[:-1]) / exact[:-1]) < 1e-3
 
@@ -266,15 +266,24 @@ def test_unconverged_newton_pin_round_runs_the_drive(monkeypatch, solve_calls):
     ref = _drive_every_round(op, psi, g)
     warm_ref = scalar._solve_pinned(op, psi, g, W, ref[-1].outer_value, False,
                                     start=ref[-2].w.values)
-    real = scalar._newton
+    real_newton, real_pinned = scalar._newton, scalar._solve_pinned
+    in_drive = []
 
-    def unconverged(op, psi, g, w, outer_value, tol, gfloor, cap_hi):
-        w, be, steps = real(op, psi, g, w, outer_value, tol, gfloor, cap_hi)
-        # only the pin-choosing rounds ask for _WARM_TOL; the drive's own
-        # Newton finish reports what it reached
-        return w, (np.inf if tol == scalar._WARM_TOL else be), steps
+    def pinned(*args, **kwargs):
+        in_drive.append(True)
+        try:
+            return real_pinned(*args, **kwargs)
+        finally:
+            in_drive.pop()
+
+    def unconverged(*args):
+        w, be, steps = real_newton(*args)
+        # only the pin-choosing rounds run Newton outside the drive; the
+        # drive's own Newton finish reports what it reached
+        return w, (be if in_drive else np.inf), steps
 
     monkeypatch.setattr(scalar, "_newton", unconverged)
+    monkeypatch.setattr(scalar, "_solve_pinned", pinned)
     solve_calls.clear()
     res = solve_monotone(op, psi, g, outer="extrapolate")
     assert res.warm_start and warm_ref.warm_start
@@ -322,6 +331,21 @@ def test_extrapolated_solve_count_guard(solve_calls):
     op = make_op(n=2049)
     solve_monotone(op, op.grid.r ** -6.0, NonlinearitySpec.power(1.0), outer="extrapolate")
     assert len(solve_calls) <= 15
+
+
+def test_cold_drive_finishes_at_the_newton_target():
+    # at n = 8193 the operator's conditioning turns a backward error of
+    # 1e-12 into a forward error near 1e-6: a cold drive whose Newton finish
+    # stopped at 2.7e-12 here ended 6.1e-6 away from the warm drive
+    op = make_op(n=8193)
+    psi = op.grid.r ** -6.0
+    g = NonlinearitySpec.power(4.0)
+    res = solve_monotone(op, psi, g, outer="extrapolate")
+    W = barrier_W(barrier_Z(op.grid, op.N, psi), g).values
+    cold = scalar._solve_pinned(op, psi, g, W, res.outer_value, False)
+    assert not cold.warm_start
+    assert cold.backward_error <= 1e-14
+    assert _rel(cold.w.values, res.w.values) <= 1e-9
 
 
 def test_warm_start_that_is_no_supersolution_falls_back(solve_calls):
