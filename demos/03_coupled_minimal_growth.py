@@ -11,8 +11,11 @@ r^-1.  The script walks through the full pipeline:
 1. classify the exponents,
 2. calibrate the barrier comparison constants on the grid,
 3. assemble the constant schedule (box bounds and the threshold lam*),
-4. solve below the threshold by Newton, certified by one application
-   of the fixed-point map,
+4. solve below the threshold by Newton, which holds the outer values in
+   the iterate's outer nodes and re-pins them twice from the solution's
+   own outer power law, certified by one application of the fixed-point
+   map at the final outer values (the Newton record is
+   ``state.diagnostics["newton"]``),
 5. verify the invariant box and the fitted decay exponents.
 """
 
@@ -56,8 +59,8 @@ fit_u = fit_power(state.u, (10.0, 1e3))
 fit_v = fit_power(state.v, (10.0, 1e3))
 box = verify_box(state)
 
-print(f"\nfixed point after {state.diagnostics['newton_steps']} Newton steps "
-      f"(gap to its image under the map: {state.diagnostics['fixed_point_gap']:.1e})")
+print(f"\nfixed point after {state.diagnostics['newton']['steps']} Newton steps "
+      f"(gap to its image under the map: {state.diagnostics['newton']['fixed_point_gap']:.1e})")
 print(f"fitted exponents: u {fit_u.power:+.4f}, v {fit_v.power:+.4f}  (both predicted -1)")
 print(f"residual certificates: u {state.diagnostics['certificate_u']:.2e}, "
       f"v {state.diagnostics['certificate_v']:.2e}")

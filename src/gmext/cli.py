@@ -299,21 +299,9 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
         "residuals": {k: state.diagnostics[k] for k in (
             "certificate_u", "certificate_v", "backward_error_u",
             "backward_error_v", "source_residual_u", "source_residual_v")},
-        "box": {
-            "ok": box.ok, "violations_u": box.violations_u,
-            "violations_v": box.violations_v, "margin_u": box.margin_u,
-            "margin_v": box.margin_v, "window": list(box.window),
-            "n_checked": box.n_checked,
-        },
-        "newton": {
-            "steps": state.diagnostics["newton_steps"],
-            "coarse_steps": state.diagnostics["newton_coarse_steps"],
-            "factorizations": state.diagnostics["newton_factorizations"],
-            "converged": state.diagnostics["newton_converged"],
-            "last_step": state.diagnostics["newton_last_step"],
-            "fixed_point_gap": state.diagnostics["fixed_point_gap"],
-            "inner_monotone_ok": state.diagnostics["inner_monotone_ok"],
-        },
+        "box": {"ok": box.ok, **dataclasses.asdict(box)},
+        "newton": {**state.diagnostics["newton"],
+                   "inner_monotone_ok": state.diagnostics["inner_monotone_ok"]},
     }
     return manifest, rows, EXIT_EXISTS
 

@@ -6,14 +6,19 @@ One application of the map H sends (u, v) to (Tu, Tv):
     -Lap (Tu) = u^p / v^q + lam rho        (GM; MIXED uses v^q / u^p + lam rho)
     -Lap (Tv) = u^m (Tv)^-s                (monotone scalar solve)
 
-with Neumann inner rows and outer Dirichlet values pinned at the predicted
-profiles.  The steady state is a fixed point of H, i.e. a solution of the
-discrete system L u = f(u, v) + lam rho, L v = u^m v^-s; Newton on that
-system (u and v interleaved, so the Jacobian is a (2,2)-banded matrix)
-finds it, and one final application of H certifies it as a fixed point.
-That application starts its monotone scalar solve from the Newton state's
-v, which already solves the inner problem at the same pin, so the drive
-runs only its last stage (the image does not depend on v otherwise).
+with Neumann inner rows and outer Dirichlet values given as pins (by
+default the box midpoint's on the predicted profiles).  The steady state is
+a fixed point of H, i.e. a solution of the discrete system
+L u = f(u, v) + lam rho, L v = u^m v^-s; Newton on that system (u and v
+interleaved, so the Jacobian is a (2,2)-banded matrix) finds it, and one
+final application of H certifies it as a fixed point.
+Newton's outer values are the iterate's own outer nodes: the two Dirichlet
+rows are identity rows with zero residual, so no step moves them, and the
+solve re-pins by writing new values there.  The certifying application of
+H is pinned at the Newton state's outer nodes, and starts its monotone
+scalar solve from that state's v, which already solves the inner problem
+at the same pin, so the drive runs only its last stage (the image does not
+depend on v otherwise).
 Newton's step count does not depend on the mesh, so its first phase starts
 from the same Newton on a coarse grid, and a step reuses the last LU
 factors of the Jacobian while the state has moved little since they were
@@ -303,12 +308,14 @@ class _Jacobian:
 
 def _newton(
     params: ExponentSet, env: SourceEnvelope, op: RadialOperator,
-    u: np.ndarray, v: np.ndarray, pins: tuple[float, float], jac: _Jacobian,
+    u: np.ndarray, v: np.ndarray, jac: _Jacobian,
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Newton on L u = f(u, v) + lam rho, L v = u^m v^-s from (u, v) with the
-    outer values pinned at ``pins``, until the largest nodewise relative step
-    drops below ``_NEWTON_TOL`` or ``_NEWTON_CAP`` steps are spent; returns
-    the final (u, v), the number of steps and the last step.  The Jacobian
+    outer values pinned at the start's outer nodes, until the largest
+    nodewise relative step drops below ``_NEWTON_TOL`` or ``_NEWTON_CAP``
+    steps are spent; returns the final (u, v), the number of steps and the
+    last step.  The two Dirichlet rows are identity rows of the Jacobian
+    with zero residual, so no step moves the outer nodes.  The Jacobian
     is factored afresh only when ``jac.drift`` exceeds ``_REFACTOR_DRIFT``;
     otherwise the step solves with the kept factors (a simplified Newton
     step).  A step is halved until u > 0 and v > 0 off the Dirichlet node; a
@@ -324,8 +331,7 @@ def _newton(
             f, rhs_u, g = _equations(params, rho, u, v)
             rhs[0::2] = rhs_u - op.apply(u)
             rhs[1::2] = g - op.apply(v)
-        rhs[-2] = pins[0] - u[-1]
-        rhs[-1] = pins[1] - v[-1]
+        rhs[-2:] = 0.0
         if not np.all(np.isfinite(rhs)):
             raise DivergedError("non-finite Newton residual")
         if jac.drift > _REFACTOR_DRIFT:
@@ -359,15 +365,15 @@ def _newton(
 
 
 def _coarse_start(
-    params: ExponentSet, env: SourceEnvelope, op: RadialOperator,
-    start: CoupledState, pins: tuple[float, float],
+    params: ExponentSet, env: SourceEnvelope, op: RadialOperator, start: CoupledState,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The first phase's start on ``op``'s grid and the coarse steps taken
-    for it: Newton from the box midpoint with ``pins`` on a coarse grid over
-    the same [r0, R], interpolated linearly in xi in log u and log v, with
-    the outer nodes set to the pins.  It is ``start`` itself, after no
-    steps, when the coarse grid would not have fewer nodes or
-    ``assemble_operator`` refuses it (its spacing or its weights)."""
+    for it: Newton from the box midpoint on a coarse grid over the same
+    [r0, R], whose outer nodes are ``start``'s, interpolated linearly in xi
+    in log u and log v, with the outer nodes kept as the coarse solve's.  It
+    is ``start`` itself, after no steps, when the coarse grid would not have
+    fewer nodes or ``assemble_operator`` refuses it (its spacing or its
+    weights)."""
     grid = op.grid
     n_c = max((grid.n - 1) // _COARSE_RATIO + 1, _COARSE_MIN_NODES)
     if n_c >= grid.n:
@@ -377,12 +383,12 @@ def _coarse_start(
     except ConfigError:
         return start.u.values, start.v.values, 0
     mid = initial_state(coarse, start.verdict, start.schedule)
-    u, v, steps, _ = _newton(params, env, coarse, mid.u.values, mid.v.values, pins,
-                             _Jacobian())
+    u_c, v_c, steps, _ = _newton(params, env, coarse, mid.u.values, mid.v.values,
+                                 _Jacobian())
     xi, xi_c = grid.xi, coarse.grid.xi
-    u = np.exp(np.interp(xi, xi_c, np.log(u)))
-    v = np.exp(np.interp(xi, xi_c, np.log(v)))
-    u[-1], v[-1] = pins
+    u = np.exp(np.interp(xi, xi_c, np.log(u_c)))
+    v = np.exp(np.interp(xi, xi_c, np.log(v_c)))
+    u[-1], v[-1] = u_c[-1], v_c[-1]
     return u, v, steps
 
 
@@ -399,23 +405,27 @@ def solve_system(
     ``schedule`` is the constant schedule at ``params.lam`` (as returned by
     ``suggest_lambda``); without one, C3/C4 are calibrated on ``op`` and the
     schedule is built here.  Newton starts from ``initial_state``'s box
-    midpoint, pinned at its outer node: on a coarse grid over the same
-    [r0, R] first (``_coarse_start``; none when the grid has at most
+    midpoint: on a coarse grid over the same [r0, R] first
+    (``_coarse_start``; none when the grid has at most
     ``_COARSE_MIN_NODES`` nodes or the coarse one is refused), then on
-    ``op``'s grid from the interpolated coarse solution.  The polish then
-    twice re-pins both outer values from the solution's own outer power law,
-    removing the O(1) amplitude mismatch the fixed pins leave at the
-    truncation radius.  Each of the three Newton phases works on the (u, v)
-    arrays and stops when the largest relative step drops below 1e-11 or
-    after 200 steps (``_NEWTON_TOL``, ``_NEWTON_CAP``); the factors of the
-    Jacobian are shared by all three and kept while the relative steps
-    taken with them sum to at most ``_REFACTOR_DRIFT``.  ``diagnostics``
-    count the Newton steps on ``op``'s grid (``newton_steps``), on the
-    coarse grid (``newton_coarse_steps``) and the factorizations on ``op``'s
-    grid (``newton_factorizations``).  The stored state is the image of
-    the Newton state under H at the final pins, so it satisfies the discrete
-    equations to solver accuracy; the relative gap between the two is
-    recorded as ``fixed_point_gap``.  The state carries the node residuals
+    ``op``'s grid from the interpolated coarse solution.  Each Newton phase
+    holds the outer values its start carries, so the midpoint's outer node
+    is the first phase's pin.  The polish then twice writes the pins
+    re-extrapolated from the solution's own outer power law into the outer
+    nodes and runs Newton again, removing the O(1) amplitude mismatch the
+    fixed pins leave at the truncation radius.  Each of the three Newton
+    phases works on the (u, v) arrays and stops when the largest relative
+    step drops below 1e-11 or after 200 steps (``_NEWTON_TOL``,
+    ``_NEWTON_CAP``); the factors of the Jacobian are shared by all three
+    and kept while the relative steps taken with them sum to at most
+    ``_REFACTOR_DRIFT``.  The stored state is the image of the Newton state
+    under H at its outer nodes, so it satisfies the discrete equations to
+    solver accuracy.  ``diagnostics["newton"]`` records the Newton steps on
+    ``op``'s grid (``steps``), those on the coarse grid (``coarse_steps``),
+    the factorizations on ``op``'s grid (``factorizations``), whether every
+    phase met ``_NEWTON_TOL`` (``converged``), the last relative step
+    (``last_step``) and the relative gap between the Newton state and its
+    image (``fixed_point_gap``).  The state carries the node residuals
     ``L u - rhs_u``, ``L v - rhs_v`` and, in ``diagnostics``, their
     certificates (``certificate_u``/``certificate_v``), backward errors and
     source-relative residuals.
@@ -443,27 +453,23 @@ def solve_system(
     if window is None:
         window = grid.default_window()
 
-    pins = (float(state.u.values[-1]), float(state.v.values[-1]))
-    u, v, coarse_steps = _coarse_start(params, env, op, state, pins)
+    u, v, coarse_steps = _coarse_start(params, env, op, state)
     jac, steps, converged = _Jacobian(), 0, True
     for phase in range(1 + _POLISH_ROUNDS):
         if phase:
-            pins = (_extrapolated_pin(grid, u), _extrapolated_pin(grid, v))
-        u, v, taken, step = _newton(params, env, op, u, v, pins, jac)
+            u[-1], v[-1] = _extrapolated_pin(grid, u), _extrapolated_pin(grid, v)
+        u, v, taken, step = _newton(params, env, op, u, v, jac)
         steps += taken
         converged = converged and step < _NEWTON_TOL
     state = replace(state, u=GridFunction(grid, u), v=GridFunction(grid, v), iteration=steps)
-    image = apply_H(state, params, env, op, pins=pins)
-    gap = max(_relative_change(image.u.values, state.u.values),
-              _relative_change(image.v.values, state.v.values))
+    image = apply_H(state, params, env, op, pins=(float(u[-1]), float(v[-1])))
+    gap = max(_relative_change(image.u.values, u), _relative_change(image.v.values, v))
 
     _certify(image, params, env, op, window)
-    image.diagnostics["newton_steps"] = state.iteration
-    image.diagnostics["newton_coarse_steps"] = coarse_steps
-    image.diagnostics["newton_factorizations"] = jac.count
-    image.diagnostics["newton_converged"] = bool(converged)
-    image.diagnostics["newton_last_step"] = float(step)
-    image.diagnostics["fixed_point_gap"] = gap
+    image.diagnostics["newton"] = {
+        "steps": steps, "coarse_steps": coarse_steps, "factorizations": jac.count,
+        "converged": bool(converged), "last_step": float(step), "fixed_point_gap": gap,
+    }
     return image
 
 
@@ -476,12 +482,15 @@ def verify_box(
     verdict's profiles.
 
     Margins are the smallest relative slack to each bound (negative when
-    violated); report-only, no exception.
+    violated); report-only, no exception for a violated bound.  A window
+    holding no node is a ConfigError.
     """
     grid = state.u.grid
     if window is None:
         window = grid.default_window()
     mask = grid.window_mask(*window)
+    if not np.any(mask):
+        raise ConfigError("box window contains no grid nodes")
     pu = state.verdict.u_profile.values(grid.r)[mask]
     pv = state.verdict.v_profile.values(grid.r)[mask]
     u = state.u.values[mask]

@@ -35,8 +35,6 @@ class FitResult:
 @dataclass(frozen=True)
 class ProfileMatch:
     passed: bool
-    power_error: float
-    log_power_error: float
 
 
 def fit_design(grid: RadialGrid, window: tuple[float, float],
@@ -77,8 +75,9 @@ def fit_design(grid: RadialGrid, window: tuple[float, float],
 def _least_squares(w: GridFunction, window: tuple[float, float], mask: np.ndarray,
                    A: np.ndarray) -> FitResult:
     vals = w.values[mask]
-    if np.any(vals <= 0):
-        raise WindowError("fit requires positive values on the window")
+    # NaN fails both comparisons, so it is refused with inf
+    if not np.all((vals > 0) & (vals < np.inf)):
+        raise WindowError("fit requires positive finite values on the window")
     y = np.log(vals)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
@@ -110,7 +109,5 @@ def fit_power_log(w: GridFunction, window: tuple[float, float], r0: float,
 def compare_profile(fit: FitResult, predicted: AsymptoticProfile) -> ProfileMatch:
     """PASS iff the power sits within ``TOL_POWER`` and the log exponent
     within ``TOL_LOG`` of the prediction."""
-    dp = abs(fit.power - predicted.power)
-    dl = abs(fit.log_power - predicted.log_power)
-    return ProfileMatch(passed=bool(dp <= TOL_POWER and dl <= TOL_LOG),
-                        power_error=float(dp), log_power_error=float(dl))
+    return ProfileMatch(passed=bool(abs(fit.power - predicted.power) <= TOL_POWER
+                                    and abs(fit.log_power - predicted.log_power) <= TOL_LOG))

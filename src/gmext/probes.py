@@ -62,7 +62,6 @@ class ProbeReport:
     params: ExponentSet
     equation: str
     rows: tuple[ProbeRow, ...]
-    diagnosis: str
 
     @property
     def floor_rel_decreasing(self) -> bool:
@@ -73,6 +72,17 @@ class ProbeReport:
     def floor_abs_increasing(self) -> bool:
         vals = [row.floor_abs for row in self.rows]
         return all(b > a for a, b in zip(vals, vals[1:]))
+
+    @property
+    def diagnosis(self) -> str:
+        if any(row.flag for row in self.rows):
+            return "solver degenerated on at least one truncation"
+        if self.floor_abs_increasing and self.floor_rel_decreasing:
+            return ("profile grows with the truncation while flattening: "
+                    "no decaying limit (floor/peak -> 0)")
+        if self.floor_abs_increasing:
+            return "profile grows without bound across truncations: decay impossible"
+        return "no clear degeneration trend; inspect the rows"
 
     def lines(self) -> list[str]:
         out = [f"degeneration probe: {self.equation}"]
@@ -124,12 +134,12 @@ def degeneration_probe(
     params: ExponentSet,
     env: SourceEnvelope,
     R_sequence: tuple[float, ...] = (1e2, 1e3, 1e4),
-    r0: float = 1.0,
     nodes_per_decade: int = 512,
 ) -> ProbeReport:
-    """Solve the obstructed scalar problem on each truncation and record the
-    superharmonic profile w * r^(N-2) over the fitting window, which keeps
-    half a decade clear of r0 and of R.
+    """Solve the obstructed scalar problem on each truncation of the
+    exterior of the unit ball (r0 = 1, where ``_probe_target`` classifies)
+    and record the superharmonic profile w * r^(N-2) over the fitting
+    window, which keeps half a decade clear of r0 and of R.
 
     For integral-type obstructions the truncated solutions grow without bound
     as R does, so the absolute floor min(w r^(N-2)) rises while the profile
@@ -138,6 +148,7 @@ def degeneration_probe(
     regime would instead hold both quantities steady under R-refinement.
     """
     alpha, s_eff, label = _probe_target(params)
+    r0 = 1.0
     if len(R_sequence) < 2:
         raise ConfigError("R_sequence needs at least two truncation radii")
     radii = np.asarray(R_sequence, dtype=float)
@@ -168,14 +179,4 @@ def degeneration_probe(
             floor_rel=floor / peak if peak and peak > 0 else float("nan"),
             flag=flag,
         ))
-    report = ProbeReport(params=params, equation=label, rows=tuple(rows), diagnosis="")
-    if any(row.flag for row in rows):
-        diag = "solver degenerated on at least one truncation"
-    elif report.floor_abs_increasing and report.floor_rel_decreasing:
-        diag = ("profile grows with the truncation while flattening: "
-                "no decaying limit (floor/peak -> 0)")
-    elif report.floor_abs_increasing:
-        diag = "profile grows without bound across truncations: decay impossible"
-    else:
-        diag = "no clear degeneration trend; inspect the rows"
-    return ProbeReport(params=params, equation=label, rows=tuple(rows), diagnosis=diag)
+    return ProbeReport(params=params, equation=label, rows=tuple(rows))

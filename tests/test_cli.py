@@ -418,6 +418,21 @@ def test_fit_refuses_window_before_warning(solved_dir):
     assert len(err.splitlines()) == 1 and err.startswith("u: window error:")
 
 
+@pytest.mark.parametrize("bad", ["0", "nan", "inf"])
+def test_fit_refuses_nonpositive_or_non_finite_value(tmp_path, bad):
+    # one bad u value at r = 100, inside the window; NaN and inf used to
+    # print "power +nan ... rms nan" and exit 0
+    r = np.geomspace(1.0, 1e4, 1025)
+    u = ["%.17g" % x for x in r ** -1.0]
+    u[512] = bad
+    path = tmp_path / "bad_value.csv"
+    path.write_text("r,u,v\n" + "".join("%.17g,%s,%.17g\n" % (x, ux, 1 / x)
+                                         for x, ux in zip(r, u)))
+    code, out, err = run_cli(["fit", str(path), "--window", "10", "1000"])
+    assert code == 64 and out == ""
+    assert err.startswith("u: window error:") and "positive finite" in err
+
+
 def test_fit_malformed_csv_exit_65(tmp_path):
     bad = tmp_path / "bad.csv"
     # u = r^-1 exactly on radii off the log-uniform grid: fitted against the

@@ -141,6 +141,65 @@ def test_diverged_guard():
         state.check_positive()
 
 
+def test_positivity_guard():
+    params = ExponentSet(**COUPLED_MIN_I["params"]).with_lam(1e-5)
+    op = cached_operator(1.0, 1e3, 1025, 3)
+    u = np.full(op.grid.n, 1.0)
+    u[10] = 0.0
+    ok = GridFunction(op.grid, np.full(op.grid.n, 1.0))
+    sched = constant_schedule(params, SourceEnvelope.radial(1.0, params.k), 0.5, 2.0)
+    state = CoupledState(u=GridFunction(op.grid, u), v=ok, schedule=sched,
+                         verdict=classify(params))
+    with pytest.raises(DivergedError, match="lost positivity"):
+        state.check_positive()
+
+
+def test_box_window_without_nodes_is_refused():
+    params = ExponentSet(**COUPLED_MIN_I["params"]).with_lam(1e-5)
+    op = cached_operator(1.0, 1e3, 1025, 3)
+    sched = constant_schedule(params, SourceEnvelope.radial(1.0, params.k), 0.5, 2.0)
+    from gmext.coupled import initial_state
+
+    state = initial_state(op, classify(params), sched)
+    with pytest.raises(ConfigError, match="no grid nodes"):
+        verify_box(state, (2e3, 3e3))
+
+
+def _poison_equations(where: int):
+    """``coupled._equations`` with f and rhs_u set to NaN at node ``where``."""
+    from gmext import coupled
+
+    real = coupled._equations
+
+    def poisoned(*args):
+        f, rhs_u, rhs_v = real(*args)
+        f, rhs_u = f.copy(), rhs_u.copy()
+        f[where] = rhs_u[where] = np.nan
+        return f, rhs_u, rhs_v
+
+    return poisoned
+
+
+@pytest.mark.parametrize("patch,match", [
+    # NaN at an interior node reaches the residual
+    ({"_equations": _poison_equations(1)}, "non-finite Newton residual"),
+    # at the Dirichlet node the residual row is overwritten, but the
+    # Jacobian's diagonals there are NaN
+    ({"_equations": _poison_equations(-1)}, "non-finite Newton Jacobian"),
+    ({"_HALVINGS": 0}, "step halving"),
+], ids=["residual", "jacobian", "halving"])
+def test_newton_divergence_exits(monkeypatch, patch, match):
+    from gmext import coupled
+
+    for name, value in patch.items():
+        monkeypatch.setattr(coupled, name, value)
+    params = ExponentSet(**COUPLED_MIN_I["params"]).with_lam(1e-5)
+    env = SourceEnvelope.radial(1.0, params.k)
+    sched = constant_schedule(params, env, 0.5, 2.0)
+    with pytest.raises(DivergedError, match=match):
+        solve_system(params, env, cached_operator(1.0, 1e3, 129, 3), schedule=sched)
+
+
 # ---------------------------------------------------------------------------
 # fixed-point structure
 
@@ -194,9 +253,39 @@ def test_newton_solve_applies_H_once(monkeypatch):
     state = solve_system(params0.with_lam(lam), env, op, schedule=sched)
     assert len(calls) == 1
     assert state.iteration <= 25
-    assert state.iteration == state.diagnostics["newton_steps"] + 1
-    assert state.diagnostics["newton_converged"]
-    assert state.diagnostics["fixed_point_gap"] < 1e-8
+    assert state.iteration == state.diagnostics["newton"]["steps"] + 1
+    assert state.diagnostics["newton"]["converged"]
+    assert state.diagnostics["newton"]["fixed_point_gap"] < 1e-8
+
+
+def test_newton_phases_keep_their_outer_nodes(monkeypatch):
+    # the pins live in the iterate: every Newton phase returns the outer
+    # nodes it was given, bit for bit, the polish writes new ones before each
+    # of its phases, and the stored image is pinned at the last phase's
+    from gmext import coupled
+
+    phases = []
+    real = coupled._newton
+
+    def spy(params, env, op, u, v, *rest):
+        given = (float(u[-1]), float(v[-1]))
+        u_out, v_out, *tail = real(params, env, op, u, v, *rest)
+        phases.append((op.grid.n, given, (float(u_out[-1]), float(v_out[-1]))))
+        return (u_out, v_out, *tail)
+
+    monkeypatch.setattr(coupled, "_newton", spy)
+    params = ExponentSet(**COUPLED_MIN_I["params"])
+    op = cached_operator(1.0, 1e3, 2049, params.N)
+    env = SourceEnvelope.radial(1.0, params.k)
+    lam, sched = suggest_lambda(params, env, op)
+    state = solve_system(params.with_lam(lam), env, op, schedule=sched)
+    assert [n for n, _, _ in phases] == [129, 2049, 2049, 2049]
+    for _, given, returned in phases:
+        assert given == returned
+    # the coarse start hands its outer nodes on; each polish phase re-pins
+    assert phases[1][1] == phases[0][2]
+    assert phases[2][1] != phases[1][2] and phases[3][1] != phases[2][2]
+    assert (float(state.u.values[-1]), float(state.v.values[-1])) == phases[-1][2]
 
 
 def test_sentinel_cell_diverges():
@@ -233,11 +322,11 @@ def test_newton_count_guard():
     # MIN-i at n = 4097: the coarse start leaves a few solve-grid steps, and
     # the kept factors serve most of them (was 14 steps, 14 factorizations)
     _, _, _, state = solve_case(COUPLED_MIN_I)
-    d = state.diagnostics
-    assert d["newton_coarse_steps"] > 0
-    assert d["newton_steps"] <= 10
-    assert d["newton_factorizations"] <= 5
-    assert state.iteration == d["newton_steps"] + 1
+    d = state.diagnostics["newton"]
+    assert d["coarse_steps"] > 0
+    assert d["steps"] <= 10
+    assert d["factorizations"] <= 5
+    assert state.iteration == d["steps"] + 1
 
 
 def test_small_grid_has_no_coarse_level():
@@ -247,9 +336,10 @@ def test_small_grid_has_no_coarse_level():
     env = SourceEnvelope.radial(1.0, params.k)
     lam, sched = suggest_lambda(params, env, op)
     state = solve_system(params.with_lam(lam), env, op, schedule=sched)
-    assert state.diagnostics["newton_coarse_steps"] == 0
-    assert 0 < state.diagnostics["newton_factorizations"] <= state.diagnostics["newton_steps"]
-    assert state.diagnostics["newton_converged"]
+    newton = state.diagnostics["newton"]
+    assert newton["coarse_steps"] == 0
+    assert 0 < newton["factorizations"] <= newton["steps"]
+    assert newton["converged"]
 
 
 def test_coarse_level_skipped_where_its_spacing_is_refused():
@@ -265,8 +355,8 @@ def test_coarse_level_skipped_where_its_spacing_is_refused():
     env = SourceEnvelope.radial(1.0, params.k)
     lam, sched = suggest_lambda(params, env, op)
     state = solve_system(params.with_lam(lam), env, op, schedule=sched)
-    assert state.diagnostics["newton_coarse_steps"] == 0
-    assert state.diagnostics["newton_converged"]
+    assert state.diagnostics["newton"]["coarse_steps"] == 0
+    assert state.diagnostics["newton"]["converged"]
     assert max(state.diagnostics["certificate_u"], state.diagnostics["certificate_v"]) < 1e-8
 
 

@@ -98,6 +98,18 @@ def test_fit_requires_positive_values():
         fit_power(GridFunction(grid, vals), (10, 1e3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_refuses_non_finite_values(bad):
+    # NaN and inf pass a test for values <= 0; the fit returned NaN for them
+    grid = build_grid(1.0, 1e4, 257)
+    vals = grid.r ** -1.0
+    vals[100] = bad
+    with pytest.raises(WindowError, match="positive finite"):
+        fit_power(GridFunction(grid, vals), (10, 1e3))
+    with pytest.raises(WindowError, match="positive finite"):
+        fit_power_log(GridFunction(grid, vals), (10, 1e3), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # profile comparison
 
@@ -116,3 +128,15 @@ def test_compare_pass_cases():
     assert compare_profile(fr(-1.0, 0.48), logp).passed
     assert not compare_profile(fr(-1.2, 0.0), pure).passed
     assert not compare_profile(fr(-1.0, 0.3), logp).passed
+
+
+def test_fit_design_refusals():
+    from gmext.fitting import fit_design
+
+    # two nodes per decade leave 5 in a two-decade window
+    with pytest.raises(WindowError, match="fewer than 8"):
+        fit_design(build_grid(1.0, 1e4, 9), (10.0, 1e3))
+    # a window of 0.002 decades, with 43 nodes, cannot separate ln r from
+    # ln ln r
+    with pytest.raises(CollinearWindowError):
+        fit_design(build_grid(99.0, 102.0, 257), (100.0, 100.5), 0.0, 1.0)

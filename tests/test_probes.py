@@ -107,3 +107,36 @@ def test_probe_validates_radius_sequence():
                   (-1.0, 1e2)):
         with pytest.raises(ConfigError):
             degeneration_probe(params, env, radii)
+
+
+def test_probe_thm71_ii2_inhibitor_branch():
+    # Thm7.1(ii2) with m(N-2) <= 2 probes the inhibitor equation
+    params = ExponentSet(N=3, p=1, q=3, m=1.5, s=1, k=4, kind=SystemKind.MIXED)
+    assert classify(params).matched_condition == "Thm7.1(ii2)"
+    report = degeneration_probe(params, SourceEnvelope.radial(1.0, 4.0), (1e2, 1e3),
+                                nodes_per_decade=64)
+    assert report.equation == "inhibitor: -Lap w = r^-1.5 w^-1"
+
+
+def test_probe_flagged_row_is_diagnosed_as_degenerate(monkeypatch):
+    # a solver failure on one truncation is a flagged row, not an exception
+    from gmext import probes
+    from gmext.errors import DegenerateSolveError
+
+    real = probes.solve_monotone
+    calls = []
+
+    def failing_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise DegenerateSolveError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(probes, "solve_monotone", failing_second)
+    params = ExponentSet(N=3, p=5, q=1, m=2, s=1, k=4)
+    report = degeneration_probe(params, SourceEnvelope.radial(1.0, 4.0), (1e2, 1e3, 1e4),
+                                nodes_per_decade=64)
+    assert [row.flag for row in report.rows] == ["", DegenerateSolveError.tag, ""]
+    assert np.isnan(report.rows[1].floor_abs)
+    assert report.diagnosis == "solver degenerated on at least one truncation"
+    assert report.lines()[-1] == "  diagnosis: solver degenerated on at least one truncation"

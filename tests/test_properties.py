@@ -430,10 +430,10 @@ def test_coupled_solve_matches_fresh_newton_from_the_midpoint(params):
     if isinstance(got, str) or isinstance(ref, str):
         assert got == ref
         return
-    assert got.diagnostics["newton_coarse_steps"] > 0
-    assert ref.diagnostics["newton_factorizations"] == ref.diagnostics["newton_steps"]
+    assert got.diagnostics["newton"]["coarse_steps"] > 0
+    assert ref.diagnostics["newton"]["factorizations"] == ref.diagnostics["newton"]["steps"]
     for state in (got, ref):
-        assert state.diagnostics["fixed_point_gap"] <= 1e-9
+        assert state.diagnostics["newton"]["fixed_point_gap"] <= 1e-9
     for c in "uv":
         a, b = getattr(got, c).values, getattr(ref, c).values
         assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)) <= 1e-10

@@ -12,7 +12,12 @@ from gmext import (
 from gmext import scalar
 from gmext.fitting import fit_power, fit_power_log
 from gmext.grid import GridFunction
-from gmext.errors import ConfigError, DegenerateSolveError, NonintegrableSourceError
+from gmext.errors import (
+    ConfigError,
+    ConvergenceError,
+    DegenerateSolveError,
+    NonintegrableSourceError,
+)
 
 
 def make_op(r0=1.0, R=1e4, n=2049, N=3):
@@ -529,3 +534,18 @@ def test_discrete_comparison_nonlinear_sampled():
         w2 = solve_monotone(op, psi, g, outer=b2, truncate_tail=True).w.values
         w1 = solve_monotone(op, psi * bump, g, outer=b1, truncate_tail=True).w.values
         assert np.all(w1 >= w2 - 1e-8 * np.maximum(w1, 1e-300))
+
+
+# ---------------------------------------------------------------------------
+# refusals of the pinned solve's Newton finish
+
+
+@pytest.mark.parametrize("finish,error,match", [
+    (lambda w: (w, 1e-6, 1), ConvergenceError, "stalled: backward error 1.00e-06"),
+    (lambda w: (np.zeros_like(w), 0.0, 1), DegenerateSolveError, "collapsed"),
+], ids=["unconverged", "collapsed"])
+def test_pinned_solve_refuses_a_failed_finish(monkeypatch, finish, error, match):
+    monkeypatch.setattr(scalar, "_newton", lambda op, psi, g, w, *rest: finish(w))
+    op = make_op(n=257)
+    with pytest.raises(error, match=match):
+        solve_monotone(op, op.grid.r ** -6.0, NonlinearitySpec.power(1.0))
