@@ -16,7 +16,6 @@ from .params import (
     ConstantSchedule,
     ExponentSet,
     Outcome,
-    ProfileKind,
     RegimeVerdict,
     SourceEnvelope,
     SystemKind,
@@ -62,8 +61,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticProfile", "BarrierPair", "BoxReport", "ConstantSchedule",
     "CoupledState", "ExponentSet", "FitResult", "GridFunction",
-    "NonlinearitySpec", "Outcome", "ProbeReport", "ProfileKind",
-    "ProfileMatch", "RadialGrid", "RadialOperator",
+    "NonlinearitySpec", "Outcome", "ProbeReport", "ProfileMatch",
+    "RadialGrid", "RadialOperator",
     "RegimeVerdict", "ScalarSolveResult", "SourceEnvelope", "SystemKind",
     "apply_H", "assemble_operator", "backward_error", "barrier_W", "barrier_Z",
     "build_grid", "calibrate_barrier_constants", "classify", "classify_lattice",

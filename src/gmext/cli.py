@@ -5,7 +5,10 @@ Exit codes: 0 existence / success, 1 nonexistence, 2 inconclusive,
 unexpected error.
 
 Each command's settings and their defaults are declared once, in
-``_COMMAND_DEFAULTS``; every setting is a flag, which argparse takes as plain
+``_COMMAND_DEFAULTS``, and a command takes only the settings it reads:
+``classify`` the parameters, ``probe`` these and ``R_list`` (its source
+amplitude is one), ``solve`` and ``sweep`` these and ``lam``, ``rho0``, the
+grid and the window.  Every setting is a flag, which argparse takes as plain
 text.  ``_settings`` is the one place that reads and converts them: defaults,
 then a flat key-value file (``--config``), then the flags, each value
 converted by one key-to-type table.  So a missing, unknown or ill-typed
@@ -47,7 +50,6 @@ from .params import (
     AsymptoticProfile,
     ExponentSet,
     Outcome,
-    ProfileKind,
     SourceEnvelope,
     SystemKind,
     classify,
@@ -72,17 +74,19 @@ _CSV_CHUNK_ROWS = 2048
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_PARAM_KEYS = ("N", "p", "q", "m", "s", "k", "lam", "kind")
-_PARAM_DEFAULTS = {"lam": 0.0, "kind": SystemKind.GM}
-_SOLVE_DEFAULTS = {**_PARAM_DEFAULTS, "r0": 1.0, "R": 1e4, "n": 4097, "rho0": 1.0,
-                   "window_lo": 0.0, "window_hi": 0.0}
+_PARAM_KEYS = ("N", "p", "q", "m", "s", "k", "kind")
+# the exponents a sweep may vary, one CSV column each
+_CELL_KEYS = ("p", "q", "m", "s", "k")
+_PARAM_DEFAULTS = {"kind": SystemKind.GM}
+_SOLVE_DEFAULTS = {**_PARAM_DEFAULTS, "lam": 0.0, "r0": 1.0, "R": 1e4, "n": 4097,
+                   "rho0": 1.0, "window_lo": 0.0, "window_hi": 0.0}
 # every command's settings: the parameters (_PARAM_KEYS) and these, with
 # their defaults; build_parser makes a flag of each, _settings converts it
 _COMMAND_DEFAULTS = {
     "classify": _PARAM_DEFAULTS,
     "solve": _SOLVE_DEFAULTS,
     "sweep": dict(_SOLVE_DEFAULTS, n=2049),
-    "probe": dict(_PARAM_DEFAULTS, rho0=1.0, R_list="1e2,1e3,1e4"),
+    "probe": dict(_PARAM_DEFAULTS, R_list="1e2,1e3,1e4"),
 }
 
 
@@ -103,14 +107,10 @@ _HELP = {"kind": "one of " + ", ".join(kind.value for kind in SystemKind),
          "R_list": "comma-separated truncation radii"}
 
 # the type of every setting; a config file or manifest may set all but the
-# flag-only R_list
+# flag-only R_list, for any command
 _TYPES = {"N": _whole, "n": _whole, "kind": SystemKind, "R_list": _radii,
           **dict.fromkeys(("p", "q", "m", "s", "k", "lam", "r0", "R", "rho0",
                            "window_lo", "window_hi"), float)}
-
-# settings that older manifests record and that are now fixed; a manifest
-# or config file may still name them, but only at these values
-_RETIRED = {"damping": 0.5, "polish": 2, "tol": 1e-11, "max_iter": 200}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -134,9 +134,8 @@ def _settings(args: argparse.Namespace, optional=()) -> dict:
     """Typed settings of ``args.command``: its defaults <- config file <-
     flags, or the config of the manifest that ``--from-manifest`` replays,
     which names every setting itself and admits no other.  Unknown keys,
-    retired keys off their fixed value, missing settings (but ``optional``
-    ones) and values of the wrong type are ConfigErrors, raised before any
-    work."""
+    missing settings (but ``optional`` ones) and values of the wrong type
+    are ConfigErrors, raised before any work."""
     defaults = _COMMAND_DEFAULTS[args.command]
     flags = {key: value for key in (*_PARAM_KEYS, *defaults)
              if (value := getattr(args, key)) is not None}
@@ -151,7 +150,7 @@ def _settings(args: argparse.Namespace, optional=()) -> dict:
         source = getattr(args, "config", None)
         loaded = read_config_file(source) if source else {}
         merged = {**defaults, **loaded, **flags}
-    unknown = sorted(loaded.keys() - (_TYPES.keys() - {"R_list"}) - _RETIRED.keys())
+    unknown = sorted(loaded.keys() - (_TYPES.keys() - {"R_list"}))
     if unknown:
         raise ConfigError(f"{source}: unknown key(s) {', '.join(unknown)}")
     missing = sorted({*_PARAM_KEYS, *defaults} - merged.keys() - set(optional))
@@ -160,18 +159,14 @@ def _settings(args: argparse.Namespace, optional=()) -> dict:
     typed = {}
     try:
         for key, value in merged.items():
-            if key not in _RETIRED:
-                typed[key] = _TYPES[key](value)
-            elif float(value) != _RETIRED[key]:
-                raise ConfigError(f"{key} = {value!r} is no longer supported "
-                                  f"(fixed at {_RETIRED[key]})")
+            typed[key] = _TYPES[key](value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad value {value!r} for {key}: {exc}") from exc
     return typed
 
 
 def params_from(cfg: dict) -> ExponentSet:
-    return ExponentSet(**{key: cfg[key] for key in _PARAM_KEYS})
+    return ExponentSet(**{key: cfg[key] for key in _PARAM_KEYS}, lam=cfg.get("lam", 0.0))
 
 
 def _verdict_line(verdict) -> str:
@@ -225,7 +220,7 @@ def _solve_config(args: argparse.Namespace) -> dict:
 def _log_r0(grid, predicted: AsymptoticProfile | None) -> float | None:
     """r0 of the log-corrected fit when ``predicted`` has a log power, else
     None: the fit's one decision, shared by the window check."""
-    if predicted is not None and predicted.kind is ProfileKind.POWER_LOG:
+    if predicted is not None and predicted.log_power:
         return grid.r0
     return None
 
@@ -408,7 +403,7 @@ def _parse_range(spec: str) -> tuple[str, np.ndarray]:
         raise ConfigError(f"range spec must look like p=lo:hi:count, got {spec!r}")
     key, body = spec.split("=", 1)
     key = key.strip()
-    if key not in _PARAM_KEYS or _TYPES[key] is not float:
+    if key not in _CELL_KEYS:
         raise ConfigError(f"cannot sweep over {key!r}")
     parts = body.split(":")
     if len(parts) not in (1, 3):
@@ -436,7 +431,6 @@ def _jobs(args: argparse.Namespace) -> int:
     return jobs
 
 
-_CELL_KEYS = ("p", "q", "m", "s", "k")
 _SWEEP_FIELDS = [
     *_CELL_KEYS, "outcome", "condition",
     "u_power", "u_log_power", "v_power", "v_log_power",
@@ -485,14 +479,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     keys = sorted(axes)
     shape = tuple(axes[key].size for key in keys)
     n_cells = int(np.prod(shape))
-    values = {key: axes[key] if key in axes else [base[key]] for key in _PARAM_KEYS}
-    at = dict.fromkeys(_PARAM_KEYS, np.zeros(n_cells, dtype=int))
+    values = {key: axes[key] if key in axes else [base[key]] for key in (*_PARAM_KEYS, "lam")}
+    at = dict.fromkeys(values, np.zeros(n_cells, dtype=int))
     at.update(zip(keys, np.indices(shape).reshape(len(keys), n_cells)))
 
     # each value is checked once, by ExponentSet's own field check; a bad one
-    # makes every cell that holds it a BAD_CONFIG row
+    # (a bad lam too, though classifying does not read it) makes every cell
+    # that holds it a BAD_CONFIG row
     valid = np.ones(n_cells, dtype=bool)
-    for key in _PARAM_KEYS:
+    for key in values:
         valid &= np.array([field_error(key, x) is None for x in values[key]], dtype=bool)[at[key]]
     outcome, condition, *powers = classify_lattice(
         base["N"], base["kind"],
@@ -579,10 +574,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         predicted = None
         if predicted_powers is not None:
             power, log_power = predicted_powers[name]
-            predicted = AsymptoticProfile(
-                ProfileKind.POWER_LOG if log_power != 0.0 else ProfileKind.PURE_POWER,
-                power, log_power, grid.r0,
-            )
+            predicted = AsymptoticProfile(power, log_power, grid.r0)
         try:
             fit, match = _fit_profile(GridFunction(grid, data[:, cols[name]]), window,
                                       predicted)
@@ -613,10 +605,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     cfg = _settings(args)
     params = params_from(cfg)
-    env = SourceEnvelope.radial(cfg["rho0"], params.k)
-    report = degeneration_probe(params, env, cfg["R_list"])
-    for line in report.lines():
-        print(line)
+    # the probe normalises its source amplitude to one and never reads env
+    report = degeneration_probe(params, SourceEnvelope.radial(1.0, params.k), cfg["R_list"])
+    print("\n".join(report.lines()))
     return 0
 
 

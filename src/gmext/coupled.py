@@ -131,6 +131,14 @@ class BoxReport:
         return self.violations_u == 0 and self.violations_v == 0
 
 
+def _check_source(params: ExponentSet, env: SourceEnvelope) -> None:
+    """ConfigError unless the source decays at the parameters' rate k, from
+    which the verdict, the calibration and the threshold are taken."""
+    if env.k != params.k:
+        raise ConfigError(f"the source decays like r^-{env.k:g}, "
+                          f"but the parameters have k = {params.k:g}")
+
+
 def activator_decay(verdict: RegimeVerdict) -> float:
     if verdict.u_profile is None:
         raise ConfigError("verdict carries no activator profile")
@@ -228,8 +236,10 @@ def apply_H(
     no supersolution of it falls back to the drive from the barrier.  The
     image keeps the state's schedule and verdict; its ``diagnostics`` hold
     only this application's inner-solve flags, ``inner_monotone_ok`` and
-    ``inner_sandwiched``.
+    ``inner_sandwiched``.  A source whose decay is not ``params.k`` is a
+    ConfigError.
     """
+    _check_source(params, env)
     state.check_positive()
     grid = op.grid
     u, v = state.u.values, state.v.values
@@ -428,8 +438,10 @@ def solve_system(
     image (``fixed_point_gap``).  The state carries the node residuals
     ``L u - rhs_u``, ``L v - rhs_v`` and, in ``diagnostics``, their
     certificates (``certificate_u``/``certificate_v``), backward errors and
-    source-relative residuals.
+    source-relative residuals.  A source whose decay is not ``params.k`` is
+    a ConfigError.
     """
+    _check_source(params, env)
     grid = op.grid
     verdict = classify(params, grid.r0)
     if not verdict.exists:

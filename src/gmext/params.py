@@ -76,11 +76,6 @@ class Outcome(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-class ProfileKind(Enum):
-    PURE_POWER = "PURE_POWER"
-    POWER_LOG = "POWER_LOG"
-
-
 def field_error(name: str, value) -> str | None:
     """Why ``value`` is not admissible as the ExponentSet field ``name``, or
     None when it is.  One chained comparison per field also refuses NaN and
@@ -179,32 +174,26 @@ class SourceEnvelope:
 
 @dataclass(frozen=True)
 class AsymptoticProfile:
-    """Decay profile r^power (PURE_POWER) or r^power * log^log_power(r/r0)
-    (POWER_LOG).
+    """Decay profile r^power, times log^log_power(r/r0) when ``log_power``
+    is nonzero (a pure power law when it is zero).
 
-    ``power`` is negative for every decaying profile in scope.  POWER_LOG
-    carries a nonzero ``log_power``.
+    ``power`` is negative for every decaying profile in scope.
     """
 
-    kind: ProfileKind
     power: float
     log_power: float = 0.0
     r0: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind is ProfileKind.POWER_LOG and self.log_power == 0.0:
-            raise ConfigError("POWER_LOG profile requires a nonzero log_power")
 
     def values(self, r):
         """Sample the profile; the log factor is clamped at zero below r0."""
         r = np.asarray(r, dtype=float)
         out = r ** self.power
-        if self.kind is ProfileKind.POWER_LOG:
+        if self.log_power:
             out = out * np.maximum(np.log(r / self.r0), 0.0) ** self.log_power
         return out
 
     def label(self) -> str:
-        if self.kind is ProfileKind.POWER_LOG:
+        if self.log_power:
             return f"r^{self.power:g}*log^{self.log_power:g}"
         return f"r^{self.power:g}"
 
@@ -299,15 +288,14 @@ def _inhibitor_profile(power, log_power, am: float, r0: float) -> AsymptoticProf
         raise NoInhibitorSolutionError(
             f"inhibitor source decay a*m = {am:g} <= 2: no decaying solution"
         )
-    kind = ProfileKind.POWER_LOG if log_power else ProfileKind.PURE_POWER
-    return AsymptoticProfile(kind, float(power), float(log_power), r0)
+    return AsymptoticProfile(float(power), float(log_power), r0)
 
 
 def predicted_v_profile(params: ExponentSet, u_profile: AsymptoticProfile) -> AsymptoticProfile:
     """Inhibitor profile forced by an activator decaying like r^-a (the rule
     is ``_v_powers``).  Requires a*m > 2, otherwise no decaying inhibitor
     exists at all."""
-    if u_profile.kind is not ProfileKind.PURE_POWER:
+    if u_profile.log_power:
         raise ConfigError("activator profile must be a pure power law")
     a = -u_profile.power
     if a <= 0:
@@ -412,7 +400,7 @@ def classify(params: ExponentSet, r0: float = 1.0) -> RegimeVerdict:
         params.N, params.kind, params.p, params.q, params.m, params.s, params.k)
     if math.isnan(u_power):
         return RegimeVerdict(outcome, condition)
-    u = AsymptoticProfile(ProfileKind.PURE_POWER, float(u_power), 0.0, r0)
+    u = AsymptoticProfile(float(u_power), 0.0, r0)
     v = _inhibitor_profile(v_power, v_log_power, -u.power * params.m, r0)
     return RegimeVerdict(outcome, condition, u, v)
 

@@ -54,7 +54,7 @@ under the amplitude scaling w -> c w, Psi -> c^(1+s) Psi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -378,9 +378,11 @@ def _solve_extrapolated(
 
     Each round that chooses the pin runs ``_newton`` (the first from ``W``,
     each later one from the previous round's solution); a round whose
-    Newton ends above ``_ACCEPT_BE`` runs the drive from ``W`` instead.  The reported drive starts from the last round's solution when
-    a round ran, and from ``W`` otherwise.  The result's ``solves`` and
-    ``pin_rounds`` count every round.
+    Newton ends above ``_ACCEPT_BE`` runs the drive from ``W`` instead.  The
+    reported drive starts from the last round's solution when a round ran,
+    and from ``W`` otherwise.  The result is a copy of that drive's whose
+    ``solves`` and ``pin_rounds`` count every round; the drive's own result
+    keeps its own count.
     """
     solves = 0
     warm = W
@@ -401,9 +403,7 @@ def _solve_extrapolated(
     pin, pin_rounds = _repin(op.grid, solve_at, rounds)
     result = _solve_pinned(op, psi, g, W, pin, record_history,
                            None if warm is W else warm)
-    result.pin_rounds = pin_rounds
-    result.solves += solves
-    return result
+    return replace(result, pin_rounds=pin_rounds, solves=result.solves + solves)
 
 
 def _pin_frame(

@@ -197,22 +197,22 @@ def test_replay_refuses_other_settings(solved_dir, tmp_path):
         assert not out.exists()
 
 
+# settings of older manifests, each once fixed at this value and now read
+# by no command
+_RETIRED = {"damping": 0.5, "polish": 2, "tol": 1e-11, "max_iter": 200}
+
+
 def test_replay_of_retired_keys(solved_dir, tmp_path):
-    # older manifests record damping, polish, tol and max_iter; only their
-    # fixed values replay
+    # a manifest naming a retired key is refused like any unknown key, even
+    # at the value it was once fixed at
     manifest = json.loads((solved_dir / "run1.manifest.json").read_text())
-    manifest["config"].update(damping=0.5, polish=2, tol=1e-11, max_iter=200)
-    code, _, err = _replay(json.dumps(manifest), tmp_path)
-    assert code == 0, err
-    replay = tmp_path / "replay.csv"
-    assert replay.read_bytes() == (solved_dir / "run1.csv").read_bytes()
-    replay.unlink()
-    for key, value in (("damping", 0.7), ("polish", 3), ("tol", 1e-9), ("max_iter", 50)):
+    for key, value in _RETIRED.items():
         edited = dict(manifest, config=dict(manifest["config"], **{key: value}))
-        code, _, err = _replay(json.dumps(edited), tmp_path)
+        code, stdout, err = _replay(json.dumps(edited), tmp_path)
         assert code == 64
-        assert "configuration error:" in err and key in err
-        assert not replay.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("configuration error:")
+        assert f"unknown key(s) {key}" in err
+        assert stdout == "" and not (tmp_path / "replay.csv").exists()
 
 
 def test_removed_solve_flags_rejected(tmp_path):
@@ -220,13 +220,15 @@ def test_removed_solve_flags_rejected(tmp_path):
     for flag in ("--damping", "--polish", "--tol", "--max-iter"):
         code, _, _ = run_cli(["solve", *BASE, flag, "1", "--output", str(out)])
         assert code == 64
-    # a config file naming a retired key at another value is refused, not ignored
+    # a config file naming a retired key is refused, not ignored
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol = 1e-9\n")
-    code, _, err = run_cli(["solve", *BASE, "--config", str(cfg), "--output", str(out)])
-    assert code == 64
-    assert "configuration error:" in err and "tol" in err
-    assert not out.exists()
+    for key, value in _RETIRED.items():
+        cfg.write_text(f"{key} = {value}\n")
+        code, _, err = run_cli(["solve", *BASE, "--config", str(cfg), "--output", str(out)])
+        assert code == 64
+        assert len(err.splitlines()) == 1 and err.startswith("configuration error:")
+        assert f"unknown key(s) {key}" in err
+        assert not out.exists()
 
 
 def test_solve_refuses_nonexistence(tmp_path):
@@ -553,12 +555,20 @@ PROBE = ["probe", "--N", "3", "--p", "5", "--q", "1", "--m", "2", "--s", "1", "-
     ([*SWEEP, "--vary", "p"], None),
     ([*SWEEP, "--vary", "N=3:5:3"], None),
     ([*SWEEP, "--vary", "p=1:2"], None),
+    # settings the command does not read: classify and the probe take no
+    # lam, the probe no rho0 (its amplitude is one), and a sweep varies only
+    # the exponents its CSV records
+    (["classify", *BASE, "--lambda", "7"], None),
+    ([*PROBE, "--lambda", "3"], None),
+    ([*PROBE, "--rho0", "1e6"], None),
+    ([*SWEEP, "--vary", "lam=1e-9"], None),
 ], ids=["sweep_no_N", "sweep_R", "sweep_p", "sweep_kind", "probe_R_list", "probe_R_nan",
         "probe_R_inf", "probe_R_repeated", "probe_rho0", "flag_p", "flag_N", "flag_n",
         "flag_kind", "flag_jobs", "probe_rho0_inf", "usage_value_like_a_flag",
         "usage_fit_window", "usage_unknown_flag", "sweep_repeated_axis", "sweep_range_inf",
         "sweep_range_nan", "sweep_range_minus_inf", "flag_jobs_below_one",
-        "sweep_range_no_equals", "sweep_range_integer_key", "sweep_range_two_parts"])
+        "sweep_range_no_equals", "sweep_range_integer_key", "sweep_range_two_parts",
+        "classify_lambda", "probe_lambda", "probe_rho0_flag", "sweep_vary_lam"])
 def test_bad_settings_exit_64(tmp_path, argv, config):
     out = tmp_path / "atlas.csv"
     argv = [*argv, "--output", str(out)] if argv[0] == "sweep" else list(argv)
@@ -604,10 +614,20 @@ def test_sweep_solve_honours_lambda(tmp_path):
     # the row does not record lambda, so only the fits tell them apart
     cfg = tmp_path / "lam.cfg"
     cfg.write_text("lam = 1e-9\n")
-    axis = _solved_sweep_row(tmp_path, "--vary", "lam=1e-9")
-    assert _solved_sweep_row(tmp_path, "--lambda", "1e-9") == axis
-    assert _solved_sweep_row(tmp_path, "--config", str(cfg)) == axis
-    assert _solved_sweep_row(tmp_path)["fit_u_power"] != axis["fit_u_power"]
+    flag = _solved_sweep_row(tmp_path, "--lambda", "1e-9")
+    assert _solved_sweep_row(tmp_path, "--config", str(cfg)) == flag
+    assert _solved_sweep_row(tmp_path)["fit_u_power"] != flag["fit_u_power"]
+
+
+def test_sweep_bad_lambda_makes_every_row_a_cell_error(tmp_path):
+    # classifying does not read lam, but a sweep that would solve at a bad
+    # one records it in every row, as it does a bad exponent
+    out = tmp_path / "bad_lam.csv"
+    code, _, err = run_cli([*SWEEP, "--vary", "p=3:7:3", "--lambda=-1", "--output", str(out)])
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(row["p"], row["outcome"], row["error"]) for row in rows] == [
+        ("3", "", "BAD_CONFIG"), ("5", "", "BAD_CONFIG"), ("7", "", "BAD_CONFIG")]
 
 
 def test_sweep_solve_honours_window(tmp_path):

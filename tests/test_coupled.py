@@ -130,6 +130,20 @@ def test_solve_rejects_schedule_at_other_lambda():
         solve_system(params.with_lam(2.0 * lam), env, op, schedule=sched)
 
 
+@pytest.mark.parametrize("k", [3.5, 2.5])
+def test_source_decay_must_match_k(k):
+    # the verdict, calibration and threshold are taken from params.k, the
+    # source term from env.k: unchecked, MIN-i with a source at k = 3.5
+    # solves with a passing box and fits u at -0.958, close to the -1 its
+    # k = 4 predicts
+    params, env, op, state = solve_case(COUPLED_MIN_I)
+    other = SourceEnvelope.radial(1.0, k)
+    with pytest.raises(ConfigError, match="decays like"):
+        solve_system(params, other, op)
+    with pytest.raises(ConfigError, match="decays like"):
+        apply_H(state, params, other, op)
+
+
 def test_diverged_guard():
     params = ExponentSet(**COUPLED_MIN_I["params"]).with_lam(1e-5)
     op = cached_operator(1.0, 1e3, 1025, 3)

@@ -3,7 +3,6 @@ import pytest
 
 from gmext import (
     AsymptoticProfile,
-    ProfileKind,
     build_grid,
     compare_profile,
     fit_power,
@@ -115,9 +114,9 @@ def test_fit_refuses_non_finite_values(bad):
 
 
 def test_compare_pass_cases():
-    pure = AsymptoticProfile(ProfileKind.PURE_POWER, -1.0)
-    half = AsymptoticProfile(ProfileKind.PURE_POWER, -0.5)
-    logp = AsymptoticProfile(ProfileKind.POWER_LOG, -1.0, 0.5)
+    pure = AsymptoticProfile(-1.0)
+    half = AsymptoticProfile(-0.5)
+    logp = AsymptoticProfile(-1.0, 0.5)
     from gmext.fitting import FitResult
 
     def fr(p, lp):

@@ -5,7 +5,6 @@ from gmext import (
     AsymptoticProfile,
     ExponentSet,
     Outcome,
-    ProfileKind,
     SourceEnvelope,
     SystemKind,
     classify,
@@ -97,8 +96,6 @@ def test_classifier_table(label, kw, outcome, tag, u_pow, v_pow, v_log):
         assert verdict.u_profile.power == pytest.approx(u_pow, abs=1e-12)
         assert verdict.v_profile.power == pytest.approx(v_pow, abs=1e-12)
         assert verdict.v_profile.log_power == pytest.approx(v_log, abs=1e-12)
-        if v_log != 0.0:
-            assert verdict.v_profile.kind is ProfileKind.POWER_LOG
 
 
 def test_classifier_total_and_exclusive():
@@ -135,20 +132,18 @@ def test_classifier_deterministic():
 
 
 def u_power_profile(a, r0=1.0):
-    return AsymptoticProfile(ProfileKind.PURE_POWER, -a, 0.0, r0)
+    return AsymptoticProfile(-a, 0.0, r0)
 
 
 def test_v_profile_above_threshold():
     p = make(dict(N=3, p=5, q=1, m=6, s=1, k=4))
     prof = predicted_v_profile(p, u_power_profile(1.0))
-    assert prof.kind is ProfileKind.PURE_POWER
-    assert prof.power == -1.0
+    assert prof.power == -1.0 and prof.log_power == 0.0
 
 
 def test_v_profile_at_threshold_is_log():
     p = make(dict(N=3, p=5, q=1, m=4, s=1, k=4))
     prof = predicted_v_profile(p, u_power_profile(1.0))
-    assert prof.kind is ProfileKind.POWER_LOG
     assert prof.power == -1.0
     assert prof.log_power == pytest.approx(0.5)
 

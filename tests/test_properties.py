@@ -20,7 +20,6 @@ from gmext import (
     ExponentSet,
     NonlinearitySpec,
     Outcome,
-    ProfileKind,
     RegimeVerdict,
     SourceEnvelope,
     SystemKind,
@@ -114,10 +113,10 @@ def _reference_v(params, u):
             f"inhibitor source decay a*m = {am:g} <= 2: no decaying solution")
     threshold = N + s * (N - 2.0)
     if _eq(am, threshold):
-        return AsymptoticProfile(ProfileKind.POWER_LOG, 2.0 - N, 1.0 / (1.0 + s), u.r0)
+        return AsymptoticProfile(2.0 - N, 1.0 / (1.0 + s), u.r0)
     if am > threshold:
-        return AsymptoticProfile(ProfileKind.PURE_POWER, 2.0 - N, 0.0, u.r0)
-    return AsymptoticProfile(ProfileKind.PURE_POWER, -(am - 2.0) / (1.0 + s), 0.0, u.r0)
+        return AsymptoticProfile(2.0 - N, 0.0, u.r0)
+    return AsymptoticProfile(-(am - 2.0) / (1.0 + s), 0.0, u.r0)
 
 
 def _reference_gm(params, r0):
@@ -131,7 +130,7 @@ def _reference_gm(params, r0):
         return RegimeVerdict(Outcome.NONEXISTENCE, "Thm2.1(iii)")
     if _ge(m * q / ((p - 1.0) * (1.0 + s)), 1.0):
         return RegimeVerdict(Outcome.INCONCLUSIVE, "sigma>=1")
-    u_min = AsymptoticProfile(ProfileKind.PURE_POWER, 2.0 - N, 0.0, r0)
+    u_min = AsymptoticProfile(2.0 - N, 0.0, r0)
     if _gt(k, N):
         matched = None
         if _ge(m, s + c) and _gt(p, q + c):
@@ -149,7 +148,7 @@ def _reference_gm(params, r0):
         return RegimeVerdict(Outcome.INCONCLUSIVE, "k=N")
     if _gt(k, 2.0):
         a = k - 2.0
-        u_fast = AsymptoticProfile(ProfileKind.PURE_POWER, -a, 0.0, r0)
+        u_fast = AsymptoticProfile(-a, 0.0, r0)
         thr = (N + s * (N - 2.0)) / a
         matched = None
         if _ge(m, thr) and _ge(p, q * (N - 2.0) / a + 1.0 + 2.0 / a):
@@ -172,7 +171,7 @@ def _reference_mixed(params, r0):
         return RegimeVerdict(Outcome.NONEXISTENCE, "Thm7.1(ii2)")
     c = N / (N - 2.0)
     if _gt(k, N) and _gt(q, p + c) and _gt(m, s + c):
-        prof = AsymptoticProfile(ProfileKind.PURE_POWER, 2.0 - N, 0.0, r0)
+        prof = AsymptoticProfile(2.0 - N, 0.0, r0)
         return RegimeVerdict(Outcome.EXISTS_MIXED_MINIMAL, "Thm7.2", prof, prof)
     on_boundary = _eq(k, N) or _eq(q, p + c) or _eq(m, s + c)
     return RegimeVerdict(Outcome.INCONCLUSIVE,
