@@ -53,7 +53,7 @@ from .coupled import (
     suggest_lambda,
     verify_box,
 )
-from .fitting import FitResult, ProfileMatch, compare_profile, fit_power, fit_power_log
+from .fitting import FitResult, compare_profile, fit_power, fit_power_log
 from .probes import ProbeReport, criterion_2d, degeneration_probe, integral_criterion
 
 __version__ = "0.1.0"
@@ -61,7 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticProfile", "BarrierPair", "BoxReport", "ConstantSchedule",
     "CoupledState", "ExponentSet", "FitResult", "GridFunction",
-    "NonlinearitySpec", "Outcome", "ProbeReport", "ProfileMatch",
+    "NonlinearitySpec", "Outcome", "ProbeReport",
     "RadialGrid", "RadialOperator",
     "RegimeVerdict", "ScalarSolveResult", "SourceEnvelope", "SystemKind",
     "apply_H", "assemble_operator", "backward_error", "barrier_W", "barrier_Z",

@@ -63,7 +63,7 @@ from .params import (
     classify,
     constant_schedule,
 )
-from .scalar import NonlinearitySpec, solve_monotone, _extrapolated_pin
+from .scalar import NonlinearitySpec, barrier_Z, solve_monotone, _extrapolated_pin
 
 _TINY = 1e-300
 _RANGE = (1e-30, 1e30)
@@ -145,6 +145,21 @@ def activator_decay(verdict: RegimeVerdict) -> float:
     return -verdict.u_profile.power
 
 
+def _linear_reference(op: RadialOperator, psi: np.ndarray) -> np.ndarray:
+    """The decaying solution of the linear problem -Lap w = psi.
+
+    One tridiagonal solve, pinned at the barrier potential's value Z(R)
+    (``barrier_Z``: the decaying solution's own value there, exact for a
+    power-law tail), and clipped by Z.  The discrete solve exceeds the
+    quadrature potential Z by its O(h^2) discretisation error, on many nodes
+    (on all of them for steep sources), and the clip moves the answer toward
+    the continuum solution: dropping it moves MIN-i's C3 from 2e-7 to 2e-6
+    off its closed form 0.475, and every coupled answer with it.
+    """
+    Z = barrier_Z(op.grid, op.N, psi).values
+    return np.minimum(solve_linear(op, psi, float(Z[-1])).values, Z)
+
+
 def calibrate_barrier_constants(
     params: ExponentSet,
     op: RadialOperator,
@@ -156,10 +171,10 @@ def calibrate_barrier_constants(
     grid.  The nonlinear w_a problem takes extrapolated outer pins
     (``solve_monotone(outer="extrapolate")``, whose ``scalar._repin`` loop
     ends at its round cap, not at a self-consistent pin).  The two linear
-    problems w_k and w_h take ``solve_monotone``'s default barrier pin: for
-    g == 1 that is the decaying solution's value Z(R) from ``barrier_Z``
-    (exact for a power-law source, as w_k's is), and the solve is one
-    tridiagonal solve.  The ratios are taken over [r0, R/10] (the outer
+    problems w_k and w_h are one tridiagonal solve each
+    (``_linear_reference``), pinned at the decaying solution's value Z(R)
+    from ``barrier_Z`` (exact for a power-law source, as w_k's is) and
+    clipped by Z.  The ratios are taken over [r0, R/10] (the outer
     decade is excluded as pin territory) and widened by 5% on both sides.
     Neither lam nor the source envelope enters.
     """
@@ -175,13 +190,13 @@ def calibrate_barrier_constants(
     g = NonlinearitySpec.power(params.s)
     w_a = solve_monotone(op, r ** -alpha, g, outer="extrapolate").w.values
 
-    w_k = solve_monotone(op, r ** -params.k, NonlinearitySpec()).w.values
+    w_k = _linear_reference(op, r ** -params.k)
     psi_safe = np.where(psi > 0, psi, np.inf)
     if params.kind is SystemKind.MIXED:
         coupling_env = psi_safe ** params.q * r ** (params.p * a_u)
     else:
         coupling_env = r ** (-params.p * a_u) * psi_safe ** -params.q
-    w_h = solve_monotone(op, coupling_env + r ** -params.k, NonlinearitySpec()).w.values
+    w_h = _linear_reference(op, coupling_env + r ** -params.k)
 
     sel = (r <= grid.R / 10.0) & (psi > 0)
     pu = r ** -a_u

@@ -28,13 +28,7 @@ class FitResult:
     power: float
     log_power: float
     amplitude: float
-    window: tuple[float, float]
     rms_residual: float
-
-
-@dataclass(frozen=True)
-class ProfileMatch:
-    passed: bool
 
 
 def fit_design(grid: RadialGrid, window: tuple[float, float],
@@ -72,8 +66,7 @@ def fit_design(grid: RadialGrid, window: tuple[float, float],
     return mask, A
 
 
-def _least_squares(w: GridFunction, window: tuple[float, float], mask: np.ndarray,
-                   A: np.ndarray) -> FitResult:
+def _least_squares(w: GridFunction, mask: np.ndarray, A: np.ndarray) -> FitResult:
     vals = w.values[mask]
     # NaN fails both comparisons, so it is refused with inf
     if not np.all((vals > 0) & (vals < np.inf)):
@@ -85,7 +78,6 @@ def _least_squares(w: GridFunction, window: tuple[float, float], mask: np.ndarra
         power=float(coef[1]),
         log_power=float(coef[2]) if coef.size == 3 else 0.0,
         amplitude=float(np.exp(coef[0])),
-        window=(float(window[0]), float(window[1])),
         rms_residual=float(np.sqrt(np.mean(resid ** 2))),
     )
 
@@ -97,17 +89,17 @@ def fit_power(w: GridFunction, window: tuple[float, float],
     ``min_decades`` guards against windows too short for a stable slope;
     callers fitting clean closed forms may lower it explicitly.
     """
-    return _least_squares(w, window, *fit_design(w.grid, window, min_decades))
+    return _least_squares(w, *fit_design(w.grid, window, min_decades))
 
 
 def fit_power_log(w: GridFunction, window: tuple[float, float], r0: float,
                   min_decades: float = MIN_WINDOW_DECADES) -> FitResult:
     """Two-regressor fit ln w ~ ln A + e ln r + f ln ln(r/r0)."""
-    return _least_squares(w, window, *fit_design(w.grid, window, min_decades, r0))
+    return _least_squares(w, *fit_design(w.grid, window, min_decades, r0))
 
 
-def compare_profile(fit: FitResult, predicted: AsymptoticProfile) -> ProfileMatch:
+def compare_profile(fit: FitResult, predicted: AsymptoticProfile) -> bool:
     """PASS iff the power sits within ``TOL_POWER`` and the log exponent
     within ``TOL_LOG`` of the prediction."""
-    return ProfileMatch(passed=bool(abs(fit.power - predicted.power) <= TOL_POWER
-                                    and abs(fit.log_power - predicted.log_power) <= TOL_LOG))
+    return bool(abs(fit.power - predicted.power) <= TOL_POWER
+                and abs(fit.log_power - predicted.log_power) <= TOL_LOG)

@@ -49,8 +49,6 @@ def criterion_2d(alpha: float, s: float) -> bool:
 @dataclass(frozen=True)
 class ProbeRow:
     R: float
-    n: int
-    window: tuple[float, float]
     floor_abs: float
     peak: float
     floor_rel: float
@@ -59,7 +57,6 @@ class ProbeRow:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    params: ExponentSet
     equation: str
     rows: tuple[ProbeRow, ...]
 
@@ -164,7 +161,7 @@ def degeneration_probe(
         flag = ""
         try:
             res = solve_monotone(
-                op, grid.r ** -alpha, g, outer="zero", truncate_tail=True,
+                op, grid.r ** -alpha, g, outer=0.0, truncate_tail=True,
             )
             prof = res.w.values * grid.r ** (params.N - 2.0)
             mask = grid.window_mask(lo, hi)
@@ -174,9 +171,8 @@ def degeneration_probe(
             flag = getattr(exc, "tag", type(exc).__name__)
             floor, peak = float("nan"), float("nan")
         rows.append(ProbeRow(
-            R=float(R), n=grid.n, window=(lo, hi),
-            floor_abs=floor, peak=peak,
+            R=float(R), floor_abs=floor, peak=peak,
             floor_rel=floor / peak if peak and peak > 0 else float("nan"),
             flag=flag,
         ))
-    return ProbeReport(params=params, equation=label, rows=tuple(rows))
+    return ProbeReport(equation=label, rows=tuple(rows))

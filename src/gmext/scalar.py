@@ -2,15 +2,17 @@
 
     -Lap w = Psi(r) * g(w),   w > 0,   w'(r0) = 0,   w -> 0 at infinity,
 
-with g nonincreasing (g == 1 or the singular g(t) = t^-s).  The solver
-mirrors the constructive existence argument:
+with the singular g(t) = t^-s, s > 0.  The solver mirrors the constructive
+existence argument (Sattinger 1972); the linear problems of the calibration
+(g == 1) are plain linear solves (``coupled._linear_reference``) and do not
+come here:
 
 1.  An explicit upper barrier.  Z(r) is the exact decaying Neumann solution
     of -Lap Z = A with A the radial envelope of Psi, computed by composite
     quadrature in xi with an analytic power-law tail beyond the truncation;
-    W then solves the separable ODE int_0^W dt/g(t) = Z, which for
-    g(t) = t^-s gives W = ((1+s) Z)^(1/(1+s)).  W is a supersolution for
-    every shift delta >= 0.
+    W then solves the separable ODE int_0^W dt/g(t) = Z, which gives
+    W = ((1+s) Z)^(1/(1+s)).  W is a supersolution for every shift
+    delta >= 0.
 
 2.  A certified lower barrier.  One application of the solution map at the
     unshifted nonlinearity, V = L^-1(Psi g(W)), is a subsolution lying below
@@ -89,37 +91,27 @@ _COLLAPSE_FLOOR = 1e-250
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """g == 1 (s == 0) or g(t) = t^-s with s > 0."""
+    """g(t) = t^-s with s > 0."""
 
-    s: float = 0.0
+    s: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.s < np.inf:
-            raise ConfigError("s must be finite and nonnegative (g must be nonincreasing)")
+        if not 0.0 < self.s < np.inf:
+            raise ConfigError("s must be finite and positive (g(t) = t^-s is singular at 0)")
 
     @classmethod
     def power(cls, s: float) -> "NonlinearitySpec":
         return cls(s)
 
-    @property
-    def is_linear(self) -> bool:
-        return self.s == 0.0
-
     def g(self, t: np.ndarray) -> np.ndarray:
-        if self.is_linear:
-            return np.ones_like(t)
         return np.maximum(t, 1e-300) ** -self.s
 
     def dg_magnitude(self, t: np.ndarray) -> np.ndarray:
         """|g'(t)| = s t^-(s+1)."""
-        if self.is_linear:
-            return np.zeros_like(t)
         return self.s * t ** -(self.s + 1.0)
 
     def invert_integral(self, z: np.ndarray) -> np.ndarray:
         """Solve int_0^W dt/g(t) = z for W."""
-        if self.is_linear:
-            return z.copy()
         return ((1.0 + self.s) * z) ** (1.0 / (1.0 + self.s))
 
 
@@ -235,19 +227,17 @@ class ScalarSolveResult:
 
 
 def _resolve_outer(outer) -> float | None:
-    """The fixed outer value that ``outer`` names: 0 for "zero", the number
-    itself for a finite nonnegative number, None for "barrier" and
-    "extrapolate" (their values come from the upper barrier and from the
-    solution).  Anything else is a ConfigError."""
+    """The fixed outer value that ``outer`` names: the number itself for a
+    finite nonnegative number, None for "barrier" and "extrapolate" (their
+    values come from the upper barrier and from the solution).  Anything
+    else is a ConfigError."""
     if outer in ("barrier", "extrapolate"):
         return None
-    if outer == "zero":
-        return 0.0
     try:
         val = float(outer)
     except (TypeError, ValueError):
         raise ConfigError(
-            f"outer must be 'barrier', 'zero', 'extrapolate' or a number, not {outer!r}"
+            f"outer must be 'barrier', 'extrapolate' or a number, not {outer!r}"
         ) from None
     if not (np.isfinite(val) and val >= 0.0):
         raise ConfigError(f"outer value must be finite and nonnegative, not {val!r}")
@@ -273,9 +263,7 @@ def _repin(grid: RadialGrid, solve_at, rounds: int = _PIN_ROUNDS) -> tuple[float
     that solve.  The stop test is not met in practice, so the loop ends at
     its cap (the pin still moves by a few percent in the last round).  How a
     round solves is up to ``solve_at``; its one caller,
-    ``_solve_extrapolated``, runs Newton.  Linear problems do not come
-    here: for g == 1 the barrier value already is the decaying solution's
-    value at R."""
+    ``_solve_extrapolated``, runs Newton."""
     pin = 0.0
     for k in range(1, rounds):
         new_pin = _extrapolated_pin(grid, solve_at(pin))
@@ -295,34 +283,32 @@ def solve_monotone(
     pin_rounds: int = _PIN_ROUNDS,
     start: np.ndarray | None = None,
 ) -> ScalarSolveResult:
-    """Solve -Lap w = Psi g(w) with Neumann inner row and Dirichlet outer row.
+    """Solve -Lap w = Psi w^-s (s > 0) with Neumann inner row and Dirichlet
+    outer row.
 
     ``Psi`` holds nodal values.  ``outer`` selects the outer Dirichlet
     value: "barrier" pins the upper barrier value W(R) (the construction's
-    own choice), "zero" pins 0, a float pins that value, and "extrapolate"
-    re-pins from the solution's own outer power law (the accurate choice for
-    asymptotics work, since both fixed pins leave an O(1) boundary layer).
-    For g == 1 the barrier value is the decaying solution's value Z(R)
-    (exact for a power-law tail), so "barrier" and "extrapolate" both pin
-    there and take one tridiagonal solve.  Otherwise the re-pinning is
-    ``_repin``: it starts from a zero pin and spends ``pin_rounds - 1``
-    Newton solves on choosing the pin; its 1e-9 stop test is not met in
-    practice, so with the default four rounds the answer is the solve at
-    the third extrapolated pin, not a self-consistent one.  The reported
-    solve runs the monotone drive at that pin (``_solve_extrapolated``),
-    from the last round's solution, so the stage records, barriers and
-    certificates are those of a fixed-pin solve.  ``solves`` and
-    ``pin_rounds`` of the result count every round.
+    own choice), a number pins that value (``0.0`` pins at zero), and
+    "extrapolate" re-pins from the solution's own outer power law (the
+    accurate choice for asymptotics work, since fixed pins leave an O(1)
+    boundary layer).  The re-pinning is ``_repin``: it starts from a zero
+    pin and spends ``pin_rounds - 1`` Newton solves on choosing the pin; its
+    1e-9 stop test is not met in practice, so with the default four rounds
+    the answer is the solve at the third extrapolated pin, not a
+    self-consistent one.  The reported solve runs the monotone drive at that
+    pin (``_solve_extrapolated``), from the last round's solution, so the
+    stage records, barriers and certificates are those of a fixed-pin
+    solve.  ``solves`` and ``pin_rounds`` of the result count every round.
 
-    ``start`` warm-starts the drive of a fixed pin ("barrier", "zero" or a
-    number) from a solution already in hand: the drive runs only its
-    unshifted stage from ``start``, and the result's ``warm_start`` is True.
-    A start that turns out to be no supersolution (a sweep rises above its
-    iterate by more than 1e-10 relative) falls back to the drive from the
-    upper barrier, and ``solves`` counts both attempts.  A start of the wrong shape, with a
-    non-finite value or a nonpositive value off the outer node is a
-    ConfigError, and so is a start with "extrapolate", whose pin rounds
-    supply their own.  For g == 1 the single exact solve does not use it.
+    ``start`` warm-starts the drive of a fixed pin ("barrier" or a number)
+    from a solution already in hand: the drive runs only its unshifted
+    stage from ``start``, and the result's ``warm_start`` is True.  A start
+    that turns out to be no supersolution (a sweep rises above its iterate
+    by more than 1e-10 relative) falls back to the drive from the upper
+    barrier, and ``solves`` counts both attempts.  A start of the wrong
+    shape, with a non-finite value or a nonpositive value off the outer node
+    is a ConfigError, and so is a start with "extrapolate", whose pin rounds
+    supply their own.
 
     The monotone drive's shift schedule, sweep tolerance and sweep caps are
     module constants.
@@ -359,13 +345,10 @@ def solve_monotone(
 
     Z = barrier_Z(grid, op.N, psi, truncate_tail=truncate_tail)
     W = barrier_W(Z, g).values
-    if outer == "extrapolate" and not g.is_linear:
+    if outer == "extrapolate":
         return _solve_extrapolated(op, psi, g, W, pin_rounds, record_history)
     if pin is None:
-        # the upper barrier's outer value: the construction's own pin for
-        # "barrier", and for "extrapolate" with g == 1, whose barrier
-        # potential already is the decaying solution, the exact
-        # self-consistent pin
+        # "barrier": the upper barrier's outer value, the construction's own pin
         pin = float(W[-1])
     return _solve_pinned(op, psi, g, W, pin, record_history, start)
 
@@ -491,13 +474,6 @@ def _solve_pinned(
     # discrete ordering can be off by the truncation error, so the clamp
     # floor is kept nodewise consistent with the ceiling
     V_initial = np.minimum(lower_step(W, 0.0), W)
-
-    if g.is_linear:
-        # one solve is exact; barriers coincide with the solution up to the pin
-        w = V_initial.copy()
-        be = backward_error(op, w, psi)
-        pair = BarrierPair(GridFunction(grid, V_initial), GridFunction(grid, W))
-        return ScalarSolveResult(GridFunction(grid, w), pair, outer_value, [], be, solves)
 
     def stage(w: np.ndarray, V: np.ndarray, delta: float,
               warm: bool) -> tuple[np.ndarray, np.ndarray, StageRecord]:

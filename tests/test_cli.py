@@ -288,7 +288,10 @@ def test_unknown_keys_exit_64(solved_dir, tmp_path, source, monkeypatch):
     ["--m", "4", "--window-lo", "1", "--window-hi", "1e3"],
     ["--window-lo", "10", "--window-hi", "inf"],
     ["--window-lo", "nan", "--window-hi", "1e3"],
-], ids=["empty_default", "short", "log_fit_at_r0", "infinite", "nan"])
+    ["--window-lo", "nan"],
+    ["--window-lo", "-5", "--window-hi", "1e3"],
+], ids=["empty_default", "short", "log_fit_at_r0", "infinite", "nan", "nan_lo_only",
+        "negative"])
 def test_bad_window_exit_64_before_solving(tmp_path, window, monkeypatch):
     # the last case has a log-corrected inhibitor profile, whose fit needs
     # the window to start beyond r0
@@ -300,6 +303,22 @@ def test_bad_window_exit_64_before_solving(tmp_path, window, monkeypatch):
     assert code == 64
     assert err.startswith("configuration error: fitting window:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("window, expected", [
+    (["--window-lo", "100"], [100.0, 1000.0]),
+    (["--window-hi", "300"], [10.0, 300.0]),
+    (["--window-lo", "100", "--window-hi", "0"], [100.0, 1000.0]),
+], ids=["lo_only", "hi_only", "hi_zero"])
+def test_window_bound_of_zero_takes_that_default_bound(tmp_path, window, expected):
+    # each bound is resolved on its own: 0 takes that bound of the grid's
+    # default window (10..1000 here), a given bound is kept
+    code, _, err = run_cli(["solve", *BASE, "--n", "1025", *window,
+                            "--output", str(tmp_path)])
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "solution.manifest.json").read_text())
+    assert manifest["fits"]["window"] == expected
+    assert [manifest["config"][key] for key in ("window_lo", "window_hi")] == expected
 
 
 def _write_bad_manifest(tmp_path, which):
@@ -385,6 +404,41 @@ def test_fit_failing_prediction_exits_1(solved_dir, tmp_path):
     assert len(lines) == 2
     assert lines[0].startswith("u:") and lines[0].endswith("FAIL")
     assert lines[1].startswith("v:") and lines[1].endswith("PASS")
+
+
+def _log_corrected_run(tmp_path, v_log_power):
+    # u = r^-1 and v = r^-1 log^0.5 r on the solve grid, with a manifest that
+    # predicts v's log power
+    r = np.geomspace(1.0, 1e4, 4097)
+    path = tmp_path / "log.csv"
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r", "u", "v", "residual_u", "residual_v"])
+        for x in r:
+            writer.writerow(["%.17g" % x, "%.17g" % (1 / x),
+                             "%.17g" % (np.sqrt(np.log(x)) / x), "0", "0"])
+    manifest = tmp_path / "log.manifest.json"
+    manifest.write_text(json.dumps({"verdict": {
+        "u_profile": {"power": -1.0, "log_power": 0.0},
+        "v_profile": {"power": -1.0, "log_power": v_log_power}}}))
+    return run_cli(["fit", str(path), "--manifest", str(manifest)])
+
+
+def test_fit_log_corrected_prediction_passes(tmp_path):
+    code, out, err = _log_corrected_run(tmp_path, 0.5)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 2 and all(line.endswith("PASS") for line in lines)
+    assert "log_power +0.5000" in lines[1]
+
+
+def test_fit_log_free_prediction_fails_a_log_profile(tmp_path):
+    # the plain fit absorbs the log factor into the power, -0.885 on 10..1000
+    code, out, _ = _log_corrected_run(tmp_path, 0.0)
+    assert code == 1
+    u_line, v_line = out.splitlines()
+    assert u_line.endswith("PASS") and v_line.endswith("FAIL")
+    assert "power -0.885" in v_line
 
 
 def test_fit_synthetic_power_law(tmp_path):
@@ -636,6 +690,16 @@ def test_sweep_solve_honours_window(tmp_path):
     flags = _solved_sweep_row(tmp_path, "--window-lo", "20", "--window-hi", "200")
     assert _solved_sweep_row(tmp_path, "--config", str(cfg)) == flags
     assert _solved_sweep_row(tmp_path)["fit_v_power"] != flags["fit_v_power"]
+
+
+def test_sweep_solve_resolves_each_window_bound(tmp_path):
+    # at R = 1e3 the default window is 10..100: --window-lo alone keeps it
+    # as the upper bound, and a negative bound is the cell's error
+    assert (_solved_sweep_row(tmp_path, "--window-lo", "20")
+            == _solved_sweep_row(tmp_path, "--window-lo", "20", "--window-hi", "100"))
+    bad = _solved_sweep_row(tmp_path, "--window-lo", "-5")
+    assert bad["outcome"].startswith("EXISTS")
+    assert (bad["fit_v_power"], bad["error"]) == ("", "BAD_CONFIG")
 
 
 def test_sweep_records_cell_errors_inline(tmp_path):

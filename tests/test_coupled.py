@@ -12,6 +12,7 @@ from gmext import (
     calibrate_barrier_constants,
     classify,
     constant_schedule,
+    coupled,
     solve_system,
     suggest_lambda,
     verify_box,
@@ -54,6 +55,17 @@ def test_calibration_linear_reference_is_closed_form():
     params = ExponentSet(**COUPLED_MIN_I["params"])
     C3, _ = calibrate_barrier_constants(params, cached_operator(1.0, 1e4, 4097, 3))
     assert abs(C3 - 0.475) <= 1e-6
+
+
+def test_linear_reference_single_solve(solve_calls):
+    # the calibration's linear reference for k = 4 is one tridiagonal solve
+    # near the decaying solution 1/r - 1/(2 r^2)
+    op = cached_operator(1.0, 1e4, 2049, 3)
+    r = op.grid.r
+    w = coupled._linear_reference(op, r ** -4.0)
+    exact = 1 / r - 0.5 / r ** 2
+    assert len(solve_calls) == 1
+    assert np.max(np.abs(w[:-1] - exact[:-1]) / exact[:-1]) < 1e-3
 
 
 def test_calibration_solve_count_guard(solve_calls):

@@ -120,13 +120,13 @@ def test_compare_pass_cases():
     from gmext.fitting import FitResult
 
     def fr(p, lp):
-        return FitResult(p, lp, 1.0, (10, 1e3), 0.0)
+        return FitResult(p, lp, 1.0, 0.0)
 
-    assert compare_profile(fr(-1.01, 0.0), pure).passed
-    assert compare_profile(fr(-0.52, 0.0), half).passed
-    assert compare_profile(fr(-1.0, 0.48), logp).passed
-    assert not compare_profile(fr(-1.2, 0.0), pure).passed
-    assert not compare_profile(fr(-1.0, 0.3), logp).passed
+    assert compare_profile(fr(-1.01, 0.0), pure) is True
+    assert compare_profile(fr(-0.52, 0.0), half) is True
+    assert compare_profile(fr(-1.0, 0.48), logp) is True
+    assert compare_profile(fr(-1.2, 0.0), pure) is False
+    assert compare_profile(fr(-1.0, 0.3), logp) is False
 
 
 def test_fit_design_refusals():

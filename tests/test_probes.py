@@ -11,6 +11,7 @@ from gmext import (
     integral_criterion,
 )
 from gmext.errors import ConfigError, ProbeUnsupportedError
+from gmext.probes import ProbeReport, ProbeRow
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +117,31 @@ def test_probe_thm71_ii2_inhibitor_branch():
     report = degeneration_probe(params, SourceEnvelope.radial(1.0, 4.0), (1e2, 1e3),
                                 nodes_per_decade=64)
     assert report.equation == "inhibitor: -Lap w = r^-1.5 w^-1"
+
+
+def test_probe_thm71_ii2_activator_branch():
+    # Thm7.1(ii2) with m(N-2) > 2 probes the activator equation, whose
+    # truncated solutions grow without bound
+    params = ExponentSet(N=3, p=1, q=1.5, m=5, s=1, k=4, kind=SystemKind.MIXED)
+    assert classify(params).matched_condition == "Thm7.1(ii2)"
+    report = degeneration_probe(params, SourceEnvelope.radial(1.0, 4.0), (1e2, 1e3),
+                                nodes_per_decade=64)
+    assert report.equation == "activator: -Lap w = r^-1.5 w^-1"
+    assert [round(row.floor_abs, 1) for row in report.rows] == [12.8, 25.9]
+    assert report.floor_abs_increasing and report.floor_rel_decreasing
+
+
+@pytest.mark.parametrize("floors, rels, diagnosis", [
+    ((1.0, 2.0, 3.0), (0.5, 0.5, 0.6),
+     "profile grows without bound across truncations: decay impossible"),
+    ((1.0, 1.0, 1.0), (0.5, 0.4, 0.3), "no clear degeneration trend; inspect the rows"),
+], ids=["growth_only", "no_trend"])
+def test_probe_diagnosis_without_flattening(floors, rels, diagnosis):
+    rows = tuple(ProbeRow(R=10.0 ** (j + 2), floor_abs=floor, peak=floor / rel,
+                          floor_rel=rel) for j, (floor, rel) in enumerate(zip(floors, rels)))
+    report = ProbeReport(equation="test", rows=rows)
+    assert report.diagnosis == diagnosis
+    assert report.lines()[-1] == "  diagnosis: " + diagnosis
 
 
 def test_probe_flagged_row_is_diagnosed_as_degenerate(monkeypatch):

@@ -68,13 +68,6 @@ def test_barrier_W_pointwise_inversion():
     assert np.allclose(W.values, 2.0)  # int_0^W t dt = W^2/2 = 2 -> W = 2
 
 
-def test_barrier_W_linear_identity():
-    op = make_op(n=16)
-    Z = GridFunction(op.grid, np.linspace(0.0, 3.0, 16))
-    W = barrier_W(Z, NonlinearitySpec())
-    assert np.array_equal(W.values, Z.values)
-
-
 def test_barrier_W_closed_form_chain():
     # s = 1 and Z = r^-1 - r^-2/2 give W = (2 r^-1 - r^-2)^(1/2)
     op = make_op(n=257)
@@ -85,27 +78,19 @@ def test_barrier_W_closed_form_chain():
 
 
 # ---------------------------------------------------------------------------
-# monotone solver: degenerate and linear paths
+# monotone solver: degenerate paths
 
 
 def test_zero_source_zero_outer_degenerates():
     op = make_op(n=257)
     with pytest.raises(DegenerateSolveError):
-        solve_monotone(op, np.zeros(257), NonlinearitySpec.power(1.0), outer="zero")
+        solve_monotone(op, np.zeros(257), NonlinearitySpec.power(1.0), outer=0.0)
 
 
 def test_zero_source_propagates_outer_value():
     op = make_op(n=257)
     res = solve_monotone(op, np.zeros(257), NonlinearitySpec.power(1.0), outer=0.7)
     assert np.allclose(res.w.values, 0.7)
-
-
-def test_linear_nonlinearity_single_solve():
-    op = make_op(n=2049)
-    r = op.grid.r
-    res = solve_monotone(op, r ** -4.0, NonlinearitySpec(), outer="extrapolate")
-    exact = 1 / r - 0.5 / r ** 2
-    assert np.max(np.abs(res.w.values[:-1] - exact[:-1]) / exact[:-1]) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +396,7 @@ def test_start_may_be_zero_at_the_outer_node():
     vals = op.grid.r ** -1.0
     vals[-1] = 0.0
     res = solve_monotone(op, op.grid.r ** -4.0, NonlinearitySpec.power(1.0),
-                         outer="zero", start=vals)
+                         outer=0.0, start=vals)
     assert res.outer_value == 0.0 and res.w.values[-1] == 0.0
 
 
@@ -465,8 +450,8 @@ def test_no_pin_round_falls_back_to_the_drive(monkeypatch, N, n, alpha, s):
     assert len(drives) == 1 and drives[0].warm_start
 
 
-@pytest.mark.parametrize("outer", ["extrapolated", -0.5, float("nan")],
-                         ids=["misspelled-mode", "negative-pin", "nan-pin"])
+@pytest.mark.parametrize("outer", ["extrapolated", "zero", -0.5, float("nan")],
+                         ids=["misspelled-mode", "retired-zero", "negative-pin", "nan-pin"])
 @pytest.mark.parametrize("source", ["zero", "positive"])
 def test_bad_outer_is_config_error(outer, source):
     op = make_op(n=257)
@@ -489,6 +474,13 @@ def test_nonfinite_or_negative_scalar_input_is_config_error(where, bad):
             barrier_Z(op.grid, 3, data)
         else:
             NonlinearitySpec(bad)
+
+
+def test_linear_nonlinearity_is_config_error():
+    # g == 1 is no monotone problem: the calibration's linear references are
+    # plain linear solves (coupled._linear_reference)
+    with pytest.raises(ConfigError):
+        NonlinearitySpec(0.0)
 
 
 # ---------------------------------------------------------------------------
