@@ -11,11 +11,10 @@ r^-1.  The script walks through the full pipeline:
 1. classify the exponents,
 2. calibrate the barrier comparison constants on the grid,
 3. assemble the constant schedule (box bounds and the threshold lam*),
-4. solve below the threshold by Newton, which holds the outer values in
-   the iterate's outer nodes and re-pins them twice from the solution's
-   own outer power law, certified by one application of the fixed-point
-   map at the final outer values (the Newton record is
-   ``state.diagnostics["newton"]``),
+4. solve below the threshold by Newton, whose outer rows are the exact
+   far-field rows R w'(R) + (N-2) w(R) = int_R^inf t f dt, certified by one
+   application of the fixed-point map at the final outer values (the
+   Newton record is ``state.diagnostics["newton"]``),
 5. verify the invariant box and the fitted decay exponents.
 """
 

@@ -352,13 +352,21 @@ def write_solution_csv(path: Path, rows: list[tuple]) -> None:
                lambda lo, hi: "".join([_SOLUTION_LINE % row for row in rows[lo:hi]]))
 
 
-def _fitted_powers(manifest: dict) -> dict[str, float]:
+def _reference_powers(manifest: dict, cfg: dict) -> dict[str, float]:
+    """The fitted powers of a ``--reference`` manifest.  A ConfigError
+    unless it solved the problem ``cfg`` sets: its R, n, lam and window may
+    differ, not its parameters, source amplitude or r0."""
+    ref = manifest["config"]
+    differ = [key for key in (*_PARAM_KEYS, "rho0", "r0") if _TYPES[key](ref[key]) != cfg[key]]
+    if differ:
+        raise ConfigError(f"reference solves a different problem: its {', '.join(differ)} differ")
     return {c: float(manifest["fits"][c]["power"]) for c in "uv"}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _solve_config(args)
-    ref_powers = _load_manifest(args.reference, _fitted_powers) if args.reference else None
+    ref_powers = (_load_manifest(args.reference, lambda m: _reference_powers(m, cfg))
+                  if args.reference else None)
     outdir = Path(args.output or ".")
     stem = args.name or "solution"
     csv_path = outdir / f"{stem}.csv"

@@ -12,17 +12,17 @@ a fixed point of H, i.e. a solution of the discrete system
 L u = f(u, v) + lam rho, L v = u^m v^-s; Newton on that system (u and v
 interleaved, so the Jacobian is a (2,2)-banded matrix) finds it, and one
 final application of H certifies it as a fixed point.
-Newton's outer values are the iterate's own outer nodes: the two Dirichlet
-rows are identity rows with zero residual, so no step moves them, and the
-solve re-pins by writing new values there.  The certifying application of
-H is pinned at the Newton state's outer nodes, and starts its monotone
-scalar solve from that state's v, which already solves the inner problem
-at the same pin, so the drive runs only its last stage (the image does not
-depend on v otherwise).
-Newton's step count does not depend on the mesh, so its first phase starts
-from the same Newton on a coarse grid, and a step reuses the last LU
-factors of the Jacobian while the state has moved little since they were
-computed.
+Newton closes the truncation with the exact far-field row of
+``grid.far_field`` in both components, R w'(R) + (N-2) w(R) = int_R^inf t f dt
+with the tail of each source continued as a power law, so its outer values
+are unknowns like the others and no pin is chosen.  The certifying
+application of H is pinned at the Newton state's outer nodes, and starts
+its monotone scalar solve from that state's v, which already solves the
+inner problem at the same pin, so the drive runs only its last stage (the
+image does not depend on v otherwise).
+Newton's step count does not depend on the mesh, so it starts from the
+same Newton on a coarse grid, and a step reuses the last LU factors of the
+Jacobian while the state has moved little since they were computed.
 The state is certified against the invariant box
 
     D r^-a <= u <= E r^-a,      F psi <= v <= G psi,
@@ -41,15 +41,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergedError
+from .errors import ConfigError, DivergedError, NonintegrableSourceError
 from .grid import (
-    BlockFactors,
     GridFunction,
     RadialOperator,
     assemble_operator,
     backward_error,
     build_grid,
     factor_block,
+    far_field,
     solve_linear,
     source_relative_residual,
     weighted_residual,
@@ -63,13 +63,11 @@ from .params import (
     classify,
     constant_schedule,
 )
-from .scalar import NonlinearitySpec, barrier_Z, solve_monotone, _extrapolated_pin
+from .scalar import NonlinearitySpec, barrier_Z, solve_monotone
 
 _TINY = 1e-300
 _RANGE = (1e-30, 1e30)
-# outer re-pinnings after the first Newton phase
-_POLISH_ROUNDS = 2
-# a Newton phase stops once the largest nodewise relative step is below
+# Newton stops once the largest nodewise relative step is below
 # _NEWTON_TOL, or after _NEWTON_CAP steps
 _NEWTON_TOL = 1e-11
 _NEWTON_CAP = 200
@@ -80,7 +78,7 @@ _HALVINGS = 30
 # Newton keeps its Jacobian's factors until the relative steps taken with
 # them sum past _REFACTOR_DRIFT
 _REFACTOR_DRIFT = 1e-4
-# the first Newton phase starts on a grid of (n - 1) // _COARSE_RATIO + 1
+# Newton starts from its own solution on a grid of (n - 1) // _COARSE_RATIO + 1
 # nodes, and at least _COARSE_MIN_NODES
 _COARSE_RATIO = 16
 _COARSE_MIN_NODES = 129
@@ -319,86 +317,95 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.abs(new - old) / np.maximum(old, _TINY)))
 
 
-@dataclass
-class _Jacobian:
-    """The factored Newton Jacobian of one grid, kept across the steps and
-    phases of one ``solve_system`` call: ``drift`` sums the relative steps
-    taken since ``factors`` were computed, and ``count`` counts the
-    factorizations."""
-
-    factors: BlockFactors | None = None
-    drift: float = np.inf
-    count: int = 0
-
-
 def _newton(
     params: ExponentSet, env: SourceEnvelope, op: RadialOperator,
-    u: np.ndarray, v: np.ndarray, jac: _Jacobian,
-) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Newton on L u = f(u, v) + lam rho, L v = u^m v^-s from (u, v) with the
-    outer values pinned at the start's outer nodes, until the largest
-    nodewise relative step drops below ``_NEWTON_TOL`` or ``_NEWTON_CAP``
-    steps are spent; returns the final (u, v), the number of steps and the
-    last step.  The two Dirichlet rows are identity rows of the Jacobian
-    with zero residual, so no step moves the outer nodes.  The Jacobian
-    is factored afresh only when ``jac.drift`` exceeds ``_REFACTOR_DRIFT``;
-    otherwise the step solves with the kept factors (a simplified Newton
-    step).  A step is halved until u > 0 and v > 0 off the Dirichlet node; a
+    u: np.ndarray, v: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int, float, int]:
+    """Newton on L u = f(u, v) + lam rho, L v = u^m v^-s from (u, v), whose
+    outer rows are the exact far-field rows of ``grid.far_field``, until the
+    largest nodewise relative step drops below ``_NEWTON_TOL`` or
+    ``_NEWTON_CAP`` steps are spent; returns the final (u, v), the number of
+    steps, the last step and the number of factorizations.
+
+    The far-field tail int_R^inf t f dt of a source decaying like r^-beta
+    is f(R) R^2 / (beta - 2), so the outer row scales the source's outer
+    value by tau = 1 + kappa R^2 / (beta - 2).  For lam rho beta is k,
+    which is exact; for f and for u^m v^-s it is their local power between
+    the first nodes at or above R/30 and R/3, taken afresh at every step
+    and held fixed by the Jacobian.  A beta <= 2 (a divergent first moment)
+    raises NonintegrableSourceError.  The Jacobian is factored afresh only
+    when the relative steps taken since its last factorization sum past
+    ``_REFACTOR_DRIFT``; otherwise the step solves with the kept factors (a
+    simplified Newton step).  A step is halved until u > 0 and v > 0; a
     start or iterate outside ``_check_range``, a non-finite residual or
     Jacobian, a singular Jacobian or exhausted halving raise DivergedError."""
     _check_range(u, v)
-    rho = env.rho(op.grid.r)
+    r = op.grid.r
+    a_sub, a_diag, kappa = far_field(op)
+    i, j = np.searchsorted(r, (r[-1] / 30.0, r[-1] / 3.0))
+
+    def tau(beta: float) -> float:
+        if beta <= 2.0:
+            raise NonintegrableSourceError(f"source tail ~ r^-{beta:g}: divergent first moment")
+        return 1.0 + kappa * r[-1] ** 2 / (beta - 2.0)
+
+    # lam rho decays like r^-k exactly
+    rho = env.rho(r)
+    rho[-1] *= tau(params.k)
     sign = -1.0 if params.kind is SystemKind.MIXED else 1.0
     rhs = np.empty(2 * op.grid.n)
-    step = np.inf
+    factors, drift, count, step = None, np.inf, 0, np.inf
     for steps in range(1, _NEWTON_CAP + 1):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f, rhs_u, g = _equations(params, rho, u, v)
+            # the far-field rows' sources f(R) + kappa T; the Jacobian's
+            # outer entries scale with them, at the lagged beta
+            f[-1] *= tau(np.log(f[i] / f[j]) / np.log(r[j] / r[i]))
+            g[-1] *= tau(np.log(g[i] / g[j]) / np.log(r[j] / r[i]))
             rhs[0::2] = rhs_u - op.apply(u)
             rhs[1::2] = g - op.apply(v)
-        rhs[-2:] = 0.0
+            rhs[-2] = f[-1] + params.lam * rho[-1] - a_sub * u[-2] - a_diag * u[-1]
+            rhs[-1] = g[-1] - a_sub * v[-2] - a_diag * v[-1]
         if not np.all(np.isfinite(rhs)):
             raise DivergedError("non-finite Newton residual")
-        if jac.drift > _REFACTOR_DRIFT:
+        if drift > _REFACTOR_DRIFT:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 # Jacobian diagonals: -df/du, -df/dv, -dg/du, -dg/dv
                 duu = -sign * params.p * f / u
                 duv = sign * params.q * f / v
                 dvu = -params.m * g / u
                 dvv = params.s * g / v
-            if not np.all(np.isfinite(duu + duv + dvu + dvv)):
-                raise DivergedError("non-finite Newton Jacobian")
-            jac.factors = factor_block(op, duu, duv, dvu, dvv)
-            jac.drift, jac.count = 0.0, jac.count + 1
-        dx = jac.factors.solve(rhs)
-        du, dv = dx[0::2], dx[1::2]
+                if not np.all(np.isfinite(duu + duv + dvu + dvv)):
+                    raise DivergedError("non-finite Newton Jacobian")
+            factors = factor_block(op, duu, duv, dvu, dvv)
+            drift, count = 0.0, count + 1
+        dx = factors.solve(rhs)
         t = 1.0
         for _ in range(_HALVINGS):
-            u_new, v_new = u + t * du, v + t * dv
-            if np.all(u_new > 0) and np.all(v_new[:-1] > 0):
+            u_new, v_new = u + t * dx[0::2], v + t * dx[1::2]
+            if np.all(u_new > 0) and np.all(v_new > 0):
                 break
             t *= 0.5
         else:
             raise DivergedError("step halving could not keep the Newton state positive")
         step = max(_relative_change(u_new, u), _relative_change(v_new, v))
-        jac.drift += step
+        drift += step
         u, v = u_new, v_new
         _check_range(u, v)
         if step < _NEWTON_TOL:
             break
-    return u, v, steps, step
+    return u, v, steps, step, count
 
 
 def _coarse_start(
     params: ExponentSet, env: SourceEnvelope, op: RadialOperator, start: CoupledState,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The first phase's start on ``op``'s grid and the coarse steps taken
-    for it: Newton from the box midpoint on a coarse grid over the same
-    [r0, R], whose outer nodes are ``start``'s, interpolated linearly in xi
-    in log u and log v, with the outer nodes kept as the coarse solve's.  It
-    is ``start`` itself, after no steps, when the coarse grid would not have
-    fewer nodes or ``assemble_operator`` refuses it (its spacing or its
-    weights)."""
+    """Newton's start on ``op``'s grid and the coarse steps taken for it:
+    Newton from the box midpoint on a coarse grid over the same [r0, R],
+    whose far-field rows close the same problem, interpolated linearly in
+    xi in log u and log v.  It is ``start`` itself, after no steps, when the
+    coarse grid would not have fewer nodes or ``assemble_operator`` refuses
+    it (its spacing or its weights)."""
     grid = op.grid
     n_c = max((grid.n - 1) // _COARSE_RATIO + 1, _COARSE_MIN_NODES)
     if n_c >= grid.n:
@@ -408,12 +415,9 @@ def _coarse_start(
     except ConfigError:
         return start.u.values, start.v.values, 0
     mid = initial_state(coarse, start.verdict, start.schedule)
-    u_c, v_c, steps, _ = _newton(params, env, coarse, mid.u.values, mid.v.values,
-                                 _Jacobian())
-    xi, xi_c = grid.xi, coarse.grid.xi
-    u = np.exp(np.interp(xi, xi_c, np.log(u_c)))
-    v = np.exp(np.interp(xi, xi_c, np.log(v_c)))
-    u[-1], v[-1] = u_c[-1], v_c[-1]
+    u_c, v_c, steps, _, _ = _newton(params, env, coarse, mid.u.values, mid.v.values)
+    u = np.exp(np.interp(grid.xi, coarse.grid.xi, np.log(u_c)))
+    v = np.exp(np.interp(grid.xi, coarse.grid.xi, np.log(v_c)))
     return u, v, steps
 
 
@@ -424,33 +428,30 @@ def solve_system(
     window: tuple[float, float] | None = None,
     schedule: ConstantSchedule | None = None,
 ) -> CoupledState:
-    """Newton on the discrete fixed-point equations, then a self-pinned
-    polish, certified by one application of H.
+    """Newton on the discrete fixed-point equations closed by the exact
+    far-field row, certified by one application of H.
 
     ``schedule`` is the constant schedule at ``params.lam`` (as returned by
     ``suggest_lambda``); without one, C3/C4 are calibrated on ``op`` and the
-    schedule is built here.  Newton starts from ``initial_state``'s box
-    midpoint: on a coarse grid over the same [r0, R] first
-    (``_coarse_start``; none when the grid has at most
-    ``_COARSE_MIN_NODES`` nodes or the coarse one is refused), then on
-    ``op``'s grid from the interpolated coarse solution.  Each Newton phase
-    holds the outer values its start carries, so the midpoint's outer node
-    is the first phase's pin.  The polish then twice writes the pins
-    re-extrapolated from the solution's own outer power law into the outer
-    nodes and runs Newton again, removing the O(1) amplitude mismatch the
-    fixed pins leave at the truncation radius.  Each of the three Newton
-    phases works on the (u, v) arrays and stops when the largest relative
+    schedule is built here.  Newton (``_newton``) starts from
+    ``initial_state``'s box midpoint: on a coarse grid over the same
+    [r0, R] first (``_coarse_start``; none when the grid has at most
+    ``_COARSE_MIN_NODES`` nodes or the coarse one is refused), then once on
+    ``op``'s grid from the interpolated coarse solution.  Its outer rows
+    are the far-field rows of ``grid.far_field``, so the outer values are
+    solved for, not pinned; a source tail with a divergent first moment is
+    a NonintegrableSourceError.  Newton stops when the largest relative
     step drops below 1e-11 or after 200 steps (``_NEWTON_TOL``,
-    ``_NEWTON_CAP``); the factors of the Jacobian are shared by all three
-    and kept while the relative steps taken with them sum to at most
-    ``_REFACTOR_DRIFT``.  The stored state is the image of the Newton state
-    under H at its outer nodes, so it satisfies the discrete equations to
-    solver accuracy.  ``diagnostics["newton"]`` records the Newton steps on
-    ``op``'s grid (``steps``), those on the coarse grid (``coarse_steps``),
-    the factorizations on ``op``'s grid (``factorizations``), whether every
-    phase met ``_NEWTON_TOL`` (``converged``), the last relative step
-    (``last_step``) and the relative gap between the Newton state and its
-    image (``fixed_point_gap``).  The state carries the node residuals
+    ``_NEWTON_CAP``), and keeps the factors of its Jacobian while the
+    relative steps taken with them sum to at most ``_REFACTOR_DRIFT``.  The
+    stored state is the image of the Newton state under H pinned at its
+    outer nodes, so it satisfies the discrete equations to solver accuracy.
+    ``diagnostics["newton"]`` records the Newton steps on ``op``'s grid
+    (``steps``), those on the coarse grid (``coarse_steps``), the
+    factorizations on ``op``'s grid (``factorizations``), whether Newton on
+    ``op``'s grid met ``_NEWTON_TOL`` (``converged``), its last relative
+    step (``last_step``) and the relative gap between the Newton state and
+    its image (``fixed_point_gap``).  The state carries the node residuals
     ``L u - rhs_u``, ``L v - rhs_v`` and, in ``diagnostics``, their
     certificates (``certificate_u``/``certificate_v``), backward errors and
     source-relative residuals.  A source whose decay is not ``params.k`` is
@@ -481,21 +482,15 @@ def solve_system(
         window = grid.default_window()
 
     u, v, coarse_steps = _coarse_start(params, env, op, state)
-    jac, steps, converged = _Jacobian(), 0, True
-    for phase in range(1 + _POLISH_ROUNDS):
-        if phase:
-            u[-1], v[-1] = _extrapolated_pin(grid, u), _extrapolated_pin(grid, v)
-        u, v, taken, step = _newton(params, env, op, u, v, jac)
-        steps += taken
-        converged = converged and step < _NEWTON_TOL
+    u, v, steps, step, factorizations = _newton(params, env, op, u, v)
     state = replace(state, u=GridFunction(grid, u), v=GridFunction(grid, v), iteration=steps)
     image = apply_H(state, params, env, op, pins=(float(u[-1]), float(v[-1])))
     gap = max(_relative_change(image.u.values, u), _relative_change(image.v.values, v))
 
     _certify(image, params, env, op, window)
     image.diagnostics["newton"] = {
-        "steps": steps, "coarse_steps": coarse_steps, "factorizations": jac.count,
-        "converged": bool(converged), "last_step": float(step), "fixed_point_gap": gap,
+        "steps": steps, "coarse_steps": coarse_steps, "factorizations": factorizations,
+        "converged": bool(step < _NEWTON_TOL), "last_step": float(step), "fixed_point_gap": gap,
     }
     return image
 

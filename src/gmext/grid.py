@@ -30,9 +30,12 @@ factors once.  The weights grow like (R/r0)^N; an operator whose weights
 leave double range is refused.  ``factor_block`` factors the coupled
 Newton Jacobian with LAPACK ``gbtrf``, and ``BlockFactors.solve`` solves
 with the factors (``gbtrs``) for as many right-hand sides as the caller
-has.  Each imports its scipy routine when it is first called, so building
-grids and operators, and everything that only classifies or fits, needs
-numpy alone.
+has.  That Jacobian closes the truncation with the exact far-field row of
+``far_field`` instead of a Dirichlet row: the ghost node beyond R is
+removed with R w'(R) + (N-2) w(R) = int_R^inf t f dt, so the outer value
+is an unknown and no pin is needed.  Each imports its scipy routine when
+it is first called, so building grids and operators, and everything that
+only classifies or fits, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -61,7 +64,10 @@ class RadialGrid:
         return float(self.xi[1] - self.xi[0])
 
     def window_mask(self, lo: float, hi: float) -> np.ndarray:
-        return (self.r >= lo) & (self.r <= hi)
+        """The nodes in [lo, hi].  A bound that is a node up to rounding
+        selects that node on every grid: each bound has a relative slack of
+        1e-12, far below any spacing."""
+        return (self.r >= lo * (1.0 - 1e-12)) & (self.r <= hi * (1.0 + 1e-12))
 
     def default_window(self) -> tuple[float, float]:
         """One decade in from each boundary, clear of both boundary layers."""
@@ -215,6 +221,21 @@ class BlockFactors:
         return dgbtrs(self.lu, 2, 2, rhs, self.piv, overwrite_b=1)[0]
 
 
+def far_field(op: RadialOperator) -> tuple[float, float, float]:
+    """The exact far-field row at the outer node, as (a_sub, a_diag, kappa).
+
+    A decaying radial solution of -Lap w = f satisfies
+    R w'(R) + (N-2) w(R) = T with T = int_R^inf t f dt (Hagstrom & Keller,
+    Math. Comp. 48, 1987).  The central differences of the outer row reach
+    a ghost node beyond R, which this condition, w_xi + (N-2) w = T,
+    removes; the row left is a_sub w[n-2] + a_diag w[n-1] = f[n-1] + kappa T.
+    It is the condition times about 2 / (h R^2), with an O(h^2) error in T,
+    and the solution it closes converges at second order.
+    """
+    h, c, R2 = op.grid.h, op.N - 2.0, op.grid.r[-1] ** 2
+    return -2.0 / (h * h * R2), (2.0 / h ** 2 + 2.0 * c / h + c * c) / R2, (2.0 / h + c) / R2
+
+
 def factor_block(
     op: RadialOperator,
     duu: np.ndarray, duv: np.ndarray, dvu: np.ndarray, dvv: np.ndarray,
@@ -224,13 +245,15 @@ def factor_block(
         (L + diag(duu)) x_u + diag(duv) x_v = rhs_u
         diag(dvu) x_u + (L + diag(dvv)) x_v = rhs_v
 
-    with both Dirichlet rows kept as identity rows (the four diagonals never
-    touch them).  Unknowns and right-hand sides are interleaved, x = (u0,
-    v0, u1, v1, ...), which makes the matrix (2,2)-banded.  A singular
-    matrix raises DivergedError.
+    in which the outer rows of both L are the far-field rows of
+    ``far_field`` in place of the operator's Dirichlet rows (the four
+    diagonals add to them as to every other row).  Unknowns and right-hand
+    sides are interleaved, x = (u0, v0, u1, v1, ...), which makes the matrix
+    (2,2)-banded.  A singular matrix raises DivergedError.
     """
     from scipy.linalg.lapack import dgbtrf
 
+    a_sub, a_diag, _ = far_field(op)
     # LAPACK band storage ab[4 + i - j, j] = A[i, j] of the 2n x 2n matrix;
     # rows 0-1 are LU fill-in and need no values, and every entry outside
     # the stencil stays zero
@@ -243,10 +266,9 @@ def factor_block(
     ab[5, 0::2] = dvu
     ab[6, 0:-2:2] = op.sub[1:]
     ab[6, 1:-2:2] = op.sub[1:]
-    # Dirichlet rows of u (2n-2) and v (2n-1)
-    ab[4, -2:] = 1.0
-    ab[3, -1] = 0.0
-    ab[5, -2] = 0.0
+    # far-field rows of u (2n-2) and v (2n-1)
+    ab[4, -2:] = a_diag + duu[-1], a_diag + dvv[-1]
+    ab[6, -4:-2] = a_sub
     lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
     if info != 0:
         raise DivergedError(f"coupled Jacobian is singular (dgbtrf info {info})")

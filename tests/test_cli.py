@@ -365,6 +365,31 @@ def test_fit_bad_manifest_exit_64(solved_dir, tmp_path, which):
     assert out == ""
 
 
+@pytest.mark.parametrize("problem", [
+    ["--N", "3", "--kind", "MIXED", "--p", "1", "--q", "4.5", "--m", "5", "--s", "1",
+     "--k", "4"],
+    [*BASE, "--rho0", "2"],
+    [*BASE, "--r0", "2", "--R", "2e4"],
+], ids=["mixed", "rho0", "r0"])
+def test_reference_of_another_problem_exit_64_before_solving(solved_dir, tmp_path,
+                                                             problem, monkeypatch):
+    # the reference is MIN-i at r0 = 1 and rho0 = 1; its fits are no
+    # truncation check of another problem
+    import gmext.cli
+
+    def no_solve(cfg):
+        raise AssertionError("solved against a reference of another problem")
+
+    monkeypatch.setattr(gmext.cli, "run_solve", no_solve)
+    out = tmp_path / "out"
+    code, _, err = run_cli(["solve", *problem, "--output", str(out),
+                            "--reference", str(solved_dir / "run1.manifest.json")])
+    assert code == 64
+    assert err.startswith("configuration error: reference solves a different problem")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_truncation_reference_delta(solved_dir, tmp_path):
     code, out, err = run_cli([
         "solve", *BASE, "--R", "20000", "--n", "2177", "--output", str(tmp_path),

@@ -5,10 +5,11 @@ from gmext import (
     assemble_operator,
     backward_error,
     build_grid,
+    grid_for_decades,
     solve_linear,
 )
 from gmext.errors import ConfigError, DivergedError
-from gmext.grid import factor_block, source_relative_residual, weighted_residual
+from gmext.grid import factor_block, far_field, source_relative_residual, weighted_residual
 
 
 def make_op(r0=1.0, R=1e4, n=4097, N=3):
@@ -31,6 +32,19 @@ def test_two_point_grid():
     grid = build_grid(1.0, np.e, 2)
     assert grid.r[0] == 1.0
     assert grid.r[-1] == pytest.approx(np.e, rel=1e-15)
+
+
+def test_window_bounds_on_nodes_select_them_on_every_grid():
+    # 10 and 1e3 are nodes of each grid up to rounding, and the rounding
+    # depends on R; both edge nodes belong to the window on all six grids
+    selected = []
+    for R in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
+        grid = grid_for_decades(1.0, R, 1024)
+        mask = grid.window_mask(10.0, 1e3)
+        assert np.flatnonzero(mask).tolist() == list(range(1024, 3073))
+        selected.append(grid.r[mask])
+    for r in selected[1:]:
+        assert r == pytest.approx(selected[0], rel=1e-14)
 
 
 def test_invalid_grid_rejected():
@@ -372,20 +386,18 @@ def test_forward_error_matches_pivoted_lu(shifted):
 
 
 def _dense_block(op, duu, duv, dvu, dvv):
-    """The interleaved (u0, v0, u1, v1, ...) 2n x 2n block matrix; the four
-    diagonals must leave both Dirichlet rows untouched."""
+    """The interleaved (u0, v0, u1, v1, ...) 2n x 2n block matrix, whose
+    outer u and v rows are the far-field rows, with the four diagonals
+    added to them as to every other row."""
     n = op.grid.n
+    a_sub, a_diag, _ = far_field(op)
     L = np.diag(op.diag) + np.diag(op.sup[:-1], 1) + np.diag(op.sub[1:], -1)
-
-    def off_dirichlet(d):
-        return np.diag(np.append(d[:-1], 0.0))
-
+    L[-1, -2:] = a_sub, a_diag
     A = np.zeros((2 * n, 2 * n))
-    A[0::2, 0::2] = L + off_dirichlet(duu)
-    A[0::2, 1::2] = off_dirichlet(duv)
-    A[1::2, 0::2] = off_dirichlet(dvu)
-    A[1::2, 1::2] = L + off_dirichlet(dvv)
-    assert A[-2, -2] == 1.0 and np.count_nonzero(A[-2:]) == 2
+    A[0::2, 0::2] = L + np.diag(duu)
+    A[0::2, 1::2] = np.diag(duv)
+    A[1::2, 0::2] = np.diag(dvu)
+    A[1::2, 1::2] = L + np.diag(dvv)
     return A
 
 
@@ -400,7 +412,6 @@ def test_block_solve_matches_dense():
         expected = np.linalg.solve(_dense_block(op, *diagonals), rhs)
         x = factor_block(op, *diagonals).solve(rhs.copy())
         assert np.allclose(x, expected, rtol=1e-12, atol=1e-14)
-        assert x[-2] == rhs[-2] and x[-1] == rhs[-1]
 
 
 def test_block_factors_serve_several_right_hand_sides():
@@ -423,12 +434,50 @@ def test_block_factors_serve_several_right_hand_sides():
 
 
 def test_block_solve_singular_raises_diverged():
-    # duu = -diag and no coupling zero the first column exactly; the
-    # factorization refuses it
-    op = make_op(R=2.0, n=2)
+    # on two nodes, uncoupled, the u block is [[d0 + duu0, -d0], [a_sub,
+    # a_diag + duu1]]; these duu make its rows (-a_sub, -d0) and (a_sub, d0)
+    # exactly (R = 1.2 keeps d0, -a_sub and a_diag within a factor 2 of one
+    # another, so each difference and sum is exact by Sterbenz's lemma), and
+    # the second pivot is exactly zero; the factorization refuses it
+    op = make_op(R=1.2, n=2)
+    a_sub, a_diag, _ = far_field(op)
+    d0 = op.diag[0]
+    assert op.sup[0] == -d0
     zero = np.zeros(2)
-    with pytest.raises(DivergedError):
-        factor_block(op, -op.diag, zero, zero, zero)
+    with pytest.raises(DivergedError, match="singular"):
+        factor_block(op, np.array([-a_sub - d0, d0 - a_diag]), zero, zero, zero)
+
+
+def _far_field_case(n):
+    """The far-field row on w = 1/r - 1/(2 r^2), the decaying solution of
+    -Lap w = r^-4 (N = 3) with tail T = int_R^inf t^-3 dt = R^-2 / 2, on
+    [1, 100] with n nodes: the row's residual in units of its tail
+    coefficient kappa (the error in T it stands for), and the largest
+    nodal relative error of the block solve whose outer u row it is."""
+    op = make_op(R=100.0, n=n)
+    r = op.grid.r
+    w = 1.0 / r - 0.5 / r ** 2
+    a_sub, a_diag, kappa = far_field(op)
+    T = 0.5 / r[-1] ** 2
+    row = (a_sub * w[-2] + a_diag * w[-1] - r[-1] ** -4.0 - kappa * T) / kappa
+    rhs = np.zeros(2 * n)
+    rhs[0::2] = r ** -4.0
+    rhs[-2] += kappa * T
+    zero = np.zeros(n)
+    u = factor_block(op, zero, zero, zero, zero).solve(rhs)[0::2]
+    return abs(row), float(np.max(np.abs(u - w) / w))
+
+
+def test_far_field_row_is_second_order():
+    # both shrink by 4 per halving of h.  The row is the far-field condition
+    # times 2 / (h R^2) (its ghost node is removed with it), so its raw
+    # residual, an O(h^2) error in that condition, shrinks by 2
+    cases = [_far_field_case(n) for n in (129, 257, 513)]
+    for coarse, fine in zip(cases, cases[1:]):
+        assert coarse[0] / fine[0] == pytest.approx(4.0, abs=0.1)
+        assert coarse[1] / fine[1] == pytest.approx(4.0, abs=0.01)
+    assert cases[-1][1] < 1e-4
+
 
 
 def test_windowed_residual_refuses_an_empty_window():
