@@ -33,14 +33,21 @@ with the factors (``gbtrs``) for as many right-hand sides as the caller
 has.  That Jacobian closes the truncation with the exact far-field row of
 ``far_field`` instead of a Dirichlet row: the ghost node beyond R is
 removed with R w'(R) + (N-2) w(R) = int_R^inf t f dt, so the outer value
-is an unknown and no pin is needed.  Each imports its scipy routine when
-it is first called, so building grids and operators, and everything that
-only classifies or fits, needs numpy alone.
+is an unknown and no pin is needed.  The four kernels come from scipy's
+compiled LAPACK extension, which the first solve loads by file (about 4 MB
+and 20 ms) without importing the ``scipy.linalg`` package (about 25 MB and
+0.2 s); when that file is not found the first solve imports
+``scipy.linalg.lapack`` instead.  Building grids and operators, and
+everything that only classifies or fits, needs numpy alone.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +56,34 @@ from .errors import ConfigError, DivergedError
 # Soft precondition for meaningful asymptotics work (documented, not
 # enforced: tiny grids remain constructible for closed-form checks).
 RECOMMENDED_MIN_NODES = 16
+
+
+@cache
+def _lapack():
+    """scipy's compiled LAPACK wrappers, the module that
+    ``scipy.linalg.lapack`` re-exports, loaded once per process from its
+    file.  ``import scipy`` comes first because that is where wheels set up
+    the path to their bundled OpenBLAS.  The file layout is not public API,
+    so when no file is found, or it does not load, the package is imported
+    instead."""
+    import scipy
+
+    linalg = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = linalg / f"_flapack{suffix}"
+        if path.is_file():
+            # the last part of the name must be _flapack, which names the
+            # extension's init function; the module is not put in sys.modules
+            spec = importlib.util.spec_from_file_location(f"{__name__}._flapack", path)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except (ImportError, OSError):
+                break
+            return module
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 @dataclass(frozen=True)
@@ -167,8 +202,6 @@ class RadialOperator:
         singular matrix raises DivergedError.  The operator's arrays and
         the caller's are never written.
         """
-        from scipy.linalg.lapack import dpttrs
-
         d, e = self._factor(shift)
         w = np.empty(self.grid.n)
         b = w[:-1]
@@ -177,15 +210,13 @@ class RadialOperator:
         if not np.isfinite(b).all():
             raise DivergedError("tridiagonal solve got a non-finite rhs or outer value")
         # b is a contiguous view of w, so pttrs writes the solution into w
-        dpttrs(d, e, b, overwrite_b=1)
+        _lapack().dpttrs(d, e, b, overwrite_b=1)
         w[-1] = outer_value
         return w
 
     def _factor(self, shift: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """LDL^T factors (d, e) of the symmetric form of L + diag(shift),
         from the cache when they are there."""
-        from scipy.linalg.lapack import dpttrf
-
         key = None if shift is None else np.asarray(shift, dtype=float)[:-1]
         slot = "unshifted" if key is None else "shifted"
         kept = self._factors.get(slot)
@@ -196,7 +227,7 @@ class RadialOperator:
             raise DivergedError("tridiagonal solve got a non-finite shift")
         # the wrapper wants one entry of e even for a 1x1 block, which
         # LAPACK never reads
-        d, e, info = dpttrf(d, self.off[:max(d.size - 1, 1)])
+        d, e, info = _lapack().dpttrf(d, self.off[:max(d.size - 1, 1)])
         if info != 0:
             raise DivergedError(f"shifted operator is not positive definite (dpttrf info {info})")
         self._factors[slot] = (None if key is None else key.copy(), d, e)
@@ -216,9 +247,7 @@ class BlockFactors:
         """The solution of the factored system for ``rhs`` (LAPACK
         ``gbtrs``); ``rhs`` is overwritten and the solution is returned in
         its storage."""
-        from scipy.linalg.lapack import dgbtrs
-
-        return dgbtrs(self.lu, 2, 2, rhs, self.piv, overwrite_b=1)[0]
+        return _lapack().dgbtrs(self.lu, 2, 2, rhs, self.piv, overwrite_b=1)[0]
 
 
 def far_field(op: RadialOperator) -> tuple[float, float, float]:
@@ -251,8 +280,6 @@ def factor_block(
     sides are interleaved, x = (u0, v0, u1, v1, ...), which makes the matrix
     (2,2)-banded.  A singular matrix raises DivergedError.
     """
-    from scipy.linalg.lapack import dgbtrf
-
     a_sub, a_diag, _ = far_field(op)
     # LAPACK band storage ab[4 + i - j, j] = A[i, j] of the 2n x 2n matrix;
     # rows 0-1 are LU fill-in and need no values, and every entry outside
@@ -269,7 +296,7 @@ def factor_block(
     # far-field rows of u (2n-2) and v (2n-1)
     ab[4, -2:] = a_diag + duu[-1], a_diag + dvv[-1]
     ab[6, -4:-2] = a_sub
-    lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
+    lu, piv, info = _lapack().dgbtrf(ab, 2, 2, overwrite_ab=1)
     if info != 0:
         raise DivergedError(f"coupled Jacobian is singular (dgbtrf info {info})")
     return BlockFactors(lu, piv)

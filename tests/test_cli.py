@@ -1047,23 +1047,30 @@ record("classify, sweep, fit")
 op = assemble_operator(build_grid(1.0, 10.0, 17), 3)
 solve_linear(op, op.grid.r ** -4.0, 0.0)
 record("solve_linear")
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    codes.append(cli.main(["solve", *sys.argv[3:], "--n", "257", "--output", tmp]))
+record("solve")
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def test_scipy_loads_only_on_first_solve(tmp_path):
-    # classify, a classify-only sweep and fit need numpy alone; the
-    # tridiagonal kernel binds LAPACK on its first call
+    # classify, a classify-only sweep and fit need numpy alone; the first
+    # solve binds scipy's compiled LAPACK extension, never the scipy.linalg
+    # package, and a whole solve (calibration, banded Newton, apply_H) binds
+    # nothing more
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_GUARD, str(src), str(tmp_path), *BASE],
         capture_output=True, text=True, check=True,
     )
     report = json.loads(proc.stdout)
-    assert report["codes"] == [0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0]
     assert report["loaded"]["import"] == []
     assert report["loaded"]["classify, sweep, fit"] == []
-    assert "scipy.linalg" in report["loaded"]["solve_linear"]
+    for step in ("solve_linear", "solve"):
+        assert "scipy" in report["loaded"][step]
+        assert not [m for m in report["loaded"][step] if m.split(".")[:2] == ["scipy", "linalg"]]
 
 
 def test_console_script_subprocess():

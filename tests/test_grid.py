@@ -1,13 +1,23 @@
+import importlib.machinery
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gmext import (
+    ExponentSet,
+    SourceEnvelope,
     assemble_operator,
     backward_error,
     build_grid,
     grid_for_decades,
     solve_linear,
+    solve_system,
+    suggest_lambda,
 )
+from gmext import grid
 from gmext.errors import ConfigError, DivergedError
 from gmext.grid import factor_block, far_field, source_relative_residual, weighted_residual
 
@@ -503,3 +513,78 @@ def test_source_relative_residual_of_a_zero_source_is_unscaled():
     expected = np.max(np.abs(op.apply(w))[mask] * op.grid.r[mask] ** 2.0)
     assert source_relative_residual(op, w, np.zeros(op.grid.n), 2.0, window) == expected
     assert expected > 0.0
+
+
+# ---------------------------------------------------------------------------
+# LAPACK binding
+
+
+def lapack_answers() -> np.ndarray:
+    """The nodal values of one linear solve and of MIN-i's coupled solve at
+    n = 257, which together call all four LAPACK kernels.  The operators
+    are fresh, so no factors kept by an earlier call are reused."""
+    op = make_op(n=257)
+    w = solve_linear(op, op.grid.r ** -4.0, 0.0)
+    params, env, op = ExponentSet(3, 5, 1, 6, 1, 4), SourceEnvelope.radial(1.0, 4), make_op(n=257)
+    lam, sched = suggest_lambda(params, env, op)
+    state = solve_system(params.with_lam(lam), env, op, schedule=sched)
+    return np.concatenate([w.values, state.u.values, state.v.values])
+
+
+@pytest.fixture
+def rebind_lapack():
+    # the binding is cached once per process: drop it before the test and
+    # after it, so the test sees the file lookup and leaves no binding behind
+    grid._lapack.cache_clear()
+    yield
+    grid._lapack.cache_clear()
+
+
+def bound_file() -> str:
+    # the extension's file when the binding is the compiled extension,
+    # lapack.py when it is the scipy.linalg.lapack module
+    return Path(grid._lapack().__file__).name
+
+
+def test_lapack_fallback_gives_the_same_answers(rebind_lapack, monkeypatch):
+    bound = lapack_answers()
+    assert bound_file().startswith("_flapack.")
+    # with no extension suffix the file lookup finds nothing
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    grid._lapack.cache_clear()
+    fallback = lapack_answers()
+    from scipy.linalg import lapack
+
+    assert grid._lapack() is lapack
+    assert fallback.tobytes() == bound.tobytes()
+
+
+LAPACK_BESIDE_SCIPY_LINALG = """
+import sys
+
+sys.path[:0] = sys.argv[1:3]
+if sys.argv[3] == "before":
+    import scipy.linalg
+from test_grid import bound_file, lapack_answers
+
+first = lapack_answers()
+import scipy.linalg
+
+print(bound_file())
+print(first.tobytes().hex())
+print(lapack_answers().tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_lapack_beside_scipy_linalg_gives_the_same_answers(rebind_lapack, when):
+    # scipy.linalg imported before or after the first solve loads a second
+    # copy of the extension in a fresh process; the solves do not change
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", LAPACK_BESIDE_SCIPY_LINALG, str(tests.parent / "src"), str(tests), when],
+        capture_output=True, text=True, check=True,
+    )
+    binding, first, second = proc.stdout.split()
+    assert binding.startswith("_flapack.")
+    assert first == second == lapack_answers().tobytes().hex()
