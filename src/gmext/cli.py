@@ -20,12 +20,16 @@ the same way.
 Every ``solve`` run writes a JSON manifest recording all effective settings,
 so ``solve --from-manifest run.json`` (which takes no other setting)
 reproduces the solution CSV byte for byte.
-``sweep`` classifies its whole lattice with one ``classify_lattice`` call;
+``sweep`` classifies its whole lattice with one ``_classify_rules`` call,
+which gives each cell the index of its rule in the verdict table;
 ``sweep --solve`` solves each existence cell, in a pool of ``--jobs``
 workers, at ``--lambda`` (or the config file's ``lam``) when given, else at
 half the cell's lambda threshold.  Both CSVs are written by ``_write_csv``,
-a chunk of rows at a time.  ``solve`` and ``sweep`` check that their outputs
-can be written before any work, so an unusable ``--output`` exits 64.
+a chunk of rows at a time, so writing holds one chunk's text.  The sweep
+builds that text from coded columns (``_coded_lines``): each column is a
+list of distinct texts and an integer code per cell.  ``solve`` and
+``sweep`` check that their outputs can be written before any work, so an
+unusable ``--output`` exits 64.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ from .params import (
     Outcome,
     SourceEnvelope,
     SystemKind,
+    _classify_rules,
     classify,
-    classify_lattice,
     field_error,
 )
 from .probes import degeneration_probe
@@ -329,8 +333,9 @@ def _open_output(path: Path):
 
 def _write_csv(path: Path, header: list[str], n_rows: int, lines) -> None:
     """``header`` and ``n_rows`` rows to ``path``, in chunks of
-    ``_CSV_CHUNK_ROWS`` rows with one write each; ``lines(lo, hi)`` is the
-    text of rows lo..hi-1, each ended by CRLF.
+    ``_CSV_CHUNK_ROWS`` rows with one write each, so only one chunk's text
+    is held at a time; ``lines(lo, hi)`` is the text of rows lo..hi-1, each
+    ended by CRLF (the sweep's comes from coded columns, ``_coded_lines``).
 
     The text is RFC 4180 CSV as ``csv.writer`` writes it in its ``excel``
     dialect (comma, CRLF, minimal quoting), joined without it: minimal
@@ -462,12 +467,30 @@ def _sweep_cell(cfg: dict) -> tuple[str, str, str]:
     return _FLOAT_FMT % fits["u"]["power"], _FLOAT_FMT % fits["v"]["power"], ""
 
 
-def _power_texts(powers: np.ndarray) -> np.ndarray:
-    """``powers`` as CSV fields, each distinct value formatted once; NaN (no
-    profile) is an empty field."""
-    distinct, where = np.unique(powers, return_inverse=True)
-    texts = ["" if np.isnan(x) else _FLOAT_FMT % x for x in distinct.tolist()]
-    return np.array(texts, dtype=object)[where]
+def _coded_lines(columns, n_rows: int):
+    """``lines(lo, hi)`` of ``_write_csv`` for CSV columns given as (texts,
+    codes) pairs: cell i of a column holds ``texts[codes[i]]``.
+
+    Each text takes its separator (CRLF after the last column), and adjacent
+    columns are merged, with codes ``c0 * n1 + c1``, while the product of
+    their distinct counts stays at most ``n_rows // 8``: a larger merged
+    table would cost more to build than the per-row pieces it saves.  So a
+    lattice's rows are a few pieces each, and a chunk's text is one join
+    over them."""
+    pieces = []
+    for j, (texts, codes) in enumerate(columns):
+        texts = np.array(texts, dtype=object) + ("\r\n" if j == len(columns) - 1 else ",")
+        if pieces and pieces[-1][0].size * texts.size <= n_rows // 8:
+            head, head_codes = pieces.pop()
+            texts, codes = np.add.outer(head, texts).ravel(), head_codes * texts.size + codes
+        pieces.append((texts, codes))
+
+    def lines(lo: int, hi: int) -> str:
+        grid = np.empty((hi - lo, len(pieces)), dtype=object)
+        for j, (texts, codes) in enumerate(pieces):
+            grid[:, j] = texts[codes[lo:hi]]
+        return "".join(grid.ravel().tolist())
+    return lines
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -498,17 +521,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     valid = np.ones(n_cells, dtype=bool)
     for key in values:
         valid &= np.array([field_error(key, x) is None for x in values[key]], dtype=bool)[at[key]]
-    outcome, condition, *powers = classify_lattice(
+    outcomes, conditions, rule, *powers = _classify_rules(
         base["N"], base["kind"],
         *(np.asarray(values[key], dtype=float)[at[key]] for key in _CELL_KEYS))
     exists = ~np.isnan(powers[0])
     no_inhibitor = valid & exists & np.isnan(powers[2])
     shown = valid & ~no_inhibitor
-    error = np.full(n_cells, "", dtype=object)
-    error[~valid] = ConfigError.tag
-    error[no_inhibitor] = NoInhibitorSolutionError.tag
 
-    fit_u, fit_v = np.full(n_cells, "", dtype=object), np.full(n_cells, "", dtype=object)
+    # every column is (texts, codes): cell i holds texts[codes[i]]
+    errors = ["", ConfigError.tag, NoInhibitorSolutionError.tag]
+    error = np.where(valid, 2 * no_inhibitor, 1)
+    fit_u, fit_v = [""], [""]
+    fit_code = np.zeros(n_cells, dtype=int)
     if args.solve:
         todo = np.flatnonzero(shown & exists)
         cfgs = [dict(base, **{key: float(axes[key][at[key][i]]) for key in keys})
@@ -518,21 +542,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 fields = list(pool.map(_sweep_cell, cfgs))
         else:
             fields = list(map(_sweep_cell, cfgs))
-        for i, (u_text, v_text, solve_error) in zip(todo, fields):
-            fit_u[i], fit_v[i], error[i] = u_text, v_text, solve_error
+        # solved cell j takes code j + 1 of the fits, and the error after the
+        # classifier's ones
+        fit_code[todo] = np.arange(1, len(todo) + 1)
+        error[todo] = np.arange(len(errors), len(errors) + len(todo))
+        for texts, solved in zip((fit_u, fit_v, errors), zip(*fields)):
+            texts.extend(solved)
 
-    outcome_text = np.full(n_cells, "", dtype=object)
-    for member in Outcome:
-        outcome_text[shown & (outcome == member)] = member.value
+    # a cell that shows no verdict takes the blank text after the rules'
+    verdict = np.where(shown, rule, len(outcomes))
     columns = [
-        *(np.array([_FLOAT_FMT % x for x in values[key]], dtype=object)[at[key]]
-          for key in _CELL_KEYS),
-        outcome_text, np.where(shown, condition, ""),
-        *(_power_texts(np.where(shown, power, np.nan)) for power in powers),
-        fit_u, fit_v, error,
+        *(([_FLOAT_FMT % x for x in values[key]], at[key]) for key in _CELL_KEYS),
+        ([outcome.value for outcome in outcomes] + [""], verdict),
+        ([*conditions, ""], verdict),
     ]
-    _write_csv(out, _SWEEP_FIELDS, n_cells, lambda lo, hi: "".join(
-        [",".join(row) + "\r\n" for row in zip(*(c[lo:hi].tolist() for c in columns))]))
+    for power in powers:
+        distinct, where = np.unique(np.where(shown, power, np.nan), return_inverse=True)
+        columns.append((["" if np.isnan(x) else _FLOAT_FMT % x for x in distinct.tolist()],
+                        where))
+    columns += [(fit_u, fit_code), (fit_v, fit_code), (errors, error)]
+    _write_csv(out, _SWEEP_FIELDS, n_cells, _coded_lines(columns, n_cells))
     print(f"wrote {out} ({n_cells} cells)")
     return 0
 

@@ -15,9 +15,11 @@ activator equation (``MIXED``: ``-Lap u = v^q/u^p + lam*rho``).
 to deterministic verdicts: nonexistence, one of the existence classes with
 predicted decay powers, or INCONCLUSIVE where the known conditions have a
 genuine gap (boundary equalities in the strict inequalities, ``sigma >= 1``,
-or ``k`` in an uncovered range).  It holds the one copy of the verdict table;
-``classify`` is its one-cell view, with the profiles as objects, and
-``predicted_v_profile`` the one-cell view of the inhibitor rule.
+or ``k`` in an uncovered range).  ``_classify_rules`` holds the one copy of
+the verdict table and gives each cell the index of its rule;
+``classify_lattice`` is its object view, which gathers each cell's outcome
+and condition, ``classify`` the one-cell view, with the profiles as objects,
+and ``predicted_v_profile`` the one-cell view of the inhibitor rule.
 """
 
 from __future__ import annotations
@@ -304,28 +306,25 @@ def predicted_v_profile(params: ExponentSet, u_profile: AsymptoticProfile) -> As
     return _inhibitor_profile(power, log_power, a * params.m, u_profile.r0)
 
 
-def classify_lattice(N: int, kind: SystemKind, p, q, m, s, k):
-    """Regime verdicts of a lattice of exponent tuples, in one array pass.
+# each branch's per-rule (outcomes, conditions, existence, fast growth) arrays,
+# filled on the branch's first classification; (kind, N == 2) names the
+# branch of _classify_rules, which builds the same rules for every call
+_RULE_ARRAYS: dict = {}
 
-    ``N`` and ``kind`` are scalars; ``p, q, m, s, k`` are broadcastable
-    arrays (or floats) of valid ``ExponentSet`` fields.  Returns
-    ``(outcome, condition, u_power, u_log_power, v_power, v_log_power)``:
-    ``Outcome`` members and matched-condition tags (object arrays), and the
-    powers of the predicted profiles (float arrays), NaN where the verdict
-    carries no profile.  v's powers are also NaN where a GM existence cell's
-    activator leaves the inhibitor no decaying solution (a*m <= 2), which
-    ``classify`` raises as NoInhibitorSolutionError.
 
-    Each cell takes the first rule it meets.  Nonexistence conditions come
-    first, then the minimal-growth conditions (k > N, sigma < 1), then the
-    faster-growth conditions (2 < k < N, sigma < 1).  Boundary equalities in
-    strict inequalities, k = N, k <= 2 and sigma >= 1 are INCONCLUSIVE: the
-    verdict reports only what the known conditions settle.  Rules that a
-    cell never reaches may divide by zero on it, silently.
+def _classify_rules(N: int, kind: SystemKind, p, q, m, s, k):
+    """Each cell's rule in the verdict table, in one array pass.
+
+    Takes ``classify_lattice``'s arguments.  Returns ``(outcomes,
+    conditions, rule, u_power, u_log_power, v_power, v_log_power)``: the
+    outcome and condition of each rule of the table (object arrays), the
+    index of each cell's rule (an int array), and the powers of the
+    predicted profiles as ``classify_lattice`` returns them.  The per-rule
+    arrays are shared by every call on the branch: read them, never write.
     """
     p, q, m, s, k = (np.asarray(x, dtype=float)[()] for x in (p, q, m, s, k))
-    nan = math.nan
     NONEX, INCONCLUSIVE = Outcome.NONEXISTENCE, Outcome.INCONCLUSIVE
+    minimal, fast = Outcome.EXISTS_MINIMAL_GROWTH, Outcome.EXISTS_FAST_GROWTH
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # (mask, outcome, condition); the last rule takes the rest
         if kind in (SystemKind.NEG_ACTIVATOR, SystemKind.NEG_BOTH):
@@ -345,7 +344,6 @@ def classify_lattice(N: int, kind: SystemKind, p, q, m, s, k):
             ]
         else:
             c, low = _nc(N), 2.0 / (N - 2.0)
-            minimal, fast = Outcome.EXISTS_MINIMAL_GROWTH, Outcome.EXISTS_FAST_GROWTH
             # 2 < k < N: faster-than-minimal activator growth, r^-a with a = k - 2
             a = k - 2.0
             thr = (N + s * (N - 2.0)) / a
@@ -378,19 +376,47 @@ def classify_lattice(N: int, kind: SystemKind, p, q, m, s, k):
         for mask, _, _ in rules[:-1]:
             unmatched = unmatched & ~mask
             rule = rule + unmatched
-        outcome = np.array([verdict for _, verdict, _ in rules], dtype=object)[rule]
-        condition = np.array([tag for _, _, tag in rules], dtype=object)[rule]
+        branch = (kind, N == 2)
+        if branch not in _RULE_ARRAYS:
+            verdicts = np.array([verdict for _, verdict, _ in rules], dtype=object)
+            _RULE_ARRAYS[branch] = (verdicts, np.array([tag for *_, tag in rules], dtype=object),
+                                    (verdicts != NONEX) & (verdicts != INCONCLUSIVE),
+                                    verdicts == fast)
+        outcomes, conditions, existence, fast_growth = _RULE_ARRAYS[branch]
         # the activator decays like r^-(k-2) with fast growth and like
         # r^(2-N) in the other existence classes
-        exists = (outcome != NONEX) & (outcome != INCONCLUSIVE)
-        u_power = np.where(outcome == Outcome.EXISTS_FAST_GROWTH, -(k - 2.0),
-                           np.where(exists, 2.0 - N, nan))
-        u_log_power = np.where(exists, 0.0, nan)
+        exists = existence[rule]
+        u_power = np.where(fast_growth[rule], -(k - 2.0), np.where(exists, 2.0 - N, math.nan))
+        u_log_power = np.where(exists, 0.0, math.nan)
         if kind is SystemKind.GM:
             v_power, v_log_power = _v_powers(N, -u_power, m, s)
         else:
             v_power, v_log_power = u_power, u_log_power
-    return outcome, condition, u_power, u_log_power, v_power, v_log_power
+    return outcomes, conditions, rule, u_power, u_log_power, v_power, v_log_power
+
+
+def classify_lattice(N: int, kind: SystemKind, p, q, m, s, k):
+    """Regime verdicts of a lattice of exponent tuples, in one array pass:
+    the object view of ``_classify_rules``.
+
+    ``N`` and ``kind`` are scalars; ``p, q, m, s, k`` are broadcastable
+    arrays (or floats) of valid ``ExponentSet`` fields.  Returns
+    ``(outcome, condition, u_power, u_log_power, v_power, v_log_power)``:
+    ``Outcome`` members and matched-condition tags (object arrays), and the
+    powers of the predicted profiles (float arrays), NaN where the verdict
+    carries no profile.  v's powers are also NaN where a GM existence cell's
+    activator leaves the inhibitor no decaying solution (a*m <= 2), which
+    ``classify`` raises as NoInhibitorSolutionError.
+
+    Each cell takes the first rule it meets.  Nonexistence conditions come
+    first, then the minimal-growth conditions (k > N, sigma < 1), then the
+    faster-growth conditions (2 < k < N, sigma < 1).  Boundary equalities in
+    strict inequalities, k = N, k <= 2 and sigma >= 1 are INCONCLUSIVE: the
+    verdict reports only what the known conditions settle.  Rules that a
+    cell never reaches may divide by zero on it, silently.
+    """
+    outcomes, conditions, rule, *powers = _classify_rules(N, kind, p, q, m, s, k)
+    return outcomes[rule], conditions[rule], *powers
 
 
 def classify(params: ExponentSet, r0: float = 1.0) -> RegimeVerdict:

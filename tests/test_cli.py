@@ -780,6 +780,34 @@ def test_sweep_solve_path_records_fits(tmp_path):
         assert abs(float(row["fit_u_power"]) - float(row["u_power"])) < 0.05
 
 
+def test_solving_sweep_puts_each_fit_and_error_on_its_own_row(tmp_path):
+    from gmext.cli import _solve_config, build_parser, run_solve
+    from gmext.errors import GmextError
+
+    # six cells: (p, q) = (6, 1.5) ends DIVERGED, (5, 1.5) and (5.5, 1.5)
+    # are INCONCLUSIVE (sigma >= 1), the other three fit
+    cell_argv = ["--N", "3", "--m", "6", "--s", "1", "--k", "4", "--n", "257"]
+    out = tmp_path / "solved.csv"
+    code, _, err = run_cli(["sweep", *cell_argv, "--vary", "p=5:6:3", "--vary", "q=1:1.5:2",
+                            "--solve", "--jobs", "1", "--output", str(out)])
+    assert code == 0, err
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 6
+    for row in rows:
+        expected = ("", "", "")
+        if row["outcome"].startswith("EXISTS"):
+            cfg = _solve_config(build_parser().parse_args(
+                ["solve", *cell_argv, "--p", row["p"], "--q", row["q"]]))
+            try:
+                fits = run_solve(cfg)[0]["fits"]
+                expected = ("%.17g" % fits["u"]["power"], "%.17g" % fits["v"]["power"], "")
+            except GmextError as exc:
+                expected = ("", "", exc.tag)
+        assert (row["fit_u_power"], row["fit_v_power"], row["error"]) == expected, row
+    assert [row["error"] for row in rows].count("DIVERGED") == 1
+    assert len({row["fit_u_power"] for row in rows} - {""}) == 3
+
+
 def test_sweep_contains_unexpected_cell_failure(tmp_path, monkeypatch):
     import gmext.cli
 

@@ -6,12 +6,16 @@ generated inputs.
 The draws are derandomized, so every run checks the same examples.
 """
 
+import contextlib
+import csv
+import io
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,11 +30,12 @@ from gmext import (
     barrier_Z,
     classify,
     classify_lattice,
+    cli,
     coupled,
     solve_system,
     suggest_lambda,
 )
-from gmext.errors import GmextError, NoInhibitorSolutionError
+from gmext.errors import ConfigError, GmextError, NoInhibitorSolutionError
 from gmext.params import _eq as _params_eq
 
 from conftest import cached_operator
@@ -308,6 +313,81 @@ def test_classify_lattice_broadcasts():
     for i, j in np.ndindex(8, 5):
         verdict = classify(ExponentSet(3, float(p[i, 0]), float(q[0, j]), 6.0, 1.0, 4.0))
         assert (outcome[i, j], condition[i, j]) == (verdict.outcome, verdict.matched_condition)
+
+
+# range ends that reach the classifier's boundaries (k = N, p = q + N/(N-2),
+# ...) and invalid values (<= 0)
+SWEEP_ENDS = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
+SWEEP_HEADER = ["p", "q", "m", "s", "k", "outcome", "condition", "u_power", "u_log_power",
+                "v_power", "v_log_power", "fit_u_power", "fit_v_power", "error"]
+
+
+@st.composite
+def sweep_lattices(draw):
+    """(N, kind, base values, {varied key: --vary body}) of a small lattice;
+    one to three keys vary, over 1 to 9 values or a single NaN."""
+    base = {key: draw(st.sampled_from(SWEEP_ENDS[2:])) for key in "pqmsk"}
+    keys = draw(st.lists(st.sampled_from("pqmsk"), min_size=1, max_size=3, unique=True))
+    bodies = {key: draw(st.one_of(
+        st.just("nan"),
+        st.builds("{}:{}:{}".format, st.sampled_from(SWEEP_ENDS), st.sampled_from(SWEEP_ENDS),
+                  st.integers(1, 9)))) for key in keys}
+    return (draw(st.integers(3, 5)), draw(st.sampled_from((SystemKind.GM, SystemKind.MIXED))),
+            base, bodies)
+
+
+def _reference_sweep_bytes(N, kind, base, bodies) -> bytes:
+    """The sweep CSV built cell by cell: the cells in itertools.product order
+    over the sorted varied keys, each row from the public one-cell
+    ``classify_lattice`` view, written by ``csv.writer``."""
+    axes = {key: [float(body)] if body == "nan" else np.linspace(*map(float, body.split(":")[:2]),
+                                                                  int(body.split(":")[2]))
+            for key, body in bodies.items()}
+    keys = sorted(axes)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(SWEEP_HEADER)
+    for combo in itertools.product(*(axes[key] for key in keys)):
+        values = {**base, **dict(zip(keys, combo))}
+        cell = [float(values[key]) for key in "pqmsk"]
+        fields = ["%.17g" % x for x in cell]
+        try:
+            ExponentSet(N, *cell, kind=kind)
+        except ConfigError:
+            writer.writerow(fields + [""] * 8 + ["BAD_CONFIG"])
+            continue
+        outcome, condition, *powers = classify_lattice(N, kind, *cell)
+        if not math.isnan(powers[0]) and math.isnan(powers[2]):
+            writer.writerow(fields + [""] * 8 + ["NO_INHIBITOR_SOLUTION"])
+            continue
+        writer.writerow(fields + [outcome.value, condition]
+                        + ["" if math.isnan(x) else "%.17g" % x for x in powers] + [""] * 3)
+    return text.getvalue().encode("utf-8")
+
+
+@PROPERTY
+@given(sweep_lattices())
+# 81 cells: the writer merges the varied p and q columns, 3 texts each
+@example((3, SystemKind.GM, dict(p=4.0, q=1.0, m=6.0, s=1.0, k=4.0),
+          dict(p="2:5:3", q="0.5:2:3", k="2.5:5:9")))
+@example((4, SystemKind.MIXED, dict(p=1.0, q=4.0, m=5.0, s=1.0, k=5.0),
+          dict(m="1:6:4", q="-1:6:4", k="3:5:8")))
+# BAD_CONFIG cells, and the NO_INHIBITOR_SOLUTION cells of the edge above
+@example((4, SystemKind.GM, {key: NO_INHIBITOR_EDGE[key] for key in "pqmsk"},
+          dict(p="2.5:3.5:3", q="-1:3:5")))
+def test_every_sweep_row_belongs_to_its_own_cell(tmp_path_factory, lattice):
+    # seven-row chunks cross chunk edges, and lattices of 1 to 729 cells put
+    # the writer's column merging on both sides of its cap
+    N, kind, base, bodies = lattice
+    out = tmp_path_factory.mktemp("sweep") / "atlas.csv"
+    argv = ["sweep", "--N", str(N), "--kind", kind.value,
+            *(arg for key in "pqmsk" if key not in bodies for arg in (f"--{key}", repr(base[key]))),
+            *(arg for key, body in bodies.items() for arg in ("--vary", f"{key}={body}")),
+            "--output", str(out)]
+    with mock.patch.object(cli, "_CSV_CHUNK_ROWS", 7), \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert out.read_bytes() == _reference_sweep_bytes(N, kind, base, bodies)
 
 
 @PROPERTY
