@@ -14,12 +14,12 @@ interleaved, so the Jacobian is a (2,2)-banded matrix) finds it, and one
 final application of H certifies it as a fixed point.
 Newton closes the truncation with the exact far-field row of
 ``grid.far_field`` in both components, R w'(R) + (N-2) w(R) = int_R^inf t f dt
-with the tail of each source continued as a power law, so its outer values
-are unknowns like the others and no pin is chosen.  The certifying
-application of H is pinned at the Newton state's outer nodes, and starts
-its monotone scalar solve from that state's v, which already solves the
-inner problem at the same pin, so the drive runs only its last stage (the
-image does not depend on v otherwise).
+with the tail of each source continued as the power law of
+``grid.tail_power``, so its outer values are unknowns like the others and
+no pin is chosen.  The certifying application of H is pinned at the Newton
+state's outer nodes, and starts its monotone scalar solve from that state's
+v, which already solves the inner problem at the same pin, so the drive
+runs only its last stage (the image does not depend on v otherwise).
 Newton's step count does not depend on the mesh, so it starts from the
 same Newton on a coarse grid, and a step reuses the last LU factors of the
 Jacobian while the state has moved little since they were computed.
@@ -31,6 +31,8 @@ whose constants come from the explicit schedule once the barrier comparison
 constants C3 < C4 have been calibrated on the grid itself: C3 and C4 are the
 extreme ratios w/psi (and w/r^-a) of the three scalar reference problems that
 the box argument compares against, shrunk/inflated by a safety margin.  The
+two linear ones are the barrier potential ``scalar.barrier_Z``, which
+continues its source past R by the same ``grid.tail_power`` law.  The
 schedule also supplies the source-strength threshold, which is what keeps the
 activator-inhibitor feedback contractive.
 """
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergedError, NonintegrableSourceError
+from .errors import ConfigError, DivergedError, LambdaRangeError, NonintegrableSourceError
 from .grid import (
     GridFunction,
     RadialOperator,
@@ -52,6 +54,7 @@ from .grid import (
     far_field,
     solve_linear,
     source_relative_residual,
+    tail_power,
     weighted_residual,
 )
 from .params import (
@@ -143,21 +146,6 @@ def activator_decay(verdict: RegimeVerdict) -> float:
     return -verdict.u_profile.power
 
 
-def _linear_reference(op: RadialOperator, psi: np.ndarray) -> np.ndarray:
-    """The decaying solution of the linear problem -Lap w = psi.
-
-    One tridiagonal solve, pinned at the barrier potential's value Z(R)
-    (``barrier_Z``: the decaying solution's own value there, exact for a
-    power-law tail), and clipped by Z.  The discrete solve exceeds the
-    quadrature potential Z by its O(h^2) discretisation error, on many nodes
-    (on all of them for steep sources), and the clip moves the answer toward
-    the continuum solution: dropping it moves MIN-i's C3 from 2e-7 to 2e-6
-    off its closed form 0.475, and every coupled answer with it.
-    """
-    Z = barrier_Z(op.grid, op.N, psi).values
-    return np.minimum(solve_linear(op, psi, float(Z[-1])).values, Z)
-
-
 def calibrate_barrier_constants(
     params: ExponentSet,
     op: RadialOperator,
@@ -169,12 +157,13 @@ def calibrate_barrier_constants(
     grid.  The nonlinear w_a problem takes extrapolated outer pins
     (``solve_monotone(outer="extrapolate")``, whose ``scalar._repin`` loop
     ends at its round cap, not at a self-consistent pin).  The two linear
-    problems w_k and w_h are one tridiagonal solve each
-    (``_linear_reference``), pinned at the decaying solution's value Z(R)
-    from ``barrier_Z`` (exact for a power-law source, as w_k's is) and
-    clipped by Z.  The ratios are taken over [r0, R/10] (the outer
-    decade is excluded as pin territory) and widened by 5% on both sides.
-    Neither lam nor the source envelope enters.
+    problems -Lap w = psi, for w_k and w_h, need no solve: their decaying
+    Neumann solution is the barrier potential Z of ``barrier_Z``, a
+    quadrature of psi continued past R as its ``grid.tail_power`` law
+    (exact for w_k's r^-k).  The ratios are taken over the nodes of
+    [r0, R/10] (``RadialGrid.window_mask``, so the node at R/10 counts on
+    every grid; the outer decade is excluded as pin territory) and widened
+    by 5% on both sides.  Neither lam nor the source envelope enters.
     """
     grid = op.grid
     verdict = classify(params, grid.r0)
@@ -188,15 +177,15 @@ def calibrate_barrier_constants(
     g = NonlinearitySpec.power(params.s)
     w_a = solve_monotone(op, r ** -alpha, g, outer="extrapolate").w.values
 
-    w_k = _linear_reference(op, r ** -params.k)
+    w_k = barrier_Z(grid, op.N, r ** -params.k).values
     psi_safe = np.where(psi > 0, psi, np.inf)
     if params.kind is SystemKind.MIXED:
         coupling_env = psi_safe ** params.q * r ** (params.p * a_u)
     else:
         coupling_env = r ** (-params.p * a_u) * psi_safe ** -params.q
-    w_h = _linear_reference(op, coupling_env + r ** -params.k)
+    w_h = barrier_Z(grid, op.N, coupling_env + r ** -params.k).values
 
-    sel = (r <= grid.R / 10.0) & (psi > 0)
+    sel = grid.window_mask(grid.r0, grid.R / 10.0) & (psi > 0)
     pu = r ** -a_u
     ra = w_a[sel] / psi[sel]
     rk = w_k[sel] / pu[sel]
@@ -214,10 +203,14 @@ def suggest_lambda(
     op: RadialOperator,
     fraction: float = 0.5,
 ) -> tuple[float, ConstantSchedule]:
-    """Threshold-based default source strength: fraction * lambda threshold."""
+    """Threshold-based default source strength: fraction * lambda threshold.
+    A threshold that leaves that product outside the positive finite
+    doubles is a LambdaRangeError."""
     C3, C4 = calibrate_barrier_constants(params, op)
     probe = constant_schedule(params.with_lam(1.0), env, C3, C4)
     lam = fraction * probe.threshold
+    if not 0.0 < lam < np.inf:
+        raise LambdaRangeError(f"lambda* = {probe.threshold:g} gives no positive finite lambda")
     return lam, constant_schedule(params.with_lam(lam), env, C3, C4)
 
 
@@ -330,11 +323,12 @@ def _newton(
     The far-field tail int_R^inf t f dt of a source decaying like r^-beta
     is f(R) R^2 / (beta - 2), so the outer row scales the source's outer
     value by tau = 1 + kappa R^2 / (beta - 2).  For lam rho beta is k,
-    which is exact; for f and for u^m v^-s it is their local power between
-    the first nodes at or above R/30 and R/3, taken afresh at every step
-    and held fixed by the Jacobian.  A beta <= 2 (a divergent first moment)
-    raises NonintegrableSourceError.  The Jacobian is factored afresh only
-    when the relative steps taken since its last factorization sum past
+    which is exact; for f and for u^m v^-s it is their local power
+    ``grid.tail_power``, taken afresh at every step and held fixed by the
+    Jacobian.  A beta <= 2 (a divergent first moment) raises
+    NonintegrableSourceError; a NaN beta leaves the residual non-finite,
+    which raises DivergedError.  The Jacobian is factored afresh only when
+    the relative steps taken since its last factorization sum past
     ``_REFACTOR_DRIFT``; otherwise the step solves with the kept factors (a
     simplified Newton step).  A step is halved until u > 0 and v > 0; a
     start or iterate outside ``_check_range``, a non-finite residual or
@@ -342,7 +336,6 @@ def _newton(
     _check_range(u, v)
     r = op.grid.r
     a_sub, a_diag, kappa = far_field(op)
-    i, j = np.searchsorted(r, (r[-1] / 30.0, r[-1] / 3.0))
 
     def tau(beta: float) -> float:
         if beta <= 2.0:
@@ -360,8 +353,8 @@ def _newton(
             f, rhs_u, g = _equations(params, rho, u, v)
             # the far-field rows' sources f(R) + kappa T; the Jacobian's
             # outer entries scale with them, at the lagged beta
-            f[-1] *= tau(np.log(f[i] / f[j]) / np.log(r[j] / r[i]))
-            g[-1] *= tau(np.log(g[i] / g[j]) / np.log(r[j] / r[i]))
+            f[-1] *= tau(tail_power(r, f))
+            g[-1] *= tau(tail_power(r, g))
             rhs[0::2] = rhs_u - op.apply(u)
             rhs[1::2] = g - op.apply(v)
             rhs[-2] = f[-1] + params.lam * rho[-1] - a_sub * u[-2] - a_diag * u[-1]

@@ -18,6 +18,13 @@ class SigmaRangeError(GmextError):
     tag = "SIGMA_OUT_OF_RANGE"
 
 
+class LambdaRangeError(GmextError):
+    """The source-strength threshold lambda* is not a positive finite double
+    (it underflows to 0 as sigma -> 1), so there is no default lambda."""
+
+    tag = "LAMBDA_OUT_OF_RANGE"
+
+
 class SigmaUndefinedError(GmextError):
     """Coupling index requested with p <= 1."""
 

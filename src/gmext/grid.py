@@ -33,11 +33,12 @@ with the factors (``gbtrs``) for as many right-hand sides as the caller
 has.  That Jacobian closes the truncation with the exact far-field row of
 ``far_field`` instead of a Dirichlet row: the ghost node beyond R is
 removed with R w'(R) + (N-2) w(R) = int_R^inf t f dt, so the outer value
-is an unknown and no pin is needed.  The four kernels come from scipy's
-compiled LAPACK extension, which the first solve loads by file (about 4 MB
-and 20 ms) without importing the ``scipy.linalg`` package (about 25 MB and
-0.2 s); when that file is not found the first solve imports
-``scipy.linalg.lapack`` instead.  Building grids and operators, and
+is an unknown and no pin is needed; the source continues past R as the
+power law that ``tail_power`` reads near R.  The four kernels come from
+scipy's compiled LAPACK extension, which the first solve loads by file
+(about 4 MB and 20 ms) without importing the ``scipy.linalg`` package
+(about 25 MB and 0.2 s); when that file is not found the first solve
+imports ``scipy.linalg.lapack`` instead.  Building grids and operators, and
 everything that only classifies or fits, needs numpy alone.
 """
 
@@ -263,6 +264,17 @@ def far_field(op: RadialOperator) -> tuple[float, float, float]:
     """
     h, c, R2 = op.grid.h, op.N - 2.0, op.grid.r[-1] ** 2
     return -2.0 / (h * h * R2), (2.0 / h ** 2 + 2.0 * c / h + c * c) / R2, (2.0 / h + c) / R2
+
+
+def tail_power(r: np.ndarray, f: np.ndarray) -> float:
+    """The local power beta of f ~ r^-beta near the outer node r[-1]: the
+    two-node slope -log(f[j] / f[i]) / log(r[j] / r[i]) between the first
+    nodes at or above r[-1]/30 and r[-1]/3.  Past R a source continues as
+    this power law, in ``far_field``'s tail integral and in
+    ``scalar.barrier_Z``'s.  It is not finite when f is not positive at
+    both nodes; the callers refuse that, and a beta <= 2, themselves."""
+    i, j = np.searchsorted(r, (r[-1] / 30.0, r[-1] / 3.0))
+    return float(np.log(f[i] / f[j]) / np.log(r[j] / r[i]))
 
 
 def factor_block(

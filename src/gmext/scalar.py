@@ -4,12 +4,12 @@
 
 with the singular g(t) = t^-s, s > 0.  The solver mirrors the constructive
 existence argument (Sattinger 1972); the linear problems of the calibration
-(g == 1) are plain linear solves (``coupled._linear_reference``) and do not
-come here:
+(g == 1) are the potential Z of step 1 itself and do not come here:
 
 1.  An explicit upper barrier.  Z(r) is the exact decaying Neumann solution
     of -Lap Z = A with A the radial envelope of Psi, computed by composite
-    quadrature in xi with an analytic power-law tail beyond the truncation;
+    quadrature in xi with an analytic tail beyond the truncation, where A
+    continues as the power law ``grid.tail_power`` reads near R;
     W then solves the separable ODE int_0^W dt/g(t) = Z, which gives
     W = ((1+s) Z)^(1/(1+s)).  W is a supersolution for every shift
     delta >= 0.
@@ -66,7 +66,7 @@ from .errors import (
     DegenerateSolveError,
     NonintegrableSourceError,
 )
-from .grid import GridFunction, RadialGrid, RadialOperator, backward_error
+from .grid import GridFunction, RadialGrid, RadialOperator, backward_error, tail_power
 
 # shift schedule of the monotone drive, relative to max(W); an unshifted
 # stage always follows
@@ -130,16 +130,6 @@ class BarrierPair:
         return bool(np.all(w >= lo - slack) and np.all(w <= hi + slack))
 
 
-def fit_tail_exponent(grid: RadialGrid, values: np.ndarray) -> float:
-    """Log-log slope of a positive radial function over its outer decade."""
-    mask = grid.r >= grid.R / 10.0
-    vals = values[mask]
-    if np.any(vals <= 0):
-        raise ConfigError("tail exponent fit needs positive values on the outer decade")
-    coef = np.polyfit(np.log(grid.r[mask]), np.log(vals), 1)
-    return float(-coef[0])
-
-
 def barrier_Z(
     grid: RadialGrid,
     N: int,
@@ -149,11 +139,15 @@ def barrier_Z(
     """Decaying Neumann potential Z(r) = int_r^inf t^(1-N) int_{r0}^t tau^(N-1) A dtau dt.
 
     ``A`` holds the envelope's nodal values.  Both integrals use composite
-    trapezoid on the xi-mesh; the part beyond the truncation radius
-    is added in closed form assuming A follows its fitted power-law tail.
+    trapezoid on the xi-mesh; the part beyond the truncation radius is
+    added in closed form, with A continued past R as A(R) (r/R)^-alpha and
+    alpha its local power between the first nodes at or above R/30 and R/3
+    (``grid.tail_power``, the tail model of the coupled far-field rows).
     A tail exponent <= 2 means the first moment of A diverges and no
-    decaying solution exists (NONINTEGRABLE_SOURCE), unless
-    ``truncate_tail`` asks for the truncated-domain potential with Z(R) = 0.
+    decaying solution exists (NONINTEGRABLE_SOURCE); an A that is not
+    positive on [R/30, R] has no tail exponent (ConfigError).
+    ``truncate_tail`` asks for the truncated-domain potential with Z(R) = 0
+    instead, which needs neither.
     """
     a_vals = np.asarray(A, dtype=float)
     if a_vals.shape != (grid.n,):
@@ -176,7 +170,9 @@ def barrier_Z(
     if truncate_tail:
         return GridFunction(grid, core)
 
-    alpha = fit_tail_exponent(grid, a_vals)
+    if not np.all(a_vals[r >= r[-1] / 30.0] > 0.0):
+        raise ConfigError("the tail exponent needs A > 0 from R/30 to R")
+    alpha = tail_power(r, a_vals)
     if alpha <= 2.0:
         raise NonintegrableSourceError(
             f"source tail ~ r^-{alpha:g} has a divergent first moment (needs exponent > 2)"

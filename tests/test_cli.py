@@ -112,6 +112,31 @@ def test_solver_error_exit_70(tmp_path):
     assert not out.exists()
 
 
+# sigma = 0.9985: the threshold lambda* of this existence cell underflows to 0.0
+LAMBDA_UNDERFLOW = ["--N", "3", "--p", "7.44", "--q", "6.34", "--m", "4.28", "--s", "3.22",
+                    "--k", "2.62", "--n", "1025"]
+
+
+def test_lambda_underflow_is_a_tagged_solver_error(tmp_path):
+    # the user gave no lambda, so an unusable default one is the solver's
+    # failure (exit 70), not a configuration error (exit 64)
+    out = tmp_path / "out"
+    code, _, err = run_cli(["solve", *LAMBDA_UNDERFLOW, "--output", str(out)])
+    assert code == 70
+    assert len(err.splitlines()) == 1
+    assert err.startswith("solver error [LAMBDA_OUT_OF_RANGE]")
+    assert not out.exists()
+
+
+def test_lambda_underflow_sweep_row_carries_its_tag(tmp_path):
+    out = tmp_path / "solved.csv"
+    code, _, err = run_cli(["sweep", *LAMBDA_UNDERFLOW, "--solve", "--output", str(out)])
+    assert code == 0, err
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert row["outcome"].startswith("EXISTS")
+    assert (row["fit_u_power"], row["error"]) == ("", "LAMBDA_OUT_OF_RANGE")
+
+
 # ---------------------------------------------------------------------------
 # solve + manifest reproducibility
 

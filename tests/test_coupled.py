@@ -17,7 +17,7 @@ from gmext import (
     suggest_lambda,
     verify_box,
 )
-from gmext.errors import ConfigError, DivergedError
+from gmext.errors import ConfigError, DivergedError, NonintegrableSourceError
 from gmext.fitting import fit_power
 
 from cases import COUPLED_FAST_N5, COUPLED_MIN_I, COUPLED_MIN_III, COUPLED_MIXED
@@ -45,37 +45,29 @@ def test_calibration_reference_values():
     op = cached_operator(1.0, 1e3, 1025, 3)
     C3, C4 = calibrate_barrier_constants(params, op)
     assert C3 == pytest.approx(0.4749981951056938, rel=1e-12, abs=0.0)
-    assert C4 == pytest.approx(2.08945815671421, rel=1e-12, abs=0.0)
+    assert C4 == pytest.approx(2.089467608395015, rel=1e-12, abs=0.0)
 
 
 def test_calibration_linear_reference_is_closed_form():
-    # MIN-i (N = 3, k = 4, r0 = 1): the linear reference w_k is the decaying
-    # Neumann solution 1/r - 1/(2 r^2), whose smallest ratio to 1/r is 1/2
-    # (at r0), so C3 = 0.95 * 1/2 up to the scheme's error
+    # MIN-i (N = 3, k = 4, r0 = 1): the linear references are the decaying
+    # Neumann solutions w_k = 1/r - 1/(2 r^2) and w_h = 2 w_k (the coupling
+    # source r^-5 psi^-1 is r^-4 too).  w_k's smallest ratio to 1/r is 1/2
+    # (at r0), so C3 = 0.95 * 1/2; w_h's largest, 2 - 1/r, is 1.999 at the
+    # node R/10 = 1000, so C4 = 1.05 * 1.999, both up to the scheme's error
     params = ExponentSet(**COUPLED_MIN_I["params"])
-    C3, _ = calibrate_barrier_constants(params, cached_operator(1.0, 1e4, 4097, 3))
+    C3, C4 = calibrate_barrier_constants(params, cached_operator(1.0, 1e4, 4097, 3))
     assert abs(C3 - 0.475) <= 1e-6
-
-
-def test_linear_reference_single_solve(solve_calls):
-    # the calibration's linear reference for k = 4 is one tridiagonal solve
-    # near the decaying solution 1/r - 1/(2 r^2)
-    op = cached_operator(1.0, 1e4, 2049, 3)
-    r = op.grid.r
-    w = coupled._linear_reference(op, r ** -4.0)
-    exact = 1 / r - 0.5 / r ** 2
-    assert len(solve_calls) == 1
-    assert np.max(np.abs(w[:-1] - exact[:-1]) / exact[:-1]) < 1e-3
+    assert C4 == pytest.approx(1.05 * 1.999, rel=1e-6, abs=0.0)
 
 
 def test_calibration_solve_count_guard(solve_calls):
     # MIN-i at n = 4097: the w_a reference solve runs the monotone drive once,
-    # from its last pin round's solution, and each linear reference is one
-    # solve at its barrier pin (14 in all; the drive from W took 40, the
-    # drive in every pin round 132)
+    # from its last pin round's solution, and the two linear references are
+    # the barrier potential Z, a quadrature with no solve (12 in all; the
+    # drive from W took 40, the drive in every pin round 132)
     params = ExponentSet(**COUPLED_MIN_I["params"])
     calibrate_barrier_constants(params, cached_operator(1.0, 1e4, 4097, 3))
-    assert len(solve_calls) <= 16
+    assert len(solve_calls) <= 12
 
 
 def test_calibration_rejects_nonexistence():
@@ -228,6 +220,30 @@ def test_newton_divergence_exits(monkeypatch, patch, match):
     sched = constant_schedule(params, env, 0.5, 2.0)
     with pytest.raises(DivergedError, match=match):
         solve_system(params, env, cached_operator(1.0, 1e3, 129, 3), schedule=sched)
+
+
+def test_newton_refuses_a_source_tail_with_divergent_first_moment():
+    # u = r^-0.3 and v = 1 give MIN-i's coupling source u^5 / v the tail
+    # r^-1.5: its first moment diverges, so the far-field row has no tail
+    params = ExponentSet(**COUPLED_MIN_I["params"]).with_lam(1e-5)
+    op = cached_operator(1.0, 1e3, 129, 3)
+    r = op.grid.r
+    with pytest.raises(NonintegrableSourceError, match="r\\^-1.5"):
+        coupled._newton(params, SourceEnvelope.radial(1.0, params.k), op,
+                        r ** -0.3, np.ones_like(r))
+
+
+@pytest.mark.xfail(strict=True, raises=NonintegrableSourceError,
+                   reason="ROADMAP item 6: beta is read off a coarse-grid Newton "
+                          "iterate, not a converged state or the prediction")
+def test_slow_inhibitor_tail_cell_solves():
+    # Thm2.3(ii) with v ~ r^-0.07: the inhibitor source's tail power is 2.07
+    # asymptotically, but the coarse grid's iterate reads 1.983 and Newton
+    # refuses it as a divergent first moment
+    from gmext.cli import _SOLVE_DEFAULTS, run_solve
+
+    cfg = dict(_SOLVE_DEFAULTS, N=5, p=3.53, q=3.98, m=1.46, s=7.7, k=3.8, n=1025)
+    run_solve(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from gmext import (
 )
 from gmext import grid
 from gmext.errors import ConfigError, DivergedError
-from gmext.grid import factor_block, far_field, source_relative_residual, weighted_residual
+from gmext.grid import (factor_block, far_field, source_relative_residual, tail_power,
+                        weighted_residual)
 
 
 def make_op(r0=1.0, R=1e4, n=4097, N=3):
@@ -488,6 +489,20 @@ def test_far_field_row_is_second_order():
         assert coarse[1] / fine[1] == pytest.approx(4.0, abs=0.01)
     assert cases[-1][1] < 1e-4
 
+
+@pytest.mark.parametrize("R,n", [(1e4, 257), (1e5, 5121), (1e6, 1537)])
+@pytest.mark.parametrize("beta", [0.5, 2.0, 3.5, 7.0])
+def test_tail_power_of_an_exact_power(R, n, beta):
+    r = build_grid(1.0, R, n).r
+    assert tail_power(r, 3.0 * r ** -beta) == pytest.approx(beta, rel=0.0, abs=1e-12)
+
+
+def test_tail_power_of_a_nonpositive_tail_is_not_finite():
+    r = build_grid(1.0, 1e4, 257).r
+    f = r ** -3.0
+    f[r >= r[-1] / 30.0] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.isfinite(tail_power(r, f))
 
 
 def test_windowed_residual_refuses_an_empty_window():

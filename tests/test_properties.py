@@ -23,11 +23,9 @@ from gmext import (
     AsymptoticProfile,
     ExponentSet,
     Outcome,
-    RadialOperator,
     RegimeVerdict,
     SourceEnvelope,
     SystemKind,
-    barrier_Z,
     classify,
     classify_lattice,
     cli,
@@ -449,22 +447,6 @@ def test_radial_solve_is_monotone(rhs, extra, pin, extra_pin):
     low = OP.solve(rhs, pin)
     high = OP.solve(rhs + extra, pin + extra_pin)
     assert np.all(high >= low)
-
-
-@PROPERTY
-@given(arrays(np.float64, N_NODES, elements=st.floats(0.0, 1e3, allow_subnormal=False)),
-       st.floats(2.5, 8.0))
-def test_linear_reference_keeps_sign_at_its_barrier_pin(data, k):
-    # the calibration's linear references, with a source that decays like
-    # r^-k over the outer decade, so that the decaying solution exists
-    r = OP.grid.r
-    psi = np.where(r >= OP.grid.R / 10.0, 1.0, data) * r ** -k
-    with mock.patch.object(RadialOperator, "solve", autospec=True,
-                           side_effect=RadialOperator.solve) as solve:
-        w = coupled._linear_reference(OP, psi)
-    assert np.all(w >= 0.0)
-    assert solve.call_count == 1
-    assert w[-1] == barrier_Z(OP.grid, 3, psi).values[-1]
 
 
 # GM cells around Thm 2.2(i) and MIXED cells around Thm 7.2 at N = 3

@@ -49,6 +49,18 @@ def test_barrier_Z_nonintegrable_tail():
         barrier_Z(op.grid, 3, op.grid.r ** -2.0)
 
 
+def test_barrier_Z_needs_a_positive_tail():
+    # a source that vanishes at R has no tail power to continue
+    op = make_op(n=257)
+    r = op.grid.r
+    A = r ** -4.0
+    A[-1] = 0.0
+    with pytest.raises(ConfigError, match="tail exponent"):
+        barrier_Z(op.grid, 3, A)
+    # the truncated-domain potential reads no tail
+    assert barrier_Z(op.grid, 3, A, truncate_tail=True).values[0] > 0.0
+
+
 def test_barrier_Z_is_discrete_solution():
     # -Lap Z approximates A at second order
     errs = []
@@ -478,7 +490,7 @@ def test_nonfinite_or_negative_scalar_input_is_config_error(where, bad):
 
 def test_linear_nonlinearity_is_config_error():
     # g == 1 is no monotone problem: the calibration's linear references are
-    # plain linear solves (coupled._linear_reference)
+    # the barrier potential Z itself
     with pytest.raises(ConfigError):
         NonlinearitySpec(0.0)
 
