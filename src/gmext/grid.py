@@ -266,14 +266,27 @@ def far_field(op: RadialOperator) -> tuple[float, float, float]:
     return -2.0 / (h * h * R2), (2.0 / h ** 2 + 2.0 * c / h + c * c) / R2, (2.0 / h + c) / R2
 
 
+def tail_window(r: np.ndarray, R: float) -> slice:
+    """The nodes of ``r`` in [R/30, R/3], where ``tail_power`` and the
+    scalar pin extrapolation read a profile's outer power law.  Fewer than
+    two nodes there (R < 3 r0, or less than one node per ln 10) leave no
+    power to read, which is a ConfigError."""
+    i, k = np.searchsorted(r, R / 30.0), np.searchsorted(r, R / 3.0, side="right")
+    if k - i < 2:
+        raise ConfigError(f"the tail window [R/30, R/3] holds {k - i} grid nodes; it needs 2")
+    return slice(i, k)
+
+
 def tail_power(r: np.ndarray, f: np.ndarray) -> float:
     """The local power beta of f ~ r^-beta near the outer node r[-1]: the
     two-node slope -log(f[j] / f[i]) / log(r[j] / r[i]) between the first
     nodes at or above r[-1]/30 and r[-1]/3.  Past R a source continues as
     this power law, in ``far_field``'s tail integral and in
-    ``scalar.barrier_Z``'s.  It is not finite when f is not positive at
-    both nodes; the callers refuse that, and a beta <= 2, themselves."""
-    i, j = np.searchsorted(r, (r[-1] / 30.0, r[-1] / 3.0))
+    ``scalar.barrier_Z``'s.  A grid with fewer than two nodes in
+    [r[-1]/30, r[-1]/3] is refused (``tail_window``).  The power is not
+    finite when f is not positive at both nodes; the callers refuse that,
+    and a beta <= 2, themselves."""
+    i, j = tail_window(r, r[-1]).start, np.searchsorted(r, r[-1] / 3.0)
     return float(np.log(f[i] / f[j]) / np.log(r[j] / r[i]))
 
 

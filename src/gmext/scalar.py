@@ -66,7 +66,7 @@ from .errors import (
     DegenerateSolveError,
     NonintegrableSourceError,
 )
-from .grid import GridFunction, RadialGrid, RadialOperator, backward_error, tail_power
+from .grid import GridFunction, RadialGrid, RadialOperator, backward_error, tail_power, tail_window
 
 # shift schedule of the monotone drive, relative to max(W); an unshifted
 # stage always follows
@@ -138,22 +138,25 @@ def barrier_Z(
 ) -> GridFunction:
     """Decaying Neumann potential Z(r) = int_r^inf t^(1-N) int_{r0}^t tau^(N-1) A dtau dt.
 
-    ``A`` holds the envelope's nodal values.  Both integrals use composite
-    trapezoid on the xi-mesh; the part beyond the truncation radius is
-    added in closed form, with A continued past R as A(R) (r/R)^-alpha and
-    alpha its local power between the first nodes at or above R/30 and R/3
-    (``grid.tail_power``, the tail model of the coupled far-field rows).
-    A tail exponent <= 2 means the first moment of A diverges and no
-    decaying solution exists (NONINTEGRABLE_SOURCE); an A that is not
-    positive on [R/30, R] has no tail exponent (ConfigError).
+    ``A`` holds the source's nodal values, one per node, finite and
+    nonnegative (ConfigError otherwise); ``solve_monotone`` leaves these
+    checks of its Psi to this function.  A zero A gives Z == 0.  Both
+    integrals use composite trapezoid on the xi-mesh; the part beyond the
+    truncation radius is added in closed form, with A continued past R as
+    A(R) (r/R)^-alpha and alpha its local power between the first nodes at
+    or above R/30 and R/3 (``grid.tail_power``, the tail model of the
+    coupled far-field rows).  A tail exponent <= 2 means the first moment
+    of A diverges and no decaying solution exists (NONINTEGRABLE_SOURCE);
+    an A that is not positive on [R/30, R], or a grid with fewer than two
+    nodes in [R/30, R/3], has no tail exponent (ConfigError).
     ``truncate_tail`` asks for the truncated-domain potential with Z(R) = 0
     instead, which needs neither.
     """
     a_vals = np.asarray(A, dtype=float)
     if a_vals.shape != (grid.n,):
-        raise ConfigError("A must provide one value per grid node")
+        raise ConfigError("the source must provide one value per grid node")
     if not np.all((0.0 <= a_vals) & (a_vals < np.inf)):
-        raise ConfigError("A must be finite and nonnegative")
+        raise ConfigError("the source must be finite and nonnegative")
     if not np.any(a_vals > 0):
         return GridFunction(grid, np.zeros(grid.n))
 
@@ -205,7 +208,6 @@ class StageRecord:
 class ScalarSolveResult:
     w: GridFunction
     barriers: BarrierPair
-    outer_value: float
     stages: list[StageRecord]
     backward_error: float
     solves: int
@@ -241,10 +243,11 @@ def _resolve_outer(outer) -> float | None:
 
 
 def _extrapolated_pin(grid: RadialGrid, w: np.ndarray) -> float:
-    """Continue the local power law from [R/30, R/3] out to R."""
-    mask = (grid.r >= grid.R / 30.0) & (grid.r <= grid.R / 3.0)
-    vals = np.maximum(w[mask], _TINY)
-    coef = np.polyfit(np.log(grid.r[mask]), np.log(vals), 1)
+    """Continue the local power law from [R/30, R/3] (``grid.tail_window``)
+    out to R."""
+    window = tail_window(grid.r, grid.R)
+    vals = np.maximum(w[window], _TINY)
+    coef = np.polyfit(np.log(grid.r[window]), np.log(vals), 1)
     return float(np.exp(coef[1] + coef[0] * np.log(grid.R)))
 
 
@@ -282,19 +285,22 @@ def solve_monotone(
     """Solve -Lap w = Psi w^-s (s > 0) with Neumann inner row and Dirichlet
     outer row.
 
-    ``Psi`` holds nodal values.  ``outer`` selects the outer Dirichlet
-    value: "barrier" pins the upper barrier value W(R) (the construction's
-    own choice), a number pins that value (``0.0`` pins at zero), and
-    "extrapolate" re-pins from the solution's own outer power law (the
-    accurate choice for asymptotics work, since fixed pins leave an O(1)
-    boundary layer).  The re-pinning is ``_repin``: it starts from a zero
-    pin and spends ``pin_rounds - 1`` Newton solves on choosing the pin; its
-    1e-9 stop test is not met in practice, so with the default four rounds
-    the answer is the solve at the third extrapolated pin, not a
-    self-consistent one.  The reported solve runs the monotone drive at that
-    pin (``_solve_extrapolated``), from the last round's solution, so the
-    stage records, barriers and certificates are those of a fixed-pin
-    solve.  ``solves`` and ``pin_rounds`` of the result count every round.
+    ``Psi`` holds nodal values, checked once, by ``barrier_Z``.  A zero
+    ``Psi`` takes the same path as any other: its upper barrier W is zero,
+    so a zero pin is DEGENERATE and a positive one gives w equal to it.
+    ``outer`` selects the outer Dirichlet value: "barrier" pins the upper
+    barrier value W(R) (the construction's own choice), a number pins that
+    value (``0.0`` pins at zero), and "extrapolate" re-pins from the
+    solution's own outer power law (the accurate choice for asymptotics
+    work, since fixed pins leave an O(1) boundary layer).  The re-pinning is
+    ``_repin``: it starts from a zero pin and spends ``pin_rounds - 1``
+    Newton solves on choosing the pin; its 1e-9 stop test is not met in
+    practice, so with the default four rounds the answer is the solve at the
+    third extrapolated pin, not a self-consistent one.  The reported solve
+    runs the monotone drive at that pin (``_solve_extrapolated``), from the
+    last round's solution, so the stage records, barriers and certificates
+    are those of a fixed-pin solve.  ``solves`` and ``pin_rounds`` of the
+    result count every round.
 
     ``start`` warm-starts the drive of a fixed pin ("barrier" or a number)
     from a solution already in hand: the drive runs only its unshifted
@@ -310,15 +316,13 @@ def solve_monotone(
     module constants.
 
     Raises DEGENERATE when the data force w == 0, NO_CONVERGENCE when the
-    sweep budget ends far from the residual target.
+    sweep budget ends far from the residual target.  A grid with fewer than
+    two nodes in [R/30, R/3], where the tail power and the extrapolated pin
+    are read, is a ConfigError (``grid.tail_window``).
     """
     pin = _resolve_outer(outer)
     grid = op.grid
     psi = np.asarray(Psi, dtype=float)
-    if psi.shape != (grid.n,):
-        raise ConfigError("Psi must provide one value per grid node")
-    if not np.all((0.0 <= psi) & (psi < np.inf)):
-        raise ConfigError("Psi must be finite and nonnegative")
     if start is not None:
         if outer == "extrapolate":
             raise ConfigError("start needs a fixed pin; the pin rounds of 'extrapolate' "
@@ -328,16 +332,6 @@ def solve_monotone(
             raise ConfigError("start must provide one value per grid node")
         if not (np.isfinite(start).all() and np.all(start[:-1] > 0.0)):
             raise ConfigError("start must be finite and positive off the outer node")
-
-    if not np.any(psi > 0):
-        # w == 0 is its own barrier and its own extrapolation, so only a
-        # positive fixed pin leaves a nonzero solution
-        if not pin:
-            raise DegenerateSolveError("Psi == 0 with zero outer data forces w == 0")
-        w = op.solve(np.zeros(grid.n), pin)
-        wf = GridFunction(grid, w)
-        pair = BarrierPair(wf, wf)
-        return ScalarSolveResult(wf, pair, pin, [], 0.0, 1)
 
     Z = barrier_Z(grid, op.N, psi, truncate_tail=truncate_tail)
     W = barrier_W(Z, g).values
@@ -544,6 +538,4 @@ def _solve_pinned(
     # iterate respects it (internal lower-barrier refreshes only tighten
     # the contraction shift)
     pair = BarrierPair(GridFunction(grid, V_initial), GridFunction(grid, W))
-    return ScalarSolveResult(
-        GridFunction(grid, w), pair, outer_value, stages, be, solves, warm_start=warm,
-    )
+    return ScalarSolveResult(GridFunction(grid, w), pair, stages, be, solves, warm_start=warm)

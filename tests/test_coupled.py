@@ -233,6 +233,19 @@ def test_newton_refuses_a_source_tail_with_divergent_first_moment():
                         r ** -0.3, np.ones_like(r))
 
 
+def test_grid_without_a_tail_window_is_config_error():
+    # R < 3 r0: [R/30, R/3] holds no node, so the calibration's extrapolated
+    # pin and the far-field rows' tail power cannot be read
+    params = ExponentSet(**COUPLED_MIN_I["params"])
+    env = SourceEnvelope.radial(1.0, params.k)
+    bad = cached_operator(1.0, 2.0, 129, 3)
+    with pytest.raises(ConfigError, match="tail window"):
+        suggest_lambda(params, env, bad)
+    lam, sched = suggest_lambda(params, env, cached_operator(1.0, 1e3, 129, 3))
+    with pytest.raises(ConfigError, match="tail window"):
+        solve_system(params.with_lam(lam), env, bad, schedule=sched)
+
+
 @pytest.mark.xfail(strict=True, raises=NonintegrableSourceError,
                    reason="ROADMAP item 6: beta is read off a coarse-grid Newton "
                           "iterate, not a converged state or the prediction")

@@ -497,6 +497,29 @@ def test_tail_power_of_an_exact_power(R, n, beta):
     assert tail_power(r, 3.0 * r ** -beta) == pytest.approx(beta, rel=0.0, abs=1e-12)
 
 
+# grids with no two nodes in [R/30, R/3]: R < 3 r0 (no node at all), a bare
+# grid with nodes 1, 100, 1e4 (none) and one with nodes 1, 10, ..., 1e4
+# (only 1000)
+_NO_TAIL_WINDOW = [(1.0, 2.0, 129), (1.0, 1e4, 3), (1.0, 1e4, 5)]
+
+
+@pytest.mark.parametrize("r0,R,n", _NO_TAIL_WINDOW)
+def test_tail_power_refuses_a_grid_without_a_tail_window(r0, R, n):
+    r = build_grid(r0, R, n).r
+    with pytest.raises(ConfigError, match="tail window"):
+        tail_power(r, r ** -4.0)
+
+
+def test_tail_window_is_the_nodes_from_R_over_30_to_R_over_3():
+    # nodes 1, 10^(1/2), ..., 1e4: the window [333.3, 3333.3] holds 10^2.5
+    # and 10^3
+    r = build_grid(1.0, 1e4, 9).r
+    window = grid.tail_window(r, 1e4)
+    assert np.array_equal(r[window], r[(r >= 1e4 / 30.0) & (r <= 1e4 / 3.0)])
+    assert window.stop - window.start == 2
+    assert tail_power(r, r ** -4.0) == pytest.approx(4.0, rel=1e-12)
+
+
 def test_tail_power_of_a_nonpositive_tail_is_not_finite():
     r = build_grid(1.0, 1e4, 257).r
     f = r ** -3.0

@@ -61,6 +61,13 @@ def test_barrier_Z_needs_a_positive_tail():
     assert barrier_Z(op.grid, 3, A, truncate_tail=True).values[0] > 0.0
 
 
+def test_barrier_Z_needs_two_nodes_in_the_tail_window():
+    # nodes 1, 100, 1e4: none lies in [R/30, R/3], so no tail power is read
+    grid = build_grid(1.0, 1e4, 3)
+    with pytest.raises(ConfigError, match="tail window"):
+        barrier_Z(grid, 3, grid.r ** -4.0)
+
+
 def test_barrier_Z_is_discrete_solution():
     # -Lap Z approximates A at second order
     errs = []
@@ -93,16 +100,33 @@ def test_barrier_W_closed_form_chain():
 # monotone solver: degenerate paths
 
 
-def test_zero_source_zero_outer_degenerates():
+@pytest.mark.parametrize("outer", [0.0, "barrier", "extrapolate"])
+def test_zero_source_zero_outer_degenerates(outer):
+    # Z == 0 gives W == 0, and every one of these pins is zero
     op = make_op(n=257)
-    with pytest.raises(DegenerateSolveError):
-        solve_monotone(op, np.zeros(257), NonlinearitySpec.power(1.0), outer=0.0)
+    with pytest.raises(DegenerateSolveError, match="upper barrier collapsed"):
+        solve_monotone(op, np.zeros(257), NonlinearitySpec.power(1.0), outer=outer)
 
 
 def test_zero_source_propagates_outer_value():
+    # the barrier path lifts W == 0 to the pin, and the drive keeps it
     op = make_op(n=257)
     res = solve_monotone(op, np.zeros(257), NonlinearitySpec.power(1.0), outer=0.7)
     assert np.allclose(res.w.values, 0.7)
+    assert res.monotone_ok and res.sandwiched
+    assert res.backward_error <= 1e-14
+
+
+@pytest.mark.parametrize("outer,truncate_tail", [
+    ("barrier", False), (0.1, False), ("extrapolate", False), ("extrapolate", True),
+])
+def test_grid_without_a_tail_window_is_config_error(outer, truncate_tail):
+    # R < 3 r0: [R/30, R/3] holds no node, so neither the tail power of Z
+    # nor the extrapolated pin can be read
+    op = make_op(R=2.0, n=129)
+    with pytest.raises(ConfigError, match="tail window"):
+        solve_monotone(op, op.grid.r ** -4.0, NonlinearitySpec.power(1.0), outer=outer,
+                       truncate_tail=truncate_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +241,7 @@ def test_one_pin_round_is_the_drive_at_zero(solve_calls):
     solve_calls.clear()
     res = solve_monotone(op, psi, g, outer="extrapolate", pin_rounds=1)
     assert np.array_equal(res.w.values, ref.w.values)
-    assert res.outer_value == 0.0 and res.backward_error == ref.backward_error
+    assert res.w.values[-1] == 0.0 and res.backward_error == ref.backward_error
     assert res.pin_rounds == 1
     assert res.solves == ref.solves == len(solve_calls)
 
@@ -266,7 +290,7 @@ def test_unconverged_newton_pin_round_runs_the_drive(monkeypatch, solve_calls):
     g = NonlinearitySpec.power(1.0)
     W = barrier_W(barrier_Z(op.grid, op.N, psi), g).values
     ref = _drive_every_round(op, psi, g)
-    warm_ref = scalar._solve_pinned(op, psi, g, W, ref[-1].outer_value, False,
+    warm_ref = scalar._solve_pinned(op, psi, g, W, ref[-1].w.values[-1], False,
                                     start=ref[-2].w.values)
     real_newton, real_pinned = scalar._newton, scalar._solve_pinned
     in_drive = []
@@ -291,7 +315,7 @@ def test_unconverged_newton_pin_round_runs_the_drive(monkeypatch, solve_calls):
     assert res.warm_start and warm_ref.warm_start
     assert np.array_equal(res.w.values, warm_ref.w.values)
     assert res.backward_error == warm_ref.backward_error
-    assert res.outer_value == ref[-1].outer_value
+    assert res.w.values[-1] == ref[-1].w.values[-1]
     assert _rel(res.w.values, ref[-1].w.values) <= 1e-9
     assert res.pin_rounds == len(ref)
     # the discarded Newton steps are counted too
@@ -318,9 +342,9 @@ def test_pin_stop_test_on_newton_round_reports_the_drive(monkeypatch, solve_call
     assert 4 < res.pin_rounds < 200
     assert res.solves == len(solve_calls)
     assert len(starts) == 1 and starts[0] is not None
-    ref = real(op, psi, g, W, res.outer_value, False, start=starts[0].copy())
+    ref = real(op, psi, g, W, res.w.values[-1], False, start=starts[0].copy())
     assert np.array_equal(res.w.values, ref.w.values)
-    cold = real(op, psi, g, W, res.outer_value, False)
+    cold = real(op, psi, g, W, res.w.values[-1], False)
     assert _rel(res.w.values, cold.w.values) <= 1e-9
     assert res.warm_start and not cold.warm_start
     assert res.stages and res.monotone_ok and res.sandwiched
@@ -344,7 +368,7 @@ def test_cold_drive_finishes_at_the_newton_target():
     g = NonlinearitySpec.power(4.0)
     res = solve_monotone(op, psi, g, outer="extrapolate")
     W = barrier_W(barrier_Z(op.grid, op.N, psi), g).values
-    cold = scalar._solve_pinned(op, psi, g, W, res.outer_value, False)
+    cold = scalar._solve_pinned(op, psi, g, W, res.w.values[-1], False)
     assert not cold.warm_start
     assert cold.backward_error <= 1e-14
     assert _rel(cold.w.values, res.w.values) <= 1e-9
@@ -409,7 +433,7 @@ def test_start_may_be_zero_at_the_outer_node():
     vals[-1] = 0.0
     res = solve_monotone(op, op.grid.r ** -4.0, NonlinearitySpec.power(1.0),
                          outer=0.0, start=vals)
-    assert res.outer_value == 0.0 and res.w.values[-1] == 0.0
+    assert res.w.values[-1] == 0.0
 
 
 # tuples on which the drive from W reports monotone_ok False at n = 257;
@@ -434,7 +458,7 @@ def test_warm_reported_drive_matches_the_cold_drive(monkeypatch, N, alpha, s):
 
     monkeypatch.setattr(scalar, "_solve_pinned", spy)
     res = solve_monotone(op, psi, g, outer="extrapolate")
-    cold = real(op, psi, g, W, res.outer_value, False)
+    cold = real(op, psi, g, W, res.w.values[-1], False)
     assert reported[-1].warm_start
     assert _rel(res.w.values, cold.w.values) <= 1e-8
     assert reported[-1].solves <= cold.solves
