@@ -9,25 +9,21 @@ Legend:  M minimal growth,  . inconclusive,  x nonexistence
 
 import numpy as np
 
-from gmext import ExponentSet, Outcome, classify
+from gmext import ExponentSet, Outcome, SystemKind, classify, classify_lattice
 
 print(__doc__)
 
 q_values = np.linspace(0.25, 3.0, 12)
 p_values = np.linspace(2.5, 9.0, 27)
 
+# one call classifies the whole plane: q along rows, p along columns
+outcome, *_ = classify_lattice(3, SystemKind.GM, p_values[None, :], q_values[:, None],
+                               6.0, 1.0, 4.0)
+symbol = {Outcome.EXISTS_MINIMAL_GROWTH: "M", Outcome.NONEXISTENCE: "x"}
+
 print(f"              p from {p_values[0]:.1f} (left) to {p_values[-1]:.1f} (right)")
-for q in q_values[::-1]:
-    row = []
-    for p in p_values:
-        verdict = classify(ExponentSet(N=3, p=float(p), q=float(q), m=6, s=1, k=4))
-        if verdict.outcome is Outcome.EXISTS_MINIMAL_GROWTH:
-            row.append("M")
-        elif verdict.outcome is Outcome.NONEXISTENCE:
-            row.append("x")
-        else:
-            row.append(".")
-    print(f"  q = {q:4.2f}   |" + "".join(row) + "|")
+for q, row in zip(q_values[::-1], outcome[::-1]):
+    print(f"  q = {q:4.2f}   |" + "".join(symbol.get(x, ".") for x in row) + "|")
 
 print("\nThe vertical band on the left is p <= 3 (no positive solutions at")
 print("all); the staircase is the p = q + 3 threshold; the upper-right")

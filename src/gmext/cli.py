@@ -20,14 +20,17 @@ the same way.
 Every ``solve`` run writes a JSON manifest recording all effective settings,
 so ``solve --from-manifest run.json`` (which takes no other setting)
 reproduces the solution CSV byte for byte.
-``sweep`` classifies its whole lattice with one ``_classify_rules`` call,
-which gives each cell the index of its rule in the verdict table;
-``sweep --solve`` solves each existence cell, in a pool of ``--jobs``
+``sweep`` classifies its whole lattice with one ``_classify_rules`` call on
+the lattice's axes (each varied exponent along its own dimension), which
+gives each cell the index of its rule in the verdict table and of its entry
+in the per-class power tables; ``sweep --solve`` solves each existence cell,
+in a pool of ``--jobs``
 workers, at ``--lambda`` (or the config file's ``lam``) when given, else at
 half the cell's lambda threshold.  Both CSVs are written by ``_write_csv``,
 a chunk of rows at a time, so writing holds one chunk's text.  The sweep
 builds that text from coded columns (``_coded_lines``): each column is a
-list of distinct texts and an integer code per cell.  ``solve`` and
+list of distinct texts and an integer code per cell, and a power column's
+texts are the distinct entries of its table.  ``solve`` and
 ``sweep`` check that their outputs can be written before any work, so an
 unusable ``--output`` exits 64.
 """
@@ -57,6 +60,7 @@ from .params import (
     SourceEnvelope,
     SystemKind,
     _classify_rules,
+    _power_tables,
     classify,
     field_error,
 )
@@ -429,10 +433,11 @@ def _parse_range(spec: str) -> tuple[str, np.ndarray]:
     except ValueError as exc:
         raise ConfigError(f"bad range spec {spec!r}: {exc}") from exc
     # a single value may be anything (a bad one is a cell error), but
-    # linspace has no values between infinite or NaN ends
-    if not np.isfinite((lo, hi)).all():
-        raise ConfigError(f"range ends must be finite, got {spec!r}")
-    return key, np.linspace(lo, hi, max(count, 0))
+    # linspace has no values between infinite or NaN ends, and no count
+    # below 0 (a count of 0 is an empty sweep)
+    if not (np.isfinite((lo, hi)).all() and count >= 0):
+        raise ConfigError(f"range ends must be finite and its count at least 0, got {spec!r}")
+    return key, np.linspace(lo, hi, count)
 
 
 def _jobs(args: argparse.Namespace) -> int:
@@ -507,7 +512,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_output(out)
 
     # cell i holds values[key][at[key][i]]; the cells run in itertools.product
-    # order over the sorted axis keys
+    # order over the sorted axis keys, which is the C order of the lattice
+    # whose dimension j is the axis keys[j]
     keys = sorted(axes)
     shape = tuple(axes[key].size for key in keys)
     n_cells = int(np.prod(shape))
@@ -515,17 +521,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     at = dict.fromkeys(values, np.zeros(n_cells, dtype=int))
     at.update(zip(keys, np.indices(shape).reshape(len(keys), n_cells)))
 
+    def on_lattice(key, x, dtype=float):
+        """``x``, one entry per value of ``key``, as an array along key's
+        dimension of the lattice; a fixed key's one entry."""
+        x = np.asarray(x, dtype=dtype)
+        return x.reshape([-1 if other == key else 1 for other in keys]) if key in axes else x[0]
+
     # each value is checked once, by ExponentSet's own field check; a bad one
     # (a bad lam too, though classifying does not read it) makes every cell
     # that holds it a BAD_CONFIG row
-    valid = np.ones(n_cells, dtype=bool)
+    valid = np.ones(shape, dtype=bool)
     for key in values:
-        valid &= np.array([field_error(key, x) is None for x in values[key]], dtype=bool)[at[key]]
-    outcomes, conditions, rule, *powers = _classify_rules(
-        base["N"], base["kind"],
-        *(np.asarray(values[key], dtype=float)[at[key]] for key in _CELL_KEYS))
-    exists = ~np.isnan(powers[0])
-    no_inhibitor = valid & exists & np.isnan(powers[2])
+        valid = valid & on_lattice(key, [field_error(key, x) is None for x in values[key]], bool)
+    # the classifier reads the exponents on their axes
+    cell = {key: on_lattice(key, values[key]) for key in _CELL_KEYS}
+    outcomes, conditions, rule, cls, u_power = _classify_rules(base["N"], base["kind"],
+                                                               *cell.values())
+    entry, tables = _power_tables(base["N"], base["kind"], cls, u_power, cell["m"], cell["s"])
+    # each power column's texts are its table's distinct entries, the blank
+    # (NaN) last; a cell takes the code of its entry
+    powers = []
+    for table in tables:
+        distinct, where = np.unique(np.append(table, np.nan), return_inverse=True)
+        powers.append((["" if np.isnan(x) else _FLOAT_FMT % x for x in distinct.tolist()],
+                       np.take(where, entry).reshape(n_cells), where[-1]))
+    valid, rule, exists = (np.reshape(x, n_cells) for x in (valid, rule, cls > 0))
+    _, _, (_, v_code, v_blank), _ = powers
+    no_inhibitor = valid & exists & (v_code == v_blank)
     shown = valid & ~no_inhibitor
 
     # every column is (texts, codes): cell i holds texts[codes[i]]
@@ -549,18 +571,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for texts, solved in zip((fit_u, fit_v, errors), zip(*fields)):
             texts.extend(solved)
 
-    # a cell that shows no verdict takes the blank text after the rules'
-    verdict = np.where(shown, rule, len(outcomes))
+    # a cell that shows no verdict takes the blank texts: the one after the
+    # rules', and each power table's NaN
+    rule[~shown] = len(outcomes)
+    for _, codes, blank in powers:
+        codes[~shown] = blank
     columns = [
         *(([_FLOAT_FMT % x for x in values[key]], at[key]) for key in _CELL_KEYS),
-        ([outcome.value for outcome in outcomes] + [""], verdict),
-        ([*conditions, ""], verdict),
+        ([outcome.value for outcome in outcomes] + [""], rule),
+        ([*conditions, ""], rule),
+        *((texts, codes) for texts, codes, _ in powers),
+        (fit_u, fit_code), (fit_v, fit_code), (errors, error),
     ]
-    for power in powers:
-        distinct, where = np.unique(np.where(shown, power, np.nan), return_inverse=True)
-        columns.append((["" if np.isnan(x) else _FLOAT_FMT % x for x in distinct.tolist()],
-                        where))
-    columns += [(fit_u, fit_code), (fit_v, fit_code), (errors, error)]
     _write_csv(out, _SWEEP_FIELDS, n_cells, _coded_lines(columns, n_cells))
     print(f"wrote {out} ({n_cells} cells)")
     return 0

@@ -11,15 +11,20 @@ with zero Neumann data on the inner sphere and decay at infinity, where
 negative powers (``NEG_ACTIVATOR``, ``NEG_BOTH``) or swap the roles in the
 activator equation (``MIXED``: ``-Lap u = v^q/u^p + lam*rho``).
 
-``classify_lattice`` maps a lattice of exponent tuples, in one array pass,
-to deterministic verdicts: nonexistence, one of the existence classes with
-predicted decay powers, or INCONCLUSIVE where the known conditions have a
-genuine gap (boundary equalities in the strict inequalities, ``sigma >= 1``,
-or ``k`` in an uncovered range).  ``_classify_rules`` holds the one copy of
-the verdict table and gives each cell the index of its rule;
-``classify_lattice`` is its object view, which gathers each cell's outcome
-and condition, ``classify`` the one-cell view, with the profiles as objects,
-and ``predicted_v_profile`` the one-cell view of the inhibitor rule.
+``classify_lattice`` maps a lattice of exponent tuples to deterministic
+verdicts: nonexistence, one of the existence classes with predicted decay
+powers, or INCONCLUSIVE where the known conditions have a genuine gap
+(boundary equalities in the strict inequalities, ``sigma >= 1``, or ``k`` in
+an uncovered range).  ``_classify_rules`` holds the one copy of the verdict
+table.  It evaluates each condition on the exponents it reads, so a lattice
+given by its axes is classified axis by axis, and gives each cell the index
+of its rule and its growth class (none, minimal, fast).  The power tables
+(``_power_tables``) hold each class's predicted powers over k, m and s, by
+the one copy of the power rules, ``_profile_powers``.
+``classify_lattice`` is the object view, which gathers each cell's outcome,
+condition and powers, ``classify`` the one-cell view, with the profiles as
+objects, and ``predicted_v_profile`` the one-cell view of the inhibitor
+rule.
 """
 
 from __future__ import annotations
@@ -306,21 +311,48 @@ def predicted_v_profile(params: ExponentSet, u_profile: AsymptoticProfile) -> As
     return _inhibitor_profile(power, log_power, a * params.m, u_profile.r0)
 
 
-# each branch's per-rule (outcomes, conditions, existence, fast growth) arrays,
-# filled on the branch's first classification; (kind, N == 2) names the
-# branch of _classify_rules, which builds the same rules for every call
+def _profile_powers(N: int, kind: SystemKind, u_power, m, s):
+    """``(u_power, u_log_power, v_power, v_log_power)`` of the predicted
+    profiles where the activator decays like r^u_power, elementwise; all NaN
+    where ``u_power`` is (no profile).  The inhibitor follows ``_v_powers``
+    for GM and the activator for MIXED.  A power table also holds entries
+    that no cell takes, so, as in the rules, overflow and division by zero
+    pass silently."""
+    # u's log power is 0 where the activator decays, NaN where it has no profile
+    u = u_power, u_power - u_power
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return *u, *(_v_powers(N, -u_power, m, s) if kind is SystemKind.GM else u)
+
+
+def _power_tables(N: int, kind: SystemKind, cls, u_power, m, s):
+    """``(entry, tables)`` of a lattice: the power tables, ``_profile_powers``
+    of ``_classify_rules``' ``u_power``, and each cell's flat index into them,
+    the row of its growth class ``cls`` at the cell's k, m and s."""
+    entry = cls * u_power[0].size + np.arange(u_power[0].size).reshape(u_power.shape[1:])
+    return entry, _profile_powers(N, kind, u_power, m, s)
+
+
+# each branch's per-rule (outcomes, conditions, growth classes) arrays, filled
+# on the branch's first classification; (kind, N == 2) names the branch of
+# _classify_rules, which builds the same rules for every call
 _RULE_ARRAYS: dict = {}
 
 
 def _classify_rules(N: int, kind: SystemKind, p, q, m, s, k):
-    """Each cell's rule in the verdict table, in one array pass.
+    """Each cell's rule in the verdict table and its growth class.
 
-    Takes ``classify_lattice``'s arguments.  Returns ``(outcomes,
-    conditions, rule, u_power, u_log_power, v_power, v_log_power)``: the
-    outcome and condition of each rule of the table (object arrays), the
-    index of each cell's rule (an int array), and the powers of the
-    predicted profiles as ``classify_lattice`` returns them.  The per-rule
-    arrays are shared by every call on the branch: read them, never write.
+    Takes ``classify_lattice``'s arguments.  Each condition is computed on
+    the broadcast shape of the arguments it reads, so on a lattice given by
+    its axes (each varied exponent along its own dimension, 1 elsewhere) only
+    the first match runs on every cell.  Returns ``(outcomes, conditions,
+    rule, cls, u_power)``: the outcome and condition of each rule of the
+    table (object arrays), the index of each cell's rule and its growth class
+    (0 no profile, 1 minimal growth, 2 fast growth; int arrays of the
+    broadcast shape), and the activator's power in each class along a
+    leading axis, over the broadcast shape of ``k, m, s``.  A cell's powers
+    are its class's entries of the power tables (``_power_tables``).  The
+    per-rule arrays are shared by every call on the branch: read them, never
+    write.
     """
     p, q, m, s, k = (np.asarray(x, dtype=float)[()] for x in (p, q, m, s, k))
     NONEX, INCONCLUSIVE = Outcome.NONEXISTENCE, Outcome.INCONCLUSIVE
@@ -378,29 +410,26 @@ def _classify_rules(N: int, kind: SystemKind, p, q, m, s, k):
             rule = rule + unmatched
         branch = (kind, N == 2)
         if branch not in _RULE_ARRAYS:
-            verdicts = np.array([verdict for _, verdict, _ in rules], dtype=object)
-            _RULE_ARRAYS[branch] = (verdicts, np.array([tag for *_, tag in rules], dtype=object),
-                                    (verdicts != NONEX) & (verdicts != INCONCLUSIVE),
-                                    verdicts == fast)
-        outcomes, conditions, existence, fast_growth = _RULE_ARRAYS[branch]
-        # the activator decays like r^-(k-2) with fast growth and like
-        # r^(2-N) in the other existence classes
-        exists = existence[rule]
-        u_power = np.where(fast_growth[rule], -(k - 2.0), np.where(exists, 2.0 - N, math.nan))
-        u_log_power = np.where(exists, 0.0, math.nan)
-        if kind is SystemKind.GM:
-            v_power, v_log_power = _v_powers(N, -u_power, m, s)
-        else:
-            v_power, v_log_power = u_power, u_log_power
-    return outcomes, conditions, rule, u_power, u_log_power, v_power, v_log_power
+            classes = {minimal: 1, Outcome.EXISTS_MIXED_MINIMAL: 1, fast: 2}
+            _RULE_ARRAYS[branch] = (np.array([verdict for _, verdict, _ in rules], dtype=object),
+                                    np.array([tag for *_, tag in rules], dtype=object),
+                                    np.array([classes.get(verdict, 0) for _, verdict, _ in rules]))
+    outcomes, conditions, growth = _RULE_ARRAYS[branch]
+    # the activator decays like r^(2-N) with minimal growth and like r^-(k-2)
+    # with fast growth
+    u_power = np.empty((3, *np.broadcast(k, m, s).shape))
+    u_power[0], u_power[1], u_power[2] = math.nan, 2.0 - N, -(k - 2.0)
+    return outcomes, conditions, rule, growth[rule], u_power
 
 
 def classify_lattice(N: int, kind: SystemKind, p, q, m, s, k):
-    """Regime verdicts of a lattice of exponent tuples, in one array pass:
-    the object view of ``_classify_rules``.
+    """Regime verdicts of a lattice of exponent tuples: the object view of
+    ``_classify_rules``, with each cell's powers taken from its growth
+    class's entries of the power tables.
 
     ``N`` and ``kind`` are scalars; ``p, q, m, s, k`` are broadcastable
-    arrays (or floats) of valid ``ExponentSet`` fields.  Returns
+    arrays (or floats) of valid ``ExponentSet`` fields; axes (each along its
+    own dimension) classify fastest.  Returns
     ``(outcome, condition, u_power, u_log_power, v_power, v_log_power)``:
     ``Outcome`` members and matched-condition tags (object arrays), and the
     powers of the predicted profiles (float arrays), NaN where the verdict
@@ -415,20 +444,25 @@ def classify_lattice(N: int, kind: SystemKind, p, q, m, s, k):
     verdict reports only what the known conditions settle.  Rules that a
     cell never reaches may divide by zero on it, silently.
     """
-    outcomes, conditions, rule, *powers = _classify_rules(N, kind, p, q, m, s, k)
-    return outcomes[rule], conditions[rule], *powers
+    outcomes, conditions, rule, cls, u_power = _classify_rules(N, kind, p, q, m, s, k)
+    entry, tables = _power_tables(N, kind, cls, u_power, *(np.asarray(x, float) for x in (m, s)))
+    # [...] keeps one cell's power a 0-d array, as for any other shape
+    return outcomes[rule], conditions[rule], *(np.take(table, entry)[...] for table in tables)
 
 
 def classify(params: ExponentSet, r0: float = 1.0) -> RegimeVerdict:
     """Deterministic regime verdict for one exponent tuple: the one-cell view
-    of ``classify_lattice``, with profiles anchored at ``r0``."""
-    outcome, condition, u_power, _, v_power, v_log_power = classify_lattice(
+    of ``_classify_rules``, which reads only its class's powers, with
+    profiles anchored at ``r0``."""
+    outcomes, conditions, rule, cls, u_power = _classify_rules(
         params.N, params.kind, params.p, params.q, params.m, params.s, params.k)
+    u_power = u_power[cls]
     if math.isnan(u_power):
-        return RegimeVerdict(outcome, condition)
+        return RegimeVerdict(outcomes[rule], conditions[rule])
+    _, _, *v_powers = _profile_powers(params.N, params.kind, u_power, params.m, params.s)
     u = AsymptoticProfile(float(u_power), 0.0, r0)
-    v = _inhibitor_profile(v_power, v_log_power, -u.power * params.m, r0)
-    return RegimeVerdict(outcome, condition, u, v)
+    v = _inhibitor_profile(*v_powers, -u.power * params.m, r0)
+    return RegimeVerdict(outcomes[rule], conditions[rule], u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -607,10 +607,12 @@ def test_sweep_empty_range(tmp_path):
 
 @pytest.mark.parametrize("vary, jobs_env", [
     ("p=3:7:2.5", None),
+    ("p=3:7:-2", None),
     ("p=abc", None),
     ("p=3:7:3", "abc"),
     ("p=3:7:3", "0"),
-], ids=["fractional_count", "not_a_number", "bad_jobs_env", "jobs_env_below_one"])
+], ids=["fractional_count", "negative_count", "not_a_number", "bad_jobs_env",
+        "jobs_env_below_one"])
 def test_sweep_malformed_input_exit_64(tmp_path, monkeypatch, vary, jobs_env):
     if jobs_env is not None:
         monkeypatch.setenv("GM_EXT_JOBS", jobs_env)

@@ -302,15 +302,41 @@ def test_no_decaying_inhibitor_edge():
     assert math.isnan(v_power[0]) and math.isnan(v_log[0])
 
 
-def test_classify_lattice_broadcasts():
-    p = np.linspace(2.5, 9.5, 8)[:, None]
-    q = np.linspace(0.25, 3.25, 5)[None, :]
-    outcome, condition, *powers = classify_lattice(3, SystemKind.GM, p, q, 6.0, 1.0, 4.0)
-    assert outcome.shape == condition.shape == (8, 5)
-    assert all(power.shape == (8, 5) for power in powers)
-    for i, j in np.ndindex(8, 5):
-        verdict = classify(ExponentSet(3, float(p[i, 0]), float(q[0, j]), 6.0, 1.0, 4.0))
-        assert (outcome[i, j], condition[i, j]) == (verdict.outcome, verdict.matched_condition)
+# small exponents meet the verdict table's boundaries (k = N, p = q + N/(N-2),
+# a*m at the inhibitor threshold, ...); field's far-out ones overflow the power
+# tables
+axis_values = st.lists(st.one_of(field, st.sampled_from((1.0, 2.0, 3.0, 4.0, 5.0, 6.0))),
+                       min_size=1, max_size=4)
+
+
+@PROPERTY
+@given(st.integers(2, 5), kinds, st.lists(st.sampled_from("pqmsk"), max_size=5, unique=True),
+       st.data())
+def test_classify_lattice_broadcasts(N, kind, varied, data):
+    # each varied exponent along its own dimension, in the drawn order, the
+    # others scalars; classifying these axes equals classifying their cells
+    axes = [np.reshape(data.draw(axis_values), [-1 if j == varied.index(key) else 1
+                                                for j in range(len(varied))])
+            if key in varied else data.draw(field) for key in "pqmsk"]
+    cells = [np.array(x) for x in np.broadcast_arrays(*axes)]
+    on_axes = classify_lattice(N, kind, *axes)
+    on_cells = classify_lattice(N, kind, *cells)
+    assert all(np.shape(x) == cells[0].shape for x in on_axes)
+    assert np.array_equal(on_axes[0], on_cells[0]) and np.array_equal(on_axes[1], on_cells[1])
+    for got, expected in zip(on_axes[2:], on_cells[2:]):
+        assert np.array_equal(got, expected, equal_nan=True)
+    # and each cell equals its one-cell verdict
+    outcome, condition, *powers = (np.asarray(x) for x in on_axes)
+    for i in np.ndindex(cells[0].shape):
+        verdict = _verdict_or_error(classify, ExponentSet(N, *(float(x[i]) for x in cells),
+                                                          kind=kind))
+        if isinstance(verdict, str):  # a*m <= 2: v's powers are NaN
+            assert outcome[i].value.startswith("EXISTS") and math.isnan(powers[2][i])
+            continue
+        assert (outcome[i], condition[i]) == (verdict.outcome, verdict.matched_condition)
+        u, v = verdict.u_profile, verdict.v_profile
+        expected = [math.nan] * 4 if u is None else [u.power, u.log_power, v.power, v.log_power]
+        assert np.array_equal([power[i] for power in powers], expected, equal_nan=True)
 
 
 # range ends that reach the classifier's boundaries (k = N, p = q + N/(N-2),
@@ -323,15 +349,15 @@ SWEEP_HEADER = ["p", "q", "m", "s", "k", "outcome", "condition", "u_power", "u_l
 @st.composite
 def sweep_lattices(draw):
     """(N, kind, base values, {varied key: --vary body}) of a small lattice;
-    one to three keys vary, over 1 to 9 values or a single NaN."""
+    one to five keys vary, each over a single NaN or 1 to 9 values (1 to 4
+    when more than three keys vary)."""
     base = {key: draw(st.sampled_from(SWEEP_ENDS[2:])) for key in "pqmsk"}
-    keys = draw(st.lists(st.sampled_from("pqmsk"), min_size=1, max_size=3, unique=True))
+    keys = draw(st.lists(st.sampled_from("pqmsk"), min_size=1, max_size=5, unique=True))
     bodies = {key: draw(st.one_of(
         st.just("nan"),
         st.builds("{}:{}:{}".format, st.sampled_from(SWEEP_ENDS), st.sampled_from(SWEEP_ENDS),
-                  st.integers(1, 9)))) for key in keys}
-    return (draw(st.integers(3, 5)), draw(st.sampled_from((SystemKind.GM, SystemKind.MIXED))),
-            base, bodies)
+                  st.integers(1, 9 if len(keys) <= 3 else 4)))) for key in keys}
+    return draw(st.integers(2, 5)), draw(kinds), base, bodies
 
 
 def _reference_sweep_bytes(N, kind, base, bodies) -> bytes:
@@ -373,8 +399,15 @@ def _reference_sweep_bytes(N, kind, base, bodies) -> bytes:
 # BAD_CONFIG cells, and the NO_INHIBITOR_SOLUTION cells of the edge above
 @example((4, SystemKind.GM, {key: NO_INHIBITOR_EDGE[key] for key in "pqmsk"},
           dict(p="2.5:3.5:3", q="-1:3:5")))
+# all five keys vary: k crosses N = 3 (fast growth below it, minimal above),
+# and m - s crosses N/(N-2) = 3, the inhibitor's threshold with minimal growth
+@example((3, SystemKind.GM, dict(p=4.0, q=1.0, m=6.0, s=1.0, k=4.0),
+          dict(p="4:10:4", q="0.5:2:4", m="3.5:6.5:4", s="0.5:3.5:4", k="2.5:4.5:5")))
+# an axis of no values: a header-only CSV
+@example((3, SystemKind.GM, dict(p=4.0, q=1.0, m=6.0, s=1.0, k=4.0),
+          dict(p="3:7:0", k="2.5:5:3")))
 def test_every_sweep_row_belongs_to_its_own_cell(tmp_path_factory, lattice):
-    # seven-row chunks cross chunk edges, and lattices of 1 to 729 cells put
+    # seven-row chunks cross chunk edges, and lattices of 0 to 1280 cells put
     # the writer's column merging on both sides of its cap
     N, kind, base, bodies = lattice
     out = tmp_path_factory.mktemp("sweep") / "atlas.csv"
