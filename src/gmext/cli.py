@@ -15,7 +15,8 @@ converted by one key-to-type table.  So a missing, unknown or ill-typed
 setting exits 64 with one ``configuration error:`` line before any work,
 whether it came from a flag, a config file or a replayed manifest.  The
 parser's own usage errors (an unknown flag, a flag without its value) end
-the same way.
+the same way.  ``build_parser`` builds that parser once per process, so
+repeated in-process calls of ``main`` parse with the same one.
 
 Every ``solve`` run writes a JSON manifest recording all effective settings,
 so ``solve --from-manifest run.json`` (which takes no other setting)
@@ -40,6 +41,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -696,7 +698,13 @@ def _command(subs, name: str, func, summary: str) -> argparse.ArgumentParser:
     return sub
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gmext`` parser, built once per process: ``main`` parses every
+    call with it, so callers parse with it and never add to it.  Each parse
+    returns a fresh namespace (``--vary`` starts a fresh list), and the
+    ``func`` defaults bind the ``cmd_*`` functions, which read every other
+    name at call time, so calls stay independent."""
     parser = _Parser(
         prog="gmext",
         description="Steady states of activator-inhibitor systems on exterior radial domains",

@@ -43,7 +43,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergedError, LambdaRangeError, NonintegrableSourceError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    DivergedError,
+    LambdaRangeError,
+    NonintegrableSourceError,
+)
 from .grid import (
     GridFunction,
     RadialOperator,
@@ -436,18 +442,20 @@ def solve_system(
     a NonintegrableSourceError.  Newton stops when the largest relative
     step drops below 1e-11 or after 200 steps (``_NEWTON_TOL``,
     ``_NEWTON_CAP``), and keeps the factors of its Jacobian while the
-    relative steps taken with them sum to at most ``_REFACTOR_DRIFT``.  The
+    relative steps taken with them sum to at most ``_REFACTOR_DRIFT``.  A
+    Newton on ``op``'s grid that stops at its cap raises ConvergenceError;
+    the coarse one only gives the start, so it keeps what it reached.  The
     stored state is the image of the Newton state under H pinned at its
     outer nodes, so it satisfies the discrete equations to solver accuracy.
     ``diagnostics["newton"]`` records the Newton steps on ``op``'s grid
     (``steps``), those on the coarse grid (``coarse_steps``), the
-    factorizations on ``op``'s grid (``factorizations``), whether Newton on
-    ``op``'s grid met ``_NEWTON_TOL`` (``converged``), its last relative
-    step (``last_step``) and the relative gap between the Newton state and
-    its image (``fixed_point_gap``).  The state carries the node residuals
-    ``L u - rhs_u``, ``L v - rhs_v`` and, in ``diagnostics``, their
-    certificates (``certificate_u``/``certificate_v``), backward errors and
-    source-relative residuals.  A source whose decay is not ``params.k`` is
+    factorizations on ``op``'s grid (``factorizations``), that Newton on
+    ``op``'s grid met ``_NEWTON_TOL`` (``converged``, so always True), its
+    last relative step (``last_step``) and the relative gap between the
+    Newton state and its image (``fixed_point_gap``).  The state carries
+    the node residuals ``L u - rhs_u``, ``L v - rhs_v`` and, in
+    ``diagnostics``, their certificates (``certificate_u``/
+    ``certificate_v``), backward errors and source-relative residuals.  A source whose decay is not ``params.k`` is
     a ConfigError.
     """
     _check_source(params, env)
@@ -476,6 +484,9 @@ def solve_system(
 
     u, v, coarse_steps = _coarse_start(params, env, op, state)
     u, v, steps, step, factorizations = _newton(params, env, op, u, v)
+    if not step < _NEWTON_TOL:
+        raise ConvergenceError(f"Newton on the solve grid stopped at its cap of {steps} steps "
+                               f"(last relative step {step:.2e})")
     state = replace(state, u=GridFunction(grid, u), v=GridFunction(grid, v), iteration=steps)
     image = apply_H(state, params, env, op, pins=(float(u[-1]), float(v[-1])))
     gap = max(_relative_change(image.u.values, u), _relative_change(image.v.values, v))

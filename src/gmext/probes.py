@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProbeUnsupportedError, ConfigError
+from .errors import ConfigError, GmextError, ProbeUnsupportedError
 from .grid import assemble_operator, grid_for_decades
 from .params import ExponentSet, Outcome, SourceEnvelope, classify
 from .scalar import NonlinearitySpec, solve_monotone
@@ -143,6 +143,10 @@ def degeneration_probe(
     flattens ever more slowly toward the outer boundary: the normalized floor
     (window minimum over window maximum) decays toward zero.  An existence
     regime would instead hold both quantities steady under R-refinement.
+
+    A solver error (a GmextError) on one truncation is recorded as that
+    row's flag, its tag; any other exception is a fault and propagates.  A
+    truncation whose window holds no node is a ConfigError.
     """
     alpha, s_eff, label = _probe_target(params)
     r0 = 1.0
@@ -158,17 +162,22 @@ def degeneration_probe(
         op = assemble_operator(grid, params.N)
         lo = r0 * 10.0 ** _WINDOW_MARGIN_DECADES
         hi = R * 10.0 ** -_WINDOW_MARGIN_DECADES
+        mask = grid.window_mask(lo, hi)
+        # refused before this truncation's solve; the windows widen with R,
+        # so an empty one is the first in practice and nothing was solved
+        if not mask.any():
+            raise ConfigError(f"R = {R:g} leaves no node in the probe window "
+                              f"({_WINDOW_MARGIN_DECADES:g} decades clear of r0 and of R)")
         flag = ""
         try:
             res = solve_monotone(
                 op, grid.r ** -alpha, g, outer=0.0, truncate_tail=True,
             )
             prof = res.w.values * grid.r ** (params.N - 2.0)
-            mask = grid.window_mask(lo, hi)
             floor = float(np.min(prof[mask]))
             peak = float(np.max(prof[mask]))
-        except Exception as exc:  # solver degeneration is itself a finding
-            flag = getattr(exc, "tag", type(exc).__name__)
+        except GmextError as exc:  # solver degeneration is itself a finding
+            flag = exc.tag
             floor, peak = float("nan"), float("nan")
         rows.append(ProbeRow(
             R=float(R), floor_abs=floor, peak=peak,

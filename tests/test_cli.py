@@ -137,6 +137,31 @@ def test_lambda_underflow_sweep_row_carries_its_tag(tmp_path):
     assert (row["fit_u_power"], row["error"]) == ("", "LAMBDA_OUT_OF_RANGE")
 
 
+# ROADMAP item 17's first cell: Newton stops at its 200-step cap on the solve
+# grid; `gmext solve` used to exit 0 there, with fits of -0.5117 and -0.1063
+STEP_CAP = ["--N", "3", "--p", "6.55", "--q", "2.4", "--m", "4.95", "--s", "4.53",
+            "--k", "2.55", "--n", "1025"]
+
+
+def test_newton_at_its_cap_is_a_tagged_solver_error(tmp_path):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["solve", *STEP_CAP, "--output", str(out)])
+    assert code == 70
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("solver error [NO_CONVERGENCE]")
+    assert not out.exists()
+
+
+def test_newton_at_its_cap_sweep_row_carries_its_tag(tmp_path):
+    out = tmp_path / "solved.csv"
+    code, _, err = run_cli(["sweep", *STEP_CAP, "--solve", "--output", str(out)])
+    assert code == 0, err
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert row["outcome"].startswith("EXISTS")
+    assert (row["fit_u_power"], row["error"]) == ("", "NO_CONVERGENCE")
+
+
 # ---------------------------------------------------------------------------
 # solve + manifest reproducibility
 
@@ -1064,6 +1089,72 @@ def test_probe_cli():
 def test_probe_existence_params_rejected():
     code, _, err = run_cli(["probe", *BASE])
     assert code == 64
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path):
+    import gmext.cli
+
+    built = []
+
+    class Spy(gmext.cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if kwargs.get("prog") == "gmext":
+                built.append(self)
+
+    monkeypatch.setattr(gmext.cli, "_Parser", Spy)
+    gmext.cli.build_parser.cache_clear()
+    try:
+        codes = [run_cli(["classify", *BASE])[0],
+                 run_cli(["sweep", *BASE, "--vary", "p=3:7:3",
+                          "--output", str(tmp_path / "atlas.csv")])[0],
+                 run_cli(["classify", "--no-such-flag"])[0],
+                 run_cli(["--version"])[0],
+                 run_cli(["classify", *BASE])[0]]
+    finally:
+        # the next call builds the parser again, of the real class
+        gmext.cli.build_parser.cache_clear()
+    assert codes == [0, 0, 64, 0, 0]
+    assert len(built) == 1
+
+
+SWEEPS = {
+    "pq": ["--N", "3", "--m", "6", "--s", "1", "--k", "4",
+           "--vary", "p=3:7:4", "--vary", "q=0.5:3:3"],
+    "m": ["--N", "3", "--p", "5", "--q", "1", "--s", "1", "--k", "4", "--vary", "m=1:8:5"],
+}
+
+
+def test_in_process_sweeps_write_what_a_fresh_process_writes(tmp_path):
+    # --vary appends to a list that each parse starts afresh: the second
+    # sweep varies m alone, not p, q and m
+    for name, argv in SWEEPS.items():
+        code, _, err = run_cli(["sweep", *argv, "--output", str(tmp_path / f"{name}.csv")])
+        assert code == 0, err
+    for name, argv in SWEEPS.items():
+        fresh = tmp_path / f"{name}-fresh.csv"
+        subprocess.run([sys.executable, "-m", "gmext.cli", "sweep", *argv,
+                        "--output", str(fresh)], capture_output=True, check=True)
+        assert (tmp_path / f"{name}.csv").read_bytes() == fresh.read_bytes()
+    assert (tmp_path / "m.csv").read_text().count("\n") == 1 + 5
+
+
+def test_usage_error_leaves_the_next_call_unchanged():
+    expected = run_cli(["classify", *BASE])
+    assert run_cli(["sweep", "--vary"])[0] == 64
+    assert run_cli(["classify", *BASE, "--p"])[0] == 64
+    assert run_cli(["classify", *BASE]) == expected
+
+
+def test_version_twice():
+    from gmext import __version__
+
+    for _ in range(2):
+        assert run_cli(["--version"]) == (0, f"gmext {__version__}\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from gmext import (
     suggest_lambda,
     verify_box,
 )
-from gmext.errors import ConfigError, DivergedError, NonintegrableSourceError
+from gmext.errors import ConfigError, ConvergenceError, DivergedError, NonintegrableSourceError
 from gmext.fitting import fit_power
 
 from cases import COUPLED_FAST_N5, COUPLED_MIN_I, COUPLED_MIN_III, COUPLED_MIXED
@@ -375,6 +375,30 @@ def test_coarse_level_divergence_propagates(monkeypatch):
     with pytest.raises(DivergedError):
         run_solve(cfg)
     assert sizes == [257]
+
+
+def test_newton_at_its_cap_is_no_convergence(monkeypatch):
+    # ROADMAP item 17's first cell: at n = 1025 Newton spends its 200 steps
+    # on both grids (item 6's lagged tail power) and its last step is 8.6e-2.
+    # The coarse Newton only gives the start, so it returns what it reached;
+    # the solve grid's ends the solve
+    phases = []
+    real = coupled._newton
+
+    def recording(params, env, op, *args):
+        out = real(params, env, op, *args)
+        phases.append((op.grid.n, out[2], out[3]))
+        return out
+
+    monkeypatch.setattr(coupled, "_newton", recording)
+    params = ExponentSet(N=3, p=6.55, q=2.4, m=4.95, s=4.53, k=2.55)
+    op = cached_operator(1.0, 1e4, 1025, params.N)
+    env = SourceEnvelope.radial(1.0, params.k)
+    lam, schedule = suggest_lambda(params, env, op)
+    with pytest.raises(ConvergenceError, match="cap of 200 steps"):
+        solve_system(params.with_lam(lam), env, op, schedule=schedule)
+    assert [(n, steps) for n, steps, _ in phases] == [(129, 200), (1025, 200)]
+    assert min(step for *_, step in phases) >= coupled._NEWTON_TOL
 
 
 def test_newton_count_guard():

@@ -167,3 +167,36 @@ def test_probe_flagged_row_is_diagnosed_as_degenerate(monkeypatch):
     assert np.isnan(report.rows[1].floor_abs)
     assert report.diagnosis == "solver degenerated on at least one truncation"
     assert report.lines()[-1] == "  diagnosis: solver degenerated on at least one truncation"
+
+
+def test_probe_lets_a_fault_propagate(monkeypatch):
+    # only a solver error is a finding: a fault inside the solve is not
+    # recorded as a row flag, and the command line reports it as an
+    # internal error
+    from gmext import cli, probes
+
+    def broken(*args, **kwargs):
+        raise TypeError("forced")
+
+    monkeypatch.setattr(probes, "solve_monotone", broken)
+    params = ExponentSet(N=3, p=5, q=1, m=2, s=1, k=4)
+    with pytest.raises(TypeError, match="forced"):
+        degeneration_probe(params, SourceEnvelope.radial(1.0, 4.0), (1e2, 1e3),
+                           nodes_per_decade=64)
+    assert cli.main(["probe", "--N", "3", "--p", "5", "--q", "1", "--m", "2", "--s", "1",
+                     "--k", "4", "--R-list", "1e2,1e3"]) == 70
+
+
+@pytest.mark.parametrize("radii", [(2.0, 5.0, 20.0), (10.0 ** 0.5, 1e2)])
+def test_probe_refuses_a_truncation_without_window_nodes(radii, monkeypatch):
+    # the window keeps half a decade clear of r0 = 1 and of R, so an R below
+    # ten leaves it empty: a ConfigError before any solve
+    from gmext import probes
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing")
+
+    monkeypatch.setattr(probes, "solve_monotone", no_solve)
+    params = ExponentSet(N=3, p=5, q=1, m=2, s=1, k=4)
+    with pytest.raises(ConfigError, match="no node in the probe window"):
+        degeneration_probe(params, SourceEnvelope.radial(1.0, 4.0), radii, nodes_per_decade=64)
