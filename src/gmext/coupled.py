@@ -22,7 +22,9 @@ v, which already solves the inner problem at the same pin, so the drive
 runs only its last stage (the image does not depend on v otherwise).
 Newton's step count does not depend on the mesh, so it starts from the
 same Newton on a coarse grid, and a step reuses the last LU factors of the
-Jacobian while the state has moved little since they were computed.
+Jacobian while the state has moved little since they were computed.  A
+Newton that ends at its step cap, on either grid, has no answer and ends
+the solve.
 The state is certified against the invariant box
 
     D r^-a <= u <= E r^-a,      F psi <= v <= G psi,
@@ -39,7 +41,7 @@ activator-inhibitor feedback contractive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,7 +79,7 @@ from .scalar import NonlinearitySpec, barrier_Z, solve_monotone
 _TINY = 1e-300
 _RANGE = (1e-30, 1e30)
 # Newton stops once the largest nodewise relative step is below
-# _NEWTON_TOL, or after _NEWTON_CAP steps
+# _NEWTON_TOL; reaching _NEWTON_CAP steps first is a ConvergenceError
 _NEWTON_TOL = 1e-11
 _NEWTON_CAP = 200
 # relative widening of the calibrated ratio range on both sides
@@ -322,9 +324,10 @@ def _newton(
 ) -> tuple[np.ndarray, np.ndarray, int, float, int]:
     """Newton on L u = f(u, v) + lam rho, L v = u^m v^-s from (u, v), whose
     outer rows are the exact far-field rows of ``grid.far_field``, until the
-    largest nodewise relative step drops below ``_NEWTON_TOL`` or
-    ``_NEWTON_CAP`` steps are spent; returns the final (u, v), the number of
-    steps, the last step and the number of factorizations.
+    largest nodewise relative step drops below ``_NEWTON_TOL``; returns the
+    final (u, v), the number of steps, the last step and the number of
+    factorizations.  A ``_NEWTON_CAP``-th step that ends at or above
+    ``_NEWTON_TOL`` raises ConvergenceError, on whichever grid ``op`` has.
 
     The far-field tail int_R^inf t f dt of a source decaying like r^-beta
     is f(R) R^2 / (beta - 2), so the outer row scales the source's outer
@@ -392,32 +395,9 @@ def _newton(
         u, v = u_new, v_new
         _check_range(u, v)
         if step < _NEWTON_TOL:
-            break
-    return u, v, steps, step, count
-
-
-def _coarse_start(
-    params: ExponentSet, env: SourceEnvelope, op: RadialOperator, start: CoupledState,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Newton's start on ``op``'s grid and the coarse steps taken for it:
-    Newton from the box midpoint on a coarse grid over the same [r0, R],
-    whose far-field rows close the same problem, interpolated linearly in
-    xi in log u and log v.  It is ``start`` itself, after no steps, when the
-    coarse grid would not have fewer nodes or ``assemble_operator`` refuses
-    it (its spacing or its weights)."""
-    grid = op.grid
-    n_c = max((grid.n - 1) // _COARSE_RATIO + 1, _COARSE_MIN_NODES)
-    if n_c >= grid.n:
-        return start.u.values, start.v.values, 0
-    try:
-        coarse = assemble_operator(build_grid(grid.r0, grid.R, n_c), op.N)
-    except ConfigError:
-        return start.u.values, start.v.values, 0
-    mid = initial_state(coarse, start.verdict, start.schedule)
-    u_c, v_c, steps, _, _ = _newton(params, env, coarse, mid.u.values, mid.v.values)
-    u = np.exp(np.interp(grid.xi, coarse.grid.xi, np.log(u_c)))
-    v = np.exp(np.interp(grid.xi, coarse.grid.xi, np.log(v_c)))
-    return u, v, steps
+            return u, v, steps, step, count
+    raise ConvergenceError(f"Newton on the {op.grid.n}-node grid stopped at its cap of "
+                           f"{_NEWTON_CAP} steps (last relative step {step:.2e})")
 
 
 def solve_system(
@@ -432,30 +412,31 @@ def solve_system(
 
     ``schedule`` is the constant schedule at ``params.lam`` (as returned by
     ``suggest_lambda``); without one, C3/C4 are calibrated on ``op`` and the
-    schedule is built here.  Newton (``_newton``) starts from
-    ``initial_state``'s box midpoint: on a coarse grid over the same
-    [r0, R] first (``_coarse_start``; none when the grid has at most
-    ``_COARSE_MIN_NODES`` nodes or the coarse one is refused), then once on
-    ``op``'s grid from the interpolated coarse solution.  Its outer rows
-    are the far-field rows of ``grid.far_field``, so the outer values are
-    solved for, not pinned; a source tail with a divergent first moment is
-    a NonintegrableSourceError.  Newton stops when the largest relative
-    step drops below 1e-11 or after 200 steps (``_NEWTON_TOL``,
-    ``_NEWTON_CAP``), and keeps the factors of its Jacobian while the
-    relative steps taken with them sum to at most ``_REFACTOR_DRIFT``.  A
-    Newton on ``op``'s grid that stops at its cap raises ConvergenceError;
-    the coarse one only gives the start, so it keeps what it reached.  The
-    stored state is the image of the Newton state under H pinned at its
-    outer nodes, so it satisfies the discrete equations to solver accuracy.
+    schedule is built here.  Newton (``_newton``) runs on a ladder of grids
+    over the same [r0, R]: a coarse grid of ``(n - 1) // _COARSE_RATIO + 1``
+    nodes, at least ``_COARSE_MIN_NODES`` (none when that is not fewer than
+    ``op``'s or ``assemble_operator`` refuses it), then ``op``'s grid.  The
+    first rung starts from ``initial_state``'s box midpoint, each later one
+    from the previous rung's solution interpolated linearly in xi in log u
+    and log v.  Newton's outer rows are the far-field rows of
+    ``grid.far_field``, so the outer values are solved for, not pinned; a
+    source tail with a divergent first moment is a
+    NonintegrableSourceError.  Newton stops when the largest relative step
+    drops below 1e-11 (``_NEWTON_TOL``), and keeps the factors of its
+    Jacobian while the relative steps taken with them sum to at most
+    ``_REFACTOR_DRIFT``; one that reaches its cap of 200 steps
+    (``_NEWTON_CAP``) on any rung raises ConvergenceError.  The stored state
+    is the image of the Newton state under H pinned at its outer nodes, so
+    it satisfies the discrete equations to solver accuracy.
     ``diagnostics["newton"]`` records the Newton steps on ``op``'s grid
-    (``steps``), those on the coarse grid (``coarse_steps``), the
-    factorizations on ``op``'s grid (``factorizations``), that Newton on
-    ``op``'s grid met ``_NEWTON_TOL`` (``converged``, so always True), its
-    last relative step (``last_step``) and the relative gap between the
-    Newton state and its image (``fixed_point_gap``).  The state carries
-    the node residuals ``L u - rhs_u``, ``L v - rhs_v`` and, in
-    ``diagnostics``, their certificates (``certificate_u``/
-    ``certificate_v``), backward errors and source-relative residuals.  A source whose decay is not ``params.k`` is
+    (``steps``; the state's ``iteration`` is one more, for H), those
+    on the coarse grid (``coarse_steps``), the factorizations on ``op``'s
+    grid (``factorizations``), its last relative step (``last_step``) and
+    the relative gap between the Newton state and its image
+    (``fixed_point_gap``).  The state carries the node residuals
+    ``L u - rhs_u``, ``L v - rhs_v`` and, in ``diagnostics``, their
+    certificates (``certificate_u``/``certificate_v``), backward errors and
+    source-relative residuals.  A source whose decay is not ``params.k`` is
     a ConfigError.
     """
     _check_source(params, env)
@@ -478,23 +459,35 @@ def solve_system(
         raise ConfigError(
             f"schedule was built for lam = {schedule.lam!r}, not {params.lam!r}"
         )
-    state = initial_state(op, verdict, schedule)
     if window is None:
         window = grid.default_window()
 
-    u, v, coarse_steps = _coarse_start(params, env, op, state)
-    u, v, steps, step, factorizations = _newton(params, env, op, u, v)
-    if not step < _NEWTON_TOL:
-        raise ConvergenceError(f"Newton on the solve grid stopped at its cap of {steps} steps "
-                               f"(last relative step {step:.2e})")
-    state = replace(state, u=GridFunction(grid, u), v=GridFunction(grid, v), iteration=steps)
+    # the grids Newton runs on, coarsest first
+    ladder = [op]
+    n_c = max((grid.n - 1) // _COARSE_RATIO + 1, _COARSE_MIN_NODES)
+    if n_c < grid.n:
+        try:
+            ladder.insert(0, assemble_operator(build_grid(grid.r0, grid.R, n_c), op.N))
+        except ConfigError:
+            pass
+    start = initial_state(ladder[0], verdict, schedule)
+    u, v, coarse_steps = start.u.values, start.v.values, 0
+    for i, level in enumerate(ladder):
+        if i:
+            # the previous rung's solution, linear in xi in log u and log v
+            xi = ladder[i - 1].grid.xi
+            u, v = (np.exp(np.interp(level.grid.xi, xi, np.log(w))) for w in (u, v))
+            coarse_steps += steps
+        u, v, steps, step, factorizations = _newton(params, env, level, u, v)
+    state = CoupledState(u=GridFunction(grid, u), v=GridFunction(grid, v), schedule=schedule,
+                         verdict=verdict, iteration=steps)
     image = apply_H(state, params, env, op, pins=(float(u[-1]), float(v[-1])))
     gap = max(_relative_change(image.u.values, u), _relative_change(image.v.values, v))
 
     _certify(image, params, env, op, window)
     image.diagnostics["newton"] = {
         "steps": steps, "coarse_steps": coarse_steps, "factorizations": factorizations,
-        "converged": bool(step < _NEWTON_TOL), "last_step": float(step), "fixed_point_gap": gap,
+        "last_step": float(step), "fixed_point_gap": gap,
     }
     return image
 

@@ -20,7 +20,8 @@ class SigmaRangeError(GmextError):
 
 class LambdaRangeError(GmextError):
     """The source-strength threshold lambda* is not a positive finite double
-    (it underflows to 0 as sigma -> 1), so there is no default lambda."""
+    (it underflows to 0 as sigma -> 1), so there is no default lambda, or the
+    constant schedule's powers leave the range of doubles."""
 
     tag = "LAMBDA_OUT_OF_RANGE"
 

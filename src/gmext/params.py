@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateExponentError,
+    LambdaRangeError,
     NoInhibitorSolutionError,
     SigmaRangeError,
     SigmaUndefinedError,
@@ -332,12 +333,6 @@ def _power_tables(N: int, kind: SystemKind, cls, u_power, m, s):
     return entry, _profile_powers(N, kind, u_power, m, s)
 
 
-# each branch's per-rule (outcomes, conditions, growth classes) arrays, filled
-# on the branch's first classification; (kind, N == 2) names the branch of
-# _classify_rules, which builds the same rules for every call
-_RULE_ARRAYS: dict = {}
-
-
 def _classify_rules(N: int, kind: SystemKind, p, q, m, s, k):
     """Each cell's rule in the verdict table and its growth class.
 
@@ -350,9 +345,7 @@ def _classify_rules(N: int, kind: SystemKind, p, q, m, s, k):
     (0 no profile, 1 minimal growth, 2 fast growth; int arrays of the
     broadcast shape), and the activator's power in each class along a
     leading axis, over the broadcast shape of ``k, m, s``.  A cell's powers
-    are its class's entries of the power tables (``_power_tables``).  The
-    per-rule arrays are shared by every call on the branch: read them, never
-    write.
+    are its class's entries of the power tables (``_power_tables``).
     """
     p, q, m, s, k = (np.asarray(x, dtype=float)[()] for x in (p, q, m, s, k))
     NONEX, INCONCLUSIVE = Outcome.NONEXISTENCE, Outcome.INCONCLUSIVE
@@ -408,13 +401,10 @@ def _classify_rules(N: int, kind: SystemKind, p, q, m, s, k):
         for mask, _, _ in rules[:-1]:
             unmatched = unmatched & ~mask
             rule = rule + unmatched
-        branch = (kind, N == 2)
-        if branch not in _RULE_ARRAYS:
-            classes = {minimal: 1, Outcome.EXISTS_MIXED_MINIMAL: 1, fast: 2}
-            _RULE_ARRAYS[branch] = (np.array([verdict for _, verdict, _ in rules], dtype=object),
-                                    np.array([tag for *_, tag in rules], dtype=object),
-                                    np.array([classes.get(verdict, 0) for _, verdict, _ in rules]))
-    outcomes, conditions, growth = _RULE_ARRAYS[branch]
+    classes = {minimal: 1, Outcome.EXISTS_MIXED_MINIMAL: 1, fast: 2}
+    outcomes = np.array([verdict for _, verdict, _ in rules], dtype=object)
+    conditions = np.array([tag for *_, tag in rules], dtype=object)
+    growth = np.array([classes.get(verdict, 0) for _, verdict, _ in rules])
     # the activator decays like r^(2-N) with minimal growth and like r^-(k-2)
     # with fast growth
     u_power = np.empty((3, *np.broadcast(k, m, s).shape))
@@ -490,35 +480,43 @@ def constant_schedule(
     constants in the C3/C4 slots, and the threshold becomes
 
         lambda** = [ C2 (C1 C3)^p / ((2 C2 C4)^(mq/(1+s)) C4^q) ]^( 1/(mq/(1+s)-(p+1)) ).
+
+    A power that overflows the doubles, or that raises an underflowed 0 to a
+    negative power (a tiny or huge source amplitude, or a huge lam), is a
+    LambdaRangeError naming lam.
     """
     if not (0 < C3 < C4):
         raise ConfigError("need C4 > C3 > 0")
     p, q, m, s = params.p, params.q, params.m, params.s
     C1, C2 = env.C1, env.C2
     mo = m / (1.0 + s)
-    C5 = C1 ** mo * C3 ** (1.0 + mo)
-    C6 = C2 ** mo * C4 ** (1.0 + mo)
     lam = params.lam
-    D = C1 * C3 * lam
-    E = 2.0 * C2 * C4 * lam
-    F = C3 * D ** mo
-    G = C4 * E ** mo
-
     lam_star = None
     lam_star_star = None
-    if params.kind is SystemKind.MIXED:
-        expo = m * q / (1.0 + s) - (p + 1.0)
-        if _eq(expo, 0.0):
-            raise DegenerateExponentError("mq/(1+s) = p+1: threshold formula degenerates")
-        base = C2 * (C1 * C3) ** p / ((2.0 * C2 * C4) ** (m * q / (1.0 + s)) * C4 ** q)
-        lam_star_star = base ** (1.0 / expo)
-    else:
-        sigma = params.require_sigma()
-        if _ge(sigma, 1.0):
-            raise SigmaRangeError(f"sigma = {sigma:g} >= 1: no threshold exists")
-        lam_star = (C5 ** q / ((2.0 * C4) ** p * C2 ** (p - 1.0))) ** (
-            1.0 / ((p - 1.0) * (1.0 - sigma))
-        )
+    # a Python float power raises where numpy would give inf or 0
+    try:
+        C5 = C1 ** mo * C3 ** (1.0 + mo)
+        C6 = C2 ** mo * C4 ** (1.0 + mo)
+        D = C1 * C3 * lam
+        E = 2.0 * C2 * C4 * lam
+        F = C3 * D ** mo
+        G = C4 * E ** mo
+        if params.kind is SystemKind.MIXED:
+            expo = m * q / (1.0 + s) - (p + 1.0)
+            if _eq(expo, 0.0):
+                raise DegenerateExponentError("mq/(1+s) = p+1: threshold formula degenerates")
+            base = C2 * (C1 * C3) ** p / ((2.0 * C2 * C4) ** (m * q / (1.0 + s)) * C4 ** q)
+            lam_star_star = base ** (1.0 / expo)
+        else:
+            sigma = params.require_sigma()
+            if _ge(sigma, 1.0):
+                raise SigmaRangeError(f"sigma = {sigma:g} >= 1: no threshold exists")
+            lam_star = (C5 ** q / ((2.0 * C4) ** p * C2 ** (p - 1.0))) ** (
+                1.0 / ((p - 1.0) * (1.0 - sigma))
+            )
+    except (OverflowError, ZeroDivisionError) as err:
+        raise LambdaRangeError(f"the constant schedule at lambda = {lam:g} leaves the range "
+                               f"of doubles ({type(err).__name__})") from err
     return ConstantSchedule(
         C3=C3, C4=C4, C5=C5, C6=C6, D=D, E=E, F=F, G=G, lam=lam,
         lambda_star=lam_star, lambda_star_star=lam_star_star,

@@ -137,8 +137,46 @@ def test_lambda_underflow_sweep_row_carries_its_tag(tmp_path):
     assert (row["fit_u_power"], row["error"]) == ("", "LAMBDA_OUT_OF_RANGE")
 
 
-# ROADMAP item 17's first cell: Newton stops at its 200-step cap on the solve
-# grid; `gmext solve` used to exit 0 there, with fits of -0.5117 and -0.1063
+# a source amplitude or a lambda whose constant schedule leaves the range of
+# doubles, where a Python float power raises OverflowError or
+# ZeroDivisionError
+MIXED_CELL = ["--kind", "MIXED", "--N", "3", "--p", "1", "--q", "4.5", "--m", "5", "--s", "1",
+              "--k", "4"]
+SCHEDULE_BLOWUPS = pytest.mark.parametrize("args", [
+    [*BASE, "--rho0", "1e-100"],
+    [*BASE, "--rho0", "1e100"],
+    [*BASE, "--lambda", "1e150"],
+    [*MIXED_CELL, "--rho0", "1e-100"],
+    [*MIXED_CELL, "--rho0", "1e100"],
+    [*MIXED_CELL, "--lambda", "1e200"],
+], ids=["gm-rho0-tiny", "gm-rho0-huge", "gm-lambda-huge",
+        "mixed-rho0-tiny", "mixed-rho0-huge", "mixed-lambda-huge"])
+
+
+@SCHEDULE_BLOWUPS
+def test_schedule_blowup_is_a_tagged_solver_error(tmp_path, args):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["solve", *args, "--n", "1025", "--output", str(out)])
+    assert code == 70
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("solver error [LAMBDA_OUT_OF_RANGE]")
+    assert not out.exists()
+
+
+@SCHEDULE_BLOWUPS
+def test_schedule_blowup_sweep_row_carries_its_tag(tmp_path, args):
+    out = tmp_path / "solved.csv"
+    code, _, err = run_cli(["sweep", *args, "--n", "1025", "--solve", "--output", str(out)])
+    assert code == 0, err
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert row["outcome"].startswith("EXISTS")
+    assert (row["fit_u_power"], row["error"]) == ("", "LAMBDA_OUT_OF_RANGE")
+
+
+# ROADMAP item 17's first cell: Newton stops at its 200-step cap, on the
+# 129-node coarse grid; `gmext solve` used to exit 0 there, with fits of
+# -0.5117 and -0.1063
 STEP_CAP = ["--N", "3", "--p", "6.55", "--q", "2.4", "--m", "4.95", "--s", "4.53",
             "--k", "2.55", "--n", "1025"]
 
