@@ -45,7 +45,8 @@ op = assemble_operator(grid, params0.N)
 env = SourceEnvelope.radial(1.0, params0.k)
 
 C3, C4 = calibrate_barrier_constants(params0, op)
-probe = constant_schedule(params0.with_lam(1.0), env, C3, C4)
+# the threshold does not depend on lam; at lam = 0 the schedule builds no box
+probe = constant_schedule(params0.with_lam(0.0), env, C3, C4)
 lam = probe.lambda_star / 2.0
 params = params0.with_lam(lam)
 sched = constant_schedule(params, env, C3, C4)

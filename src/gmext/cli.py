@@ -304,7 +304,8 @@ def run_solve(cfg: dict) -> tuple[dict, list[tuple], int]:
         "fits": fits_block,
         "residuals": {k: state.diagnostics[k] for k in (
             "certificate_u", "certificate_v", "backward_error_u",
-            "backward_error_v", "source_residual_u", "source_residual_v")},
+            "backward_error_v", "source_residual_u", "source_residual_v",
+            "far_field_u", "far_field_v")},
         "box": {"ok": box.ok, **dataclasses.asdict(box)},
         "newton": {**state.diagnostics["newton"],
                    "inner_monotone_ok": state.diagnostics["inner_monotone_ok"]},

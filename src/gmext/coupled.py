@@ -107,7 +107,8 @@ class CoupledState:
     schedule: ConstantSchedule
     verdict: RegimeVerdict
     iteration: int = 0
-    # L u - rhs_u and L v - rhs_v at every node, set by solve_system
+    # L u - rhs_u and L v - rhs_v at every node, the outer node's row being
+    # the far-field row Newton solves; set by solve_system
     node_residuals: tuple[np.ndarray, np.ndarray] | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -211,14 +212,16 @@ def suggest_lambda(
     op: RadialOperator,
     fraction: float = 0.5,
 ) -> tuple[float, ConstantSchedule]:
-    """Threshold-based default source strength: fraction * lambda threshold.
-    A threshold that leaves that product outside the positive finite
-    doubles is a LambdaRangeError."""
+    """Threshold-based default source strength: fraction * lambda threshold,
+    and the constant schedule at it.  The threshold does not depend on
+    lambda, so it is read from the schedule at lambda = 0, which builds no
+    box.  A threshold that leaves that product outside the positive finite
+    doubles, or a schedule outside the doubles, is a LambdaRangeError."""
     C3, C4 = calibrate_barrier_constants(params, op)
-    probe = constant_schedule(params.with_lam(1.0), env, C3, C4)
-    lam = fraction * probe.threshold
+    threshold = constant_schedule(params.with_lam(0.0), env, C3, C4).threshold
+    lam = fraction * threshold
     if not 0.0 < lam < np.inf:
-        raise LambdaRangeError(f"lambda* = {probe.threshold:g} gives no positive finite lambda")
+        raise LambdaRangeError(f"lambda* = {threshold:g} gives no positive finite lambda")
     return lam, constant_schedule(params.with_lam(lam), env, C3, C4)
 
 
@@ -292,18 +295,46 @@ def initial_state(
     )
 
 
+def _tau(op: RadialOperator, beta: float) -> float:
+    """The far-field row's factor on the outer value of a source decaying
+    like r^-beta past R, tau = 1 + kappa R^2 / (beta - 2) with kappa from
+    ``grid.far_field``: the tail int_R^inf t f dt is f(R) R^2 / (beta - 2).
+    A beta <= 2 (a divergent first moment) raises NonintegrableSourceError."""
+    if beta <= 2.0:
+        raise NonintegrableSourceError(f"source tail ~ r^-{beta:g}: divergent first moment")
+    return 1.0 + far_field(op)[2] * op.grid.r[-1] ** 2 / (beta - 2.0)
+
+
 def _certify(
     state: CoupledState, params: ExponentSet, env: SourceEnvelope, op: RadialOperator,
     window: tuple[float, float],
 ) -> None:
     """Store the node residuals of the discrete equations on ``state``, and
-    their certificates in ``diagnostics``."""
+    their certificates in ``diagnostics``.
+
+    The residuals are ``L w - rhs`` on the inner and interior rows.  On the
+    outer node they are those of the far-field rows that ``_newton`` solves,
+    ``grid.far_field``'s row minus the source f(R) tau(beta) (``_tau``, beta
+    from ``grid.tail_power``; for lam rho, beta = k), and not of L's
+    Dirichlet row, which would hold u(R) and v(R) themselves.  Each of
+    these two rows' relative residual, its residual over the sum of its
+    terms' magnitudes, is ``far_field_u`` and ``far_field_v``."""
     u, v = state.u.values, state.v.values
-    _, rhs_u, rhs_v = _equations(params, env.rho(op.grid.r), u, v)
+    r = op.grid.r
+    rho = env.rho(r)
+    f, rhs_u, rhs_v = _equations(params, rho, u, v)
     gamma_v = -state.verdict.v_profile.power
     w_u = params.k
     w_v = params.m * activator_decay(state.verdict) - params.s * gamma_v
     state.node_residuals = (op.apply(u) - rhs_u, op.apply(v) - rhs_v)
+    a_sub, a_diag, _ = far_field(op)
+    # the far-field rows' sources, scaled as _newton scales them
+    sources = (f[-1] * _tau(op, tail_power(r, f)) + params.lam * (rho[-1] * _tau(op, params.k)),
+               rhs_v[-1] * _tau(op, tail_power(r, rhs_v)))
+    for c, w, res, source in zip("uv", (u, v), state.node_residuals, sources):
+        terms = np.array([a_sub * w[-2], a_diag * w[-1], -source])
+        res[-1] = terms.sum()
+        state.diagnostics[f"far_field_{c}"] = float(abs(res[-1]) / np.abs(terms).sum())
     state.diagnostics.update({
         "certificate_u": weighted_residual(op, u, rhs_u, w_u, window),
         "certificate_v": weighted_residual(op, v, rhs_v, w_v, window),
@@ -331,7 +362,7 @@ def _newton(
 
     The far-field tail int_R^inf t f dt of a source decaying like r^-beta
     is f(R) R^2 / (beta - 2), so the outer row scales the source's outer
-    value by tau = 1 + kappa R^2 / (beta - 2).  For lam rho beta is k,
+    value by ``_tau``, 1 + kappa R^2 / (beta - 2).  For lam rho beta is k,
     which is exact; for f and for u^m v^-s it is their local power
     ``grid.tail_power``, taken afresh at every step and held fixed by the
     Jacobian.  A beta <= 2 (a divergent first moment) raises
@@ -344,16 +375,10 @@ def _newton(
     Jacobian, a singular Jacobian or exhausted halving raise DivergedError."""
     _check_range(u, v)
     r = op.grid.r
-    a_sub, a_diag, kappa = far_field(op)
-
-    def tau(beta: float) -> float:
-        if beta <= 2.0:
-            raise NonintegrableSourceError(f"source tail ~ r^-{beta:g}: divergent first moment")
-        return 1.0 + kappa * r[-1] ** 2 / (beta - 2.0)
-
+    a_sub, a_diag, _ = far_field(op)
     # lam rho decays like r^-k exactly
     rho = env.rho(r)
-    rho[-1] *= tau(params.k)
+    rho[-1] *= _tau(op, params.k)
     sign = -1.0 if params.kind is SystemKind.MIXED else 1.0
     rhs = np.empty(2 * op.grid.n)
     factors, drift, count, step = None, np.inf, 0, np.inf
@@ -362,8 +387,8 @@ def _newton(
             f, rhs_u, g = _equations(params, rho, u, v)
             # the far-field rows' sources f(R) + kappa T; the Jacobian's
             # outer entries scale with them, at the lagged beta
-            f[-1] *= tau(tail_power(r, f))
-            g[-1] *= tau(tail_power(r, g))
+            f[-1] *= _tau(op, tail_power(r, f))
+            g[-1] *= _tau(op, tail_power(r, g))
             rhs[0::2] = rhs_u - op.apply(u)
             rhs[1::2] = g - op.apply(v)
             rhs[-2] = f[-1] + params.lam * rho[-1] - a_sub * u[-2] - a_diag * u[-1]
@@ -434,10 +459,12 @@ def solve_system(
     grid (``factorizations``), its last relative step (``last_step``) and
     the relative gap between the Newton state and its image
     (``fixed_point_gap``).  The state carries the node residuals
-    ``L u - rhs_u``, ``L v - rhs_v`` and, in ``diagnostics``, their
-    certificates (``certificate_u``/``certificate_v``), backward errors and
-    source-relative residuals.  A source whose decay is not ``params.k`` is
-    a ConfigError.
+    ``L u - rhs_u``, ``L v - rhs_v``, whose outer entries are those of the
+    far-field rows (``_certify``), and, in ``diagnostics``, their
+    certificates (``certificate_u``/``certificate_v``), backward errors,
+    source-relative residuals and the far-field rows' relative residuals
+    (``far_field_u``/``far_field_v``).  A source whose decay is not
+    ``params.k`` is a ConfigError.
     """
     _check_source(params, env)
     grid = op.grid

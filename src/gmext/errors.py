@@ -21,7 +21,8 @@ class SigmaRangeError(GmextError):
 class LambdaRangeError(GmextError):
     """The source-strength threshold lambda* is not a positive finite double
     (it underflows to 0 as sigma -> 1), so there is no default lambda, or the
-    constant schedule's powers leave the range of doubles."""
+    constant schedule leaves the range of doubles: a power overflows, or a
+    box bound at lambda > 0 is not a positive finite double."""
 
     tag = "LAMBDA_OUT_OF_RANGE"
 

@@ -19,12 +19,19 @@ an uncovered range).  ``_classify_rules`` holds the one copy of the verdict
 table.  It evaluates each condition on the exponents it reads, so a lattice
 given by its axes is classified axis by axis, and gives each cell the index
 of its rule and its growth class (none, minimal, fast).  The power tables
-(``_power_tables``) hold each class's predicted powers over k, m and s, by
-the one copy of the power rules, ``_profile_powers``.
-``classify_lattice`` is the object view, which gathers each cell's outcome,
-condition and powers, ``classify`` the one-cell view, with the profiles as
-objects, and ``predicted_v_profile`` the one-cell view of the inhibitor
-rule.
+(``_power_tables``) hold each class's predicted powers over k, m and s.
+``_v_powers`` is the one copy of the GM inhibitor rule; the MIXED inhibitor
+decays as the activator.  ``classify_lattice`` is the object view, which
+gathers each cell's outcome, condition and powers, ``classify`` the
+one-cell view, with the profiles as objects, and ``predicted_v_profile``
+the one-cell view of the inhibitor rule, from which ``classify`` takes its
+GM inhibitor profile.
+
+``constant_schedule`` builds the box bounds D, E, F, G at one lam and the
+threshold lambda*, which does not depend on lam (at lam = 0 the box is all
+zeros).  ``ConstantSchedule`` holds the range rule: at lam > 0 the bounds
+must be positive finite doubles.  A schedule outside the doubles, whether a
+power overflows or a bound underflows to 0, is a LambdaRangeError.
 """
 
 from __future__ import annotations
@@ -236,7 +243,10 @@ class ConstantSchedule:
     D, E bound the activator (D*r^-a <= u <= E*r^-a), F, G the inhibitor
     against its profile.  ``lambda_star`` is the source-strength threshold
     below which the fixed-point map provably preserves the box;
-    ``lambda_star_star`` is its MIXED-kind analogue (None otherwise).
+    ``lambda_star_star`` is its MIXED-kind analogue (None otherwise).  The
+    threshold does not depend on ``lam``.  The range rule: at lam > 0,
+    D < E and F < G must be positive finite doubles, else LambdaRangeError
+    (a bound that underflowed to 0 or overflowed to inf has no box).
     """
 
     C3: float
@@ -254,8 +264,11 @@ class ConstantSchedule:
     def __post_init__(self) -> None:
         if not (0 < self.C3 < self.C4):
             raise ConfigError("need C4 > C3 > 0")
-        if self.lam > 0 and not (self.D < self.E and self.F < self.G):
-            raise ConfigError("box bounds must be ordered for lam > 0")
+        if self.lam > 0 and not (0 < self.D < self.E < math.inf
+                                 and 0 < self.F < self.G < math.inf):
+            raise LambdaRangeError(f"the box at lambda = {self.lam:g} leaves the positive "
+                                   f"finite doubles: D, E, F, G = {self.D:g}, {self.E:g}, "
+                                   f"{self.F:g}, {self.G:g}")
 
     @property
     def threshold(self) -> float:
@@ -282,55 +295,45 @@ def _v_powers(N: int, a, m, s):
     log^(1/(1+s)) correction exactly at it, and saturates at the minimal rate
     r^(2-N) above it.  At a*m <= 2 no decaying inhibitor exists at all.
     """
-    am = a * m
-    threshold = N + s * (N - 2.0)
-    power = np.where(_ge(am, threshold), 2.0 - N, -(am - 2.0) / (1.0 + s))
-    log_power = np.where(_eq(am, threshold), 1.0 / (1.0 + s), 0.0)
-    decays = _gt(am, 2.0)
+    # a power table also holds entries that no cell takes, so, as in the
+    # rules, overflow and division by zero pass silently
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        am = a * m
+        threshold = N + s * (N - 2.0)
+        power = np.where(_ge(am, threshold), 2.0 - N, -(am - 2.0) / (1.0 + s))
+        log_power = np.where(_eq(am, threshold), 1.0 / (1.0 + s), 0.0)
+        decays = _gt(am, 2.0)
     return np.where(decays, power, math.nan), np.where(decays, log_power, math.nan)
-
-
-def _inhibitor_profile(power, log_power, am: float, r0: float) -> AsymptoticProfile:
-    """One cell of ``_v_powers`` as a profile; NaN powers (a*m <= 2) raise."""
-    if math.isnan(power):
-        raise NoInhibitorSolutionError(
-            f"inhibitor source decay a*m = {am:g} <= 2: no decaying solution"
-        )
-    return AsymptoticProfile(float(power), float(log_power), r0)
 
 
 def predicted_v_profile(params: ExponentSet, u_profile: AsymptoticProfile) -> AsymptoticProfile:
     """Inhibitor profile forced by an activator decaying like r^-a (the rule
-    is ``_v_powers``).  Requires a*m > 2, otherwise no decaying inhibitor
-    exists at all."""
+    is ``_v_powers``), anchored at the activator's r0: the GM inhibitor
+    profile of every ``classify`` verdict.  Requires a*m > 2, otherwise no
+    decaying inhibitor exists at all (NoInhibitorSolutionError)."""
     if u_profile.log_power:
         raise ConfigError("activator profile must be a pure power law")
     a = -u_profile.power
     if a <= 0:
         raise ConfigError("activator profile must decay")
     power, log_power = _v_powers(params.N, np.float64(a), params.m, params.s)
-    return _inhibitor_profile(power, log_power, a * params.m, u_profile.r0)
-
-
-def _profile_powers(N: int, kind: SystemKind, u_power, m, s):
-    """``(u_power, u_log_power, v_power, v_log_power)`` of the predicted
-    profiles where the activator decays like r^u_power, elementwise; all NaN
-    where ``u_power`` is (no profile).  The inhibitor follows ``_v_powers``
-    for GM and the activator for MIXED.  A power table also holds entries
-    that no cell takes, so, as in the rules, overflow and division by zero
-    pass silently."""
-    # u's log power is 0 where the activator decays, NaN where it has no profile
-    u = u_power, u_power - u_power
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return *u, *(_v_powers(N, -u_power, m, s) if kind is SystemKind.GM else u)
+    if math.isnan(power):
+        raise NoInhibitorSolutionError(f"inhibitor source decay a*m = {a * params.m:g} <= 2: "
+                                       "no decaying solution")
+    return AsymptoticProfile(float(power), float(log_power), u_profile.r0)
 
 
 def _power_tables(N: int, kind: SystemKind, cls, u_power, m, s):
-    """``(entry, tables)`` of a lattice: the power tables, ``_profile_powers``
-    of ``_classify_rules``' ``u_power``, and each cell's flat index into them,
-    the row of its growth class ``cls`` at the cell's k, m and s."""
+    """``(entry, tables)`` of a lattice: the power tables ``(u_power,
+    u_log_power, v_power, v_log_power)`` of the predicted profiles over
+    ``_classify_rules``' ``u_power`` (all NaN where the class has no
+    profile), and each cell's flat index into them, the row of its growth
+    class ``cls`` at the cell's k, m and s.  The inhibitor follows
+    ``_v_powers`` for GM and the activator for MIXED, as in ``classify``."""
     entry = cls * u_power[0].size + np.arange(u_power[0].size).reshape(u_power.shape[1:])
-    return entry, _profile_powers(N, kind, u_power, m, s)
+    # u's log power is 0 where the activator decays, NaN where it has no profile
+    u = u_power, np.where(np.isnan(u_power), u_power, 0.0)
+    return entry, (*u, *(_v_powers(N, -u_power, m, s) if kind is SystemKind.GM else u))
 
 
 def _classify_rules(N: int, kind: SystemKind, p, q, m, s, k):
@@ -442,16 +445,17 @@ def classify_lattice(N: int, kind: SystemKind, p, q, m, s, k):
 
 def classify(params: ExponentSet, r0: float = 1.0) -> RegimeVerdict:
     """Deterministic regime verdict for one exponent tuple: the one-cell view
-    of ``_classify_rules``, which reads only its class's powers, with
-    profiles anchored at ``r0``."""
+    of ``_classify_rules``, which reads only its class's activator power,
+    with profiles anchored at ``r0``.  The GM inhibitor profile is
+    ``predicted_v_profile`` of the activator's (NoInhibitorSolutionError
+    where a*m <= 2); the MIXED one is the activator's own."""
     outcomes, conditions, rule, cls, u_power = _classify_rules(
         params.N, params.kind, params.p, params.q, params.m, params.s, params.k)
     u_power = u_power[cls]
     if math.isnan(u_power):
         return RegimeVerdict(outcomes[rule], conditions[rule])
-    _, _, *v_powers = _profile_powers(params.N, params.kind, u_power, params.m, params.s)
     u = AsymptoticProfile(float(u_power), 0.0, r0)
-    v = _inhibitor_profile(*v_powers, -u.power * params.m, r0)
+    v = u if params.kind is SystemKind.MIXED else predicted_v_profile(params, u)
     return RegimeVerdict(outcomes[rule], conditions[rule], u, v)
 
 
@@ -483,7 +487,9 @@ def constant_schedule(
 
     A power that overflows the doubles, or that raises an underflowed 0 to a
     negative power (a tiny or huge source amplitude, or a huge lam), is a
-    LambdaRangeError naming lam.
+    LambdaRangeError naming the envelope [C1, C2] and lam; so is a box
+    outside ``ConstantSchedule``'s range rule (a tiny or huge lam).  At
+    lam = 0 the box is all zeros and only the threshold is read.
     """
     if not (0 < C3 < C4):
         raise ConfigError("need C4 > C3 > 0")
@@ -515,7 +521,8 @@ def constant_schedule(
                 1.0 / ((p - 1.0) * (1.0 - sigma))
             )
     except (OverflowError, ZeroDivisionError) as err:
-        raise LambdaRangeError(f"the constant schedule at lambda = {lam:g} leaves the range "
+        raise LambdaRangeError(f"the constant schedule of the source envelope [C1, C2] = "
+                               f"[{C1:g}, {C2:g}] at lambda = {lam:g} leaves the range "
                                f"of doubles ({type(err).__name__})") from err
     return ConstantSchedule(
         C3=C3, C4=C4, C5=C5, C6=C6, D=D, E=E, F=F, G=G, lam=lam,

@@ -33,6 +33,7 @@ from gmext import (
     classify,
     solve_system,
     suggest_lambda,
+    verify_box,
 )
 from gmext.errors import GmextError
 
@@ -57,10 +58,13 @@ def sample(count: int) -> list[ExponentSet]:
 
 def solve_cell(params: ExponentSet, R: float, n: int) -> dict:
     """The outcome of one cell: ``tag`` (``OK`` or the error's tag),
-    ``certificate`` (the larger of the u and v certificates), ``steps`` and
+    ``certificate`` (the larger of the u and v certificates), ``far_field``
+    (the larger of the far-field rows' relative residuals), ``box_ok``
+    (``verify_box``'s verdict on the default window), ``steps`` and
     ``coarse_steps`` (``diagnostics["newton"]``'s Newton steps on the solve
     grid and on the coarse one), each None on failure, and ``where`` (the
-    function that raised, None on success)."""
+    function that raised, None on success).  A solved cell whose box fails
+    is a finding, not a failure."""
     op = assemble_operator(build_grid(1.0, R, n), params.N)
     env = SourceEnvelope.radial(1.0, params.k)
     try:
@@ -68,10 +72,12 @@ def solve_cell(params: ExponentSet, R: float, n: int) -> dict:
         state = solve_system(params.with_lam(lam), env, op, schedule=schedule)
     except GmextError as err:
         frames = [f for f in traceback.extract_tb(err.__traceback__) if "gmext" in f.filename]
-        return {"tag": err.tag, "certificate": None, "steps": None, "coarse_steps": None,
-                "where": frames[-1].name}
+        return {"tag": err.tag, "certificate": None, "far_field": None, "box_ok": None,
+                "steps": None, "coarse_steps": None, "where": frames[-1].name}
     d = state.diagnostics
     return {"tag": "OK", "certificate": max(d["certificate_u"], d["certificate_v"]),
+            "far_field": max(d["far_field_u"], d["far_field_v"]),
+            "box_ok": verify_box(state).ok,
             "steps": d["newton"]["steps"], "coarse_steps": d["newton"]["coarse_steps"],
             "where": None}
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gmext import assemble_operator, build_grid
 from gmext.cli import main
+from gmext.grid import far_field
 
 BASE = ["--N", "3", "--p", "5", "--q", "1", "--m", "6", "--s", "1", "--k", "4"]
 
@@ -149,8 +151,12 @@ SCHEDULE_BLOWUPS = pytest.mark.parametrize("args", [
     [*MIXED_CELL, "--rho0", "1e-100"],
     [*MIXED_CELL, "--rho0", "1e100"],
     [*MIXED_CELL, "--lambda", "1e200"],
+    # F = C3 D^(m/(1+s)) underflows to 0: the box leaves the doubles too
+    [*BASE, "--lambda", "1e-300"],
+    [*MIXED_CELL, "--lambda", "1e-300"],
 ], ids=["gm-rho0-tiny", "gm-rho0-huge", "gm-lambda-huge",
-        "mixed-rho0-tiny", "mixed-rho0-huge", "mixed-lambda-huge"])
+        "mixed-rho0-tiny", "mixed-rho0-huge", "mixed-lambda-huge",
+        "gm-lambda-tiny", "mixed-lambda-tiny"])
 
 
 @SCHEDULE_BLOWUPS
@@ -162,6 +168,16 @@ def test_schedule_blowup_is_a_tagged_solver_error(tmp_path, args):
     assert len(err.splitlines()) == 1
     assert err.startswith("solver error [LAMBDA_OUT_OF_RANGE]")
     assert not out.exists()
+
+
+def test_source_blowup_names_the_amplitude(tmp_path):
+    # the threshold is read at lambda = 0, and the message names the source
+    # envelope, so a huge amplitude is not blamed on a lambda nobody chose
+    code, _, err = run_cli(["solve", *BASE, "--rho0", "1e100", "--n", "1025",
+                            "--output", str(tmp_path / "out")])
+    assert code == 70
+    assert "[1e+100, 1e+100]" in err
+    assert "lambda = 1" not in err
 
 
 @SCHEDULE_BLOWUPS
@@ -227,6 +243,31 @@ def test_solve_outputs(solved_dir):
     assert manifest["fits"]["v"]["matches_prediction"]
     assert manifest["residuals"]["certificate_u"] < 1e-8
     assert manifest["schedule"]["lambda_star"] > 0
+
+
+@pytest.mark.parametrize("cell", [BASE, MIXED_CELL], ids=["min-i", "mixed"])
+def test_outer_row_residuals_are_the_far_field_rows(tmp_path, cell):
+    # the CSV's outer residuals are those of the far-field rows that Newton
+    # solves, not u(R) and v(R) from L's Dirichlet row; their relative sizes
+    # are the manifest's far_field_u and far_field_v
+    code, _, err = run_cli(["solve", *cell, "--n", "1025", "--output", str(tmp_path),
+                            "--name", "run"])
+    assert code == 0, err
+    with (tmp_path / "run.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    cfg = manifest["config"]
+    op = assemble_operator(build_grid(cfg["r0"], cfg["R"], cfg["n"]), cfg["N"])
+    a_sub, a_diag, _ = far_field(op)
+    for c in "uv":
+        w = [float(rows[i][c]) for i in (-2, -1)]
+        res = float(rows[-1][f"residual_{c}"])
+        terms = a_sub * w[0], a_diag * w[1]
+        source = terms[0] + terms[1] - res
+        relative = abs(res) / (abs(terms[0]) + abs(terms[1]) + abs(source))
+        assert abs(res) <= 1e-12 * w[1]
+        assert manifest["residuals"][f"far_field_{c}"] == pytest.approx(relative, rel=1e-9)
+        assert manifest["residuals"][f"far_field_{c}"] <= 1e-12
 
 
 def test_manifest_reproduces_csv_bytes(solved_dir, tmp_path):

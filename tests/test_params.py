@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from gmext import (
     AsymptoticProfile,
+    ConstantSchedule,
     ExponentSet,
     Outcome,
     SourceEnvelope,
@@ -14,6 +17,7 @@ from gmext import (
 from gmext.errors import (
     ConfigError,
     DegenerateExponentError,
+    LambdaRangeError,
     NoInhibitorSolutionError,
     SigmaRangeError,
 )
@@ -200,6 +204,28 @@ def test_schedule_box_values_at_threshold():
     # C4 (E^p F^-q + lam C2) = 32 lam^2 + lam = 2 lam = E
     lhs = sched.C4 * (sched.E ** 5 / sched.F + lam * env.C2)
     assert lhs == pytest.approx(sched.E, rel=1e-10)
+
+
+@pytest.mark.parametrize("bounds", [
+    dict(D=0.0, E=4e-300, F=1e-3, G=1.0),
+    dict(D=1e-300, E=4e-300, F=0.0, G=1e-3),
+    dict(D=1e300, E=math.inf, F=1e-3, G=1.0),
+    dict(D=1.0, E=2.0, F=1.0, G=math.nan),
+], ids=["D-underflowed", "F-underflowed", "E-overflowed", "G-nan"])
+def test_schedule_range_rule_refuses_a_box_outside_the_doubles(bounds):
+    # at lam > 0, D < E and F < G must be positive finite doubles
+    with pytest.raises(LambdaRangeError, match="lambda = 1e-06"):
+        ConstantSchedule(C3=1.0, C4=2.0, C5=1.0, C6=8.0, lam=1e-6, **bounds)
+
+
+def test_threshold_is_read_at_lambda_zero():
+    # lam = 0 builds an all-zero box, which the range rule leaves alone, and
+    # the same threshold, bit for bit, as any lam
+    env = SourceEnvelope.radial(1.0, 4.0)
+    at0 = constant_schedule(gm_unit_case(0.0), env, 0.7, 2.1)
+    assert (at0.D, at0.E, at0.F, at0.G) == (0.0, 0.0, 0.0, 0.0)
+    for lam in (1e-3, 1.0):
+        assert constant_schedule(gm_unit_case(lam), env, 0.7, 2.1).threshold == at0.threshold
 
 
 def test_schedule_requires_sigma_below_one():
