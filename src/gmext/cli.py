@@ -402,12 +402,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     write_solution_csv(csv_path, rows)
     with _open_output(man_path) as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    fits = manifest["fits"]
+    fits, res, box = manifest["fits"], manifest["residuals"], manifest["box"]
     print(f"wrote {csv_path} and {man_path}")
     print(f"fitted exponents: u {fits['u']['power']:+.4f} "
           f"v {fits['v']['power']:+.4f} (window {fits['window'][0]:g}..{fits['window'][1]:g})")
-    print(f"certificates: u {manifest['residuals']['certificate_u']:.3e} "
-          f"v {manifest['residuals']['certificate_v']:.3e}")
+    print("vs predicted: " + ", ".join(
+        f"{c} {getattr(verdict, f'{c}_profile').label()} "
+        + ("PASS" if fits[c]["matches_prediction"] else "FAIL") for c in "uv"))
+    print(f"certificates: u {res['certificate_u']:.3e} v {res['certificate_v']:.3e} "
+          f"far_field_u {res['far_field_u']:.3e} far_field_v {res['far_field_v']:.3e}")
+    print(f"box: {'ok' if box['ok'] else 'FAIL'}: violations u {box['violations_u']} "
+          f"v {box['violations_v']} of {box['n_checked']} nodes, "
+          f"margins u {box['margin_u']:+.3e} v {box['margin_v']:+.3e}")
     if manifest.get("truncation_check"):
         tc = manifest["truncation_check"]
         print(f"truncation deltas vs reference: u {tc['delta_u_power']:.4f} "

@@ -3,7 +3,7 @@ exterior grid.
 
 One application of the map H sends (u, v) to (Tu, Tv):
 
-    -Lap (Tu) = u^p / v^q + lam rho        (GM; MIXED uses v^q / u^p + lam rho)
+    -Lap (Tu) = f(u, v) + lam rho          (f the activator coupling)
     -Lap (Tv) = u^m (Tv)^-s                (monotone scalar solve)
 
 with Neumann inner rows and outer Dirichlet values given as pins (by
@@ -37,6 +37,10 @@ two linear ones are the barrier potential ``scalar.barrier_Z``, which
 continues its source past R by the same ``grid.tail_power`` law.  The
 schedule also supplies the source-strength threshold, which is what keeps the
 activator-inhibitor feedback contractive.
+The coupling is f = u^p v^-q for GM.  MIXED is the same system with the
+coupling turned over, f = v^q / u^p = u^-p v^q.  These powers of u and v
+(``_coupling_powers``) are the one place the system kind enters: the
+equations, Newton's Jacobian and the calibration's w_h all read them.
 """
 
 from __future__ import annotations
@@ -169,10 +173,12 @@ def calibrate_barrier_constants(
     problems -Lap w = psi, for w_k and w_h, need no solve: their decaying
     Neumann solution is the barrier potential Z of ``barrier_Z``, a
     quadrature of psi continued past R as its ``grid.tail_power`` law
-    (exact for w_k's r^-k).  The ratios are taken over the nodes of
-    [r0, R/10] (``RadialGrid.window_mask``, so the node at R/10 counts on
-    every grid; the outer decade is excluded as pin territory) and widened
-    by 5% on both sides.  Neither lam nor the source envelope enters.
+    (exact for w_k's r^-k).  w_h's source is the activator equation's
+    right-hand side on the box profiles at unit source strength, the
+    coupling f(r^-a, psi) of ``_equations`` plus r^-k.  The ratios are
+    taken over the nodes of [r0, R/10] (``RadialGrid.window_mask``, so the
+    node at R/10 counts on every grid; the outer decade is excluded as pin
+    territory) and widened by 5% on both sides.  Neither lam nor the source envelope enters.
     """
     grid = op.grid
     verdict = classify(params, grid.r0)
@@ -186,16 +192,13 @@ def calibrate_barrier_constants(
     g = NonlinearitySpec.power(params.s)
     w_a = solve_monotone(op, r ** -alpha, g, outer="extrapolate").w.values
 
-    w_k = barrier_Z(grid, op.N, r ** -params.k).values
+    pu, source = r ** -a_u, r ** -params.k
+    w_k = barrier_Z(grid, op.N, source).values
     psi_safe = np.where(psi > 0, psi, np.inf)
-    if params.kind is SystemKind.MIXED:
-        coupling_env = psi_safe ** params.q * r ** (params.p * a_u)
-    else:
-        coupling_env = r ** (-params.p * a_u) * psi_safe ** -params.q
-    w_h = barrier_Z(grid, op.N, coupling_env + r ** -params.k).values
+    _, rhs_u, _ = _equations(params.with_lam(1.0), source, pu, psi_safe)
+    w_h = barrier_Z(grid, op.N, rhs_u).values
 
     sel = grid.window_mask(grid.r0, grid.R / 10.0) & (psi > 0)
-    pu = r ** -a_u
     ra = w_a[sel] / psi[sel]
     rk = w_k[sel] / pu[sel]
     rh = w_h[sel] / pu[sel]
@@ -225,14 +228,22 @@ def suggest_lambda(
     return lam, constant_schedule(params.with_lam(lam), env, C3, C4)
 
 
+def _coupling_powers(params: ExponentSet) -> tuple[float, float]:
+    """The powers (a, b) of u and v in the activator coupling f = u^a v^b:
+    (p, -q) for GM, and (-p, q) for MIXED, whose coupling v^q / u^p is GM's
+    turned over."""
+    a, b = params.p, -params.q
+    return (-a, -b) if params.kind is SystemKind.MIXED else (a, b)
+
+
 def _equations(params: ExponentSet, rho: np.ndarray, u: np.ndarray,
                v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The discrete equations L u = f(u, v) + lam rho, L v = u^m v^-s: the
-    activator coupling f and both right-hand sides, as (f, rhs_u, rhs_v)."""
-    if params.kind is SystemKind.MIXED:
-        f = v ** params.q / u ** params.p
-    else:
-        f = u ** params.p / v ** params.q
+    activator coupling f = u^a v^b (``_coupling_powers``) and both
+    right-hand sides, as (f, rhs_u, rhs_v).  f is computed as
+    u^a / v^-b, which for GM is u^p / v^q to the bit."""
+    a, b = _coupling_powers(params)
+    f = u ** a / v ** -b
     return f, f + params.lam * rho, u ** params.m * v ** -params.s
 
 
@@ -379,7 +390,7 @@ def _newton(
     # lam rho decays like r^-k exactly
     rho = env.rho(r)
     rho[-1] *= _tau(op, params.k)
-    sign = -1.0 if params.kind is SystemKind.MIXED else 1.0
+    a, b = _coupling_powers(params)
     rhs = np.empty(2 * op.grid.n)
     factors, drift, count, step = None, np.inf, 0, np.inf
     for steps in range(1, _NEWTON_CAP + 1):
@@ -398,8 +409,8 @@ def _newton(
         if drift > _REFACTOR_DRIFT:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 # Jacobian diagonals: -df/du, -df/dv, -dg/du, -dg/dv
-                duu = -sign * params.p * f / u
-                duv = sign * params.q * f / v
+                duu = -a * f / u
+                duv = -b * f / v
                 dvu = -params.m * g / u
                 dvv = params.s * g / v
                 if not np.all(np.isfinite(duu + duv + dvu + dvv)):

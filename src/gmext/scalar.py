@@ -147,8 +147,9 @@ def barrier_Z(
     or above R/30 and R/3 (``grid.tail_power``, the tail model of the
     coupled far-field rows).  A tail exponent <= 2 means the first moment
     of A diverges and no decaying solution exists (NONINTEGRABLE_SOURCE);
-    an A that is not positive on [R/30, R], or a grid with fewer than two
-    nodes in [R/30, R/3], has no tail exponent (ConfigError).
+    an A that is 0 at some node of [R/30, R] (a power of r that has
+    underflowed, say), or a grid with fewer than two nodes in [R/30, R/3],
+    has no tail exponent (ConfigError; the message counts the zero nodes).
     ``truncate_tail`` asks for the truncated-domain potential with Z(R) = 0
     instead, which needs neither.
     """
@@ -173,8 +174,11 @@ def barrier_Z(
     if truncate_tail:
         return GridFunction(grid, core)
 
-    if not np.all(a_vals[r >= r[-1] / 30.0] > 0.0):
-        raise ConfigError("the tail exponent needs A > 0 from R/30 to R")
+    tail = a_vals[r >= r[-1] / 30.0]
+    if not np.all(tail > 0.0):
+        raise ConfigError(f"the source is 0 at {np.count_nonzero(tail == 0.0)} of the {tail.size} "
+                          "nodes of [R/30, R] (a power that underflows counts), so no tail "
+                          "exponent can be read")
     alpha = tail_power(r, a_vals)
     if alpha <= 2.0:
         raise NonintegrableSourceError(

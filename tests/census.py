@@ -35,6 +35,7 @@ from gmext import (
     suggest_lambda,
     verify_box,
 )
+from gmext.cli import _fit_profile
 from gmext.errors import GmextError
 
 LOG_INHIBITOR_CELLS = (
@@ -62,9 +63,13 @@ def solve_cell(params: ExponentSet, R: float, n: int) -> dict:
     (the larger of the far-field rows' relative residuals), ``box_ok``
     (``verify_box``'s verdict on the default window), ``steps`` and
     ``coarse_steps`` (``diagnostics["newton"]``'s Newton steps on the solve
-    grid and on the coarse one), each None on failure, and ``where`` (the
-    function that raised, None on success).  A solved cell whose box fails
-    is a finding, not a failure."""
+    grid and on the coarse one), ``fit_error`` (the larger |fitted -
+    predicted| power of u and v) and ``fit_ok`` (both fits pass
+    ``compare_profile``), each None on failure, and ``where`` (the function
+    that raised, None on success).  The fits are those of ``gmext solve``
+    on the default window: plain, or log-corrected when the prediction has
+    a log power, over at least one decade.  A solved cell whose box fails or
+    whose fits miss their prediction is a finding, not a failure."""
     op = assemble_operator(build_grid(1.0, R, n), params.N)
     env = SourceEnvelope.radial(1.0, params.k)
     try:
@@ -73,12 +78,19 @@ def solve_cell(params: ExponentSet, R: float, n: int) -> dict:
     except GmextError as err:
         frames = [f for f in traceback.extract_tb(err.__traceback__) if "gmext" in f.filename]
         return {"tag": err.tag, "certificate": None, "far_field": None, "box_ok": None,
-                "steps": None, "coarse_steps": None, "where": frames[-1].name}
+                "steps": None, "coarse_steps": None, "fit_error": None, "fit_ok": None,
+                "where": frames[-1].name}
     d = state.diagnostics
+    window = op.grid.default_window()
+    profiles = (state.verdict.u_profile, state.verdict.v_profile)
+    fits = [_fit_profile(w, window, profile) for w, profile in zip((state.u, state.v), profiles)]
     return {"tag": "OK", "certificate": max(d["certificate_u"], d["certificate_v"]),
             "far_field": max(d["far_field_u"], d["far_field_v"]),
             "box_ok": verify_box(state).ok,
             "steps": d["newton"]["steps"], "coarse_steps": d["newton"]["coarse_steps"],
+            "fit_error": max(abs(fit.power - profile.power)
+                             for (fit, _), profile in zip(fits, profiles)),
+            "fit_ok": all(match for _, match in fits),
             "where": None}
 
 

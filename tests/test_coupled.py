@@ -8,6 +8,7 @@ from gmext import (
     ExponentSet,
     GridFunction,
     SourceEnvelope,
+    SystemKind,
     apply_H,
     calibrate_barrier_constants,
     classify,
@@ -220,6 +221,28 @@ def test_newton_divergence_exits(monkeypatch, patch, match):
     sched = constant_schedule(params, env, 0.5, 2.0)
     with pytest.raises(DivergedError, match=match):
         solve_system(params, env, cached_operator(1.0, 1e3, 129, 3), schedule=sched)
+
+
+@pytest.mark.parametrize("kind", [SystemKind.GM, SystemKind.MIXED], ids=["gm", "mixed"])
+def test_coupling_powers_give_the_newton_jacobian(kind):
+    # Newton's Jacobian takes -df/du = -a f/u and -df/dv = -b f/v from the
+    # coupling powers (a, b): they must be the derivatives of the coupling
+    # that _equations evaluates, and that coupling must be the paper's
+    params = ExponentSet(N=3, p=5.0, q=1.5, m=6.0, s=1.0, k=4.0, kind=kind)
+    rng = np.random.default_rng(20)
+    u, v = rng.uniform(0.5, 2.0, (2, 129))
+    rho = np.zeros(129)
+    a, b = coupled._coupling_powers(params)
+    f = coupled._equations(params, rho, u, v)[0]
+    paper = u ** 5.0 / v ** 1.5 if kind is SystemKind.GM else v ** 1.5 / u ** 5.0
+    np.testing.assert_allclose(f, paper, rtol=1e-14)
+    h = 1e-6
+    dfdu = (coupled._equations(params, rho, u * (1 + h), v)[0]
+            - coupled._equations(params, rho, u * (1 - h), v)[0]) / (2 * h * u)
+    dfdv = (coupled._equations(params, rho, u, v * (1 + h))[0]
+            - coupled._equations(params, rho, u, v * (1 - h))[0]) / (2 * h * v)
+    np.testing.assert_allclose(a * f / u, dfdu, rtol=1e-6)
+    np.testing.assert_allclose(b * f / v, dfdv, rtol=1e-6)
 
 
 def test_newton_refuses_a_source_tail_with_divergent_first_moment():
