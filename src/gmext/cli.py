@@ -387,8 +387,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _check_output(man_path)
     verdict = classify(params_from(cfg), cfg["r0"])
     if not verdict.exists:
-        print(f"{_verdict_line(verdict)}: refusing to solve; "
-              "use 'gmext probe' for nonexistence corroboration", file=sys.stderr)
+        why = ("use 'gmext probe' for nonexistence corroboration"
+               if verdict.outcome is Outcome.NONEXISTENCE
+               else "the known conditions do not settle this cell")
+        print(f"{_verdict_line(verdict)}: refusing to solve; {why}", file=sys.stderr)
         return _exit_for(verdict)
     manifest, rows, code = run_solve(cfg)
 

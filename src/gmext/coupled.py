@@ -153,12 +153,6 @@ def _check_source(params: ExponentSet, env: SourceEnvelope) -> None:
                           f"but the parameters have k = {params.k:g}")
 
 
-def activator_decay(verdict: RegimeVerdict) -> float:
-    if verdict.u_profile is None:
-        raise ConfigError("verdict carries no activator profile")
-    return -verdict.u_profile.power
-
-
 def calibrate_barrier_constants(
     params: ExponentSet,
     op: RadialOperator,
@@ -175,30 +169,30 @@ def calibrate_barrier_constants(
     quadrature of psi continued past R as its ``grid.tail_power`` law
     (exact for w_k's r^-k).  w_h's source is the activator equation's
     right-hand side on the box profiles at unit source strength, the
-    coupling f(r^-a, psi) of ``_equations`` plus r^-k.  The ratios are
-    taken over the nodes of [r0, R/10] (``RadialGrid.window_mask``, so the
-    node at R/10 counts on every grid; the outer decade is excluded as pin
-    territory) and widened by 5% on both sides.  Neither lam nor the source envelope enters.
+    coupling f(r^-a, psi) of ``_equations`` plus r^-k.  Both profiles are
+    the verdict's ``AsymptoticProfile.values``, positive at every node, so
+    the ratios are taken over every node of [r0, R/10]
+    (``RadialGrid.window_mask``, so the node at R/10 counts on every grid;
+    the outer decade is excluded as pin territory) and widened by 5% on both
+    sides.  Neither lam nor the source envelope enters.
     """
     grid = op.grid
     verdict = classify(params, grid.r0)
     if not verdict.exists:
         raise ConfigError("calibration needs an existence-classified parameter set")
-    a_u = activator_decay(verdict)
-    psi = verdict.v_profile.values(grid.r)
     r = grid.r
+    pu, psi = verdict.u_profile.values(r), verdict.v_profile.values(r)
 
-    alpha = params.m * a_u
+    alpha = -params.m * verdict.u_profile.power
     g = NonlinearitySpec.power(params.s)
     w_a = solve_monotone(op, r ** -alpha, g, outer="extrapolate").w.values
 
-    pu, source = r ** -a_u, r ** -params.k
+    source = r ** -params.k
     w_k = barrier_Z(grid, op.N, source).values
-    psi_safe = np.where(psi > 0, psi, np.inf)
-    _, rhs_u, _ = _equations(params.with_lam(1.0), source, pu, psi_safe)
+    _, rhs_u, _ = _equations(params.with_lam(1.0), source, pu, psi)
     w_h = barrier_Z(grid, op.N, rhs_u).values
 
-    sel = grid.window_mask(grid.r0, grid.R / 10.0) & (psi > 0)
+    sel = grid.window_mask(grid.r0, grid.R / 10.0)
     ra = w_a[sel] / psi[sel]
     rk = w_k[sel] / pu[sel]
     rh = w_h[sel] / pu[sel]
@@ -295,11 +289,12 @@ def initial_state(
     verdict: RegimeVerdict,
     schedule: ConstantSchedule,
 ) -> CoupledState:
-    """The box midpoint on the predicted profiles."""
+    """The box midpoint on the predicted profiles: sqrt(D E) and sqrt(F G)
+    times the verdict's profiles (``AsymptoticProfile.values``, positive at
+    every node)."""
     grid = op.grid
-    psi = np.maximum(verdict.v_profile.values(grid.r), _TINY)
-    u0 = np.sqrt(schedule.D * schedule.E) * grid.r ** -activator_decay(verdict)
-    v0 = np.sqrt(schedule.F * schedule.G) * psi
+    u0 = np.sqrt(schedule.D * schedule.E) * verdict.u_profile.values(grid.r)
+    v0 = np.sqrt(schedule.F * schedule.G) * verdict.v_profile.values(grid.r)
     return CoupledState(
         u=GridFunction(grid, u0), v=GridFunction(grid, v0),
         schedule=schedule, verdict=verdict,
@@ -336,7 +331,7 @@ def _certify(
     f, rhs_u, rhs_v = _equations(params, rho, u, v)
     gamma_v = -state.verdict.v_profile.power
     w_u = params.k
-    w_v = params.m * activator_decay(state.verdict) - params.s * gamma_v
+    w_v = -params.m * state.verdict.u_profile.power - params.s * gamma_v
     state.node_residuals = (op.apply(u) - rhs_u, op.apply(v) - rhs_v)
     a_sub, a_diag, _ = far_field(op)
     # the far-field rows' sources, scaled as _newton scales them

@@ -192,7 +192,12 @@ class AsymptoticProfile:
     """Decay profile r^power, times log^log_power(r/r0) when ``log_power``
     is nonzero (a pure power law when it is zero).
 
-    ``power`` is negative for every decaying profile in scope.
+    ``power`` is negative for every decaying profile in scope.  ``values``
+    is the one evaluator of the profile: it anchors the log factor one
+    e-fold inside r0, r^power (1 + log(r/r0))^log_power, so the profile is
+    positive and finite from r0 on, r0^power at r0.  Its law at infinity is
+    unchanged: the ratio to r^power log^log_power(r/r0) is
+    (1 + 1/log(r/r0))^log_power, which tends to 1.
     """
 
     power: float
@@ -200,11 +205,11 @@ class AsymptoticProfile:
     r0: float = 1.0
 
     def values(self, r):
-        """Sample the profile; the log factor is clamped at zero below r0."""
+        """Sample the profile at radii r >= r0."""
         r = np.asarray(r, dtype=float)
         out = r ** self.power
         if self.log_power:
-            out = out * np.maximum(np.log(r / self.r0), 0.0) ** self.log_power
+            out = out * (1.0 + np.log(r / self.r0)) ** self.log_power
         return out
 
     def label(self) -> str:

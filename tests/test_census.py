@@ -9,15 +9,15 @@ below.  A solved cell's box verdict and whether its fits match the
 prediction are recorded, not asserted.  On this tree the 60 sampled cells give 29 OK, 28
 NO_CONVERGENCE (the calibration's pin rounds, item 2), 2
 NONINTEGRABLE_SOURCE (item 6) and 1 DIVERGED (item 4), and both
-log-inhibitor cells DIVERGED (item 5).  Raise the floor when a change
-solves more.
+log-inhibitor cells solve (item 5), 31 OK in all.  Raise the floor when a
+change solves more.
 """
 
 import math
 
 from census import census
 
-_SOLVED_FLOOR = 29
+_SOLVED_FLOOR = 31
 
 
 def test_census_of_random_existence_cells():

@@ -405,6 +405,18 @@ def test_solve_refuses_nonexistence(tmp_path):
     assert "probe" in err
 
 
+def test_solve_refuses_inconclusive_without_pointing_at_the_probe(tmp_path):
+    # k = N is INCONCLUSIVE, which 'gmext probe' refuses too (exit 64), so
+    # the refusal must not send the user there
+    cell = ["--N", "4", "--p", "5", "--q", "1", "--m", "6", "--s", "1", "--k", "4"]
+    code, _, err = run_cli(["solve", *cell, "--output", str(tmp_path)])
+    assert code == 2
+    assert "INCONCLUSIVE k=N" in err
+    assert "probe" not in err
+    assert "do not settle" in err
+    assert run_cli(["probe", *cell])[0] == 64
+
+
 @pytest.mark.parametrize("lam", [0.0, 1e-3], ids=["default_lambda", "explicit_lambda"])
 def test_run_solve_refuses_nonexistence(lam):
     # cmd_solve refuses first (exit 1); run_solve itself raises ConfigError,

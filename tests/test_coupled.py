@@ -464,16 +464,22 @@ def test_coarse_level_skipped_where_its_spacing_is_refused():
     assert max(state.diagnostics["certificate_u"], state.diagnostics["certificate_v"]) < 1e-8
 
 
-@pytest.mark.xfail(strict=True, raises=DivergedError,
-                   reason="the POWER_LOG inhibitor profile vanishes at r0, so the "
-                          "box-midpoint start state is floored at 1e-300 there")
-def test_log_inhibitor_cell_solves():
-    # Thm2.2(i) with v ~ r^-1 log^0.5 (r/r0); every log-inhibitor existence
-    # cell fails the same way at its start state
+@pytest.mark.parametrize("cell", [
+    dict(p=5.0, q=1.0, m=4.0, s=1.0, k=4.0),
+    dict(p=6.0, q=0.5, m=8.0, s=1.0, k=2.5),
+], ids=["Thm2.2(i)", "Thm2.3(i)"])
+def test_log_inhibitor_cell_solves(cell):
+    # v ~ r^-1 log^0.5 (r/r0): the profile's log factor is anchored one
+    # e-fold inside r0, so the box midpoint is a positive start at every node
     from gmext.cli import _SOLVE_DEFAULTS, run_solve
 
-    cfg = dict(_SOLVE_DEFAULTS, N=3, p=5.0, q=1.0, m=4.0, s=1.0, k=4.0, R=1e3, n=1025)
-    run_solve(cfg)
+    cfg = dict(_SOLVE_DEFAULTS, N=3, **cell, R=1e3, n=1025)
+    manifest, _, code = run_solve(cfg)
+    assert code == 0
+    assert manifest["box"]["ok"]
+    res = manifest["residuals"]
+    assert max(res["certificate_u"], res["certificate_v"]) <= 1e-8
+    assert max(res["far_field_u"], res["far_field_v"]) <= 1e-12
 
 
 def test_two_corner_orbits_agree():

@@ -26,6 +26,7 @@ from gmext import (
     RegimeVerdict,
     SourceEnvelope,
     SystemKind,
+    build_grid,
     classify,
     classify_lattice,
     cli,
@@ -37,6 +38,7 @@ from gmext.errors import ConfigError, GmextError, NoInhibitorSolutionError
 from gmext.grid import factor_block, far_field
 from gmext.params import _eq as _params_eq
 
+from census import LOG_INHIBITOR_CELLS
 from conftest import cached_operator
 
 # on a failing example hypothesis imports libcst to write a patch; with an
@@ -73,6 +75,33 @@ def test_only_existence_verdicts_carry_profiles(params):
     verdict = classify(params)
     assert (verdict.u_profile is not None) is verdict.exists
     assert (verdict.v_profile is not None) is verdict.exists
+
+
+existence_sets = st.builds(
+    ExponentSet, N=st.integers(3, 5), p=exponent, q=exponent, m=exponent, s=exponent,
+    k=exponent, kind=st.sampled_from((SystemKind.GM, SystemKind.MIXED)),
+).filter(lambda params: classify(params).exists)
+
+
+@PROPERTY
+@given(existence_sets, st.floats(0.1, 10.0), st.floats(1.0, 8.0))
+@example(LOG_INHIBITOR_CELLS[0], 1.0, 4.0)
+@example(LOG_INHIBITOR_CELLS[1], 2.5, 8.0)
+def test_box_profiles_are_positive_and_finite_from_r0_on(params, r0, decades):
+    # the box's profiles, as the calibration, the start state and the box
+    # check sample them, on [r0, R]; a log factor is anchored one e-fold
+    # inside r0 and keeps the law r^power log^log_power(r/r0) at infinity
+    verdict = classify(params, r0)
+    r = build_grid(r0, r0 * 10.0 ** decades, 257).r
+    for profile in (verdict.u_profile, verdict.v_profile):
+        values = profile.values(r)
+        assert np.all(values > 0) and np.all(np.isfinite(values))
+        if profile.log_power:
+            assert profile.values(r0) == r0 ** profile.power
+            log = np.log(r[1:] / r0)
+            np.testing.assert_allclose(
+                values[1:] / (r[1:] ** profile.power * log ** profile.log_power),
+                (1.0 + 1.0 / log) ** profile.log_power, rtol=1e-12)
 
 
 @PROPERTY
